@@ -1,0 +1,215 @@
+"""Small numerical solvers used by the fits, written with numpy and math only.
+
+``minimize_bounded`` is a line-for-line port of the bounded Brent
+(golden-section plus parabolic interpolation) minimizer behind
+``scipy.optimize.minimize_scalar(method="bounded")``, itself after Forsythe,
+Malcolm and Moler's ``fmin``. It keeps scipy's tolerance rule and iteration
+order, so it visits the same points and returns the same minimizer.
+
+``least_squares_box`` is a projected Levenberg-Marquardt loop for small
+residual vectors with an analytic Jacobian and lower bounds only.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+_EPS = 2.2e-16
+_SQRT_EPS = math.sqrt(_EPS)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+# Evaluation cap of the bounded search; scipy's default ``maxfun``.
+_MAX_EVALUATIONS = 500
+# Iteration cap and relative step/gradient tolerance of the least-squares loop.
+_MAX_ITERATIONS = 100
+_TOL = 1e-13
+
+
+class BoundedMinimum(NamedTuple):
+    """Outcome of :func:`minimize_bounded`.
+
+    ``status`` is ``"converged"``, ``"max_evaluations"`` or ``"nan"``;
+    ``at_bound`` is the bound ``x`` ended within the final tolerance of, or
+    ``None`` for an interior minimum.
+    """
+
+    x: float
+    fun: float
+    nfev: int
+    status: str
+    at_bound: float | None
+
+
+def minimize_bounded(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    xatol: float,
+) -> BoundedMinimum:
+    """Minimize a scalar function of one variable on ``[lo, hi]``.
+
+    The bounds must be finite with ``lo < hi``.
+
+    Stops once the bracket around the best point is within
+    ``2 * (sqrt_eps * |x| + xatol / 3)`` of it on both sides.
+    """
+    a, b = lo, hi
+    v = w = x = a + _GOLDEN * (b - a)
+    fv = fw = fx = f(x)
+    nfev = 1
+    fu = math.inf
+    d = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    status = "converged"
+
+    while abs(x - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # Try a parabola through x, w and v.
+            golden = False
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 if xm >= x else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - x) if x >= xm else (b - x)
+            d = _GOLDEN * e
+
+        u = x + (1.0 if d >= 0 else -1.0) * max(abs(d), tol1)
+        fu = f(u)
+        nfev += 1
+
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv = w, fw
+            w, fw = x, fx
+            x, fx = u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv = w, fw
+                w, fw = u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= _MAX_EVALUATIONS:
+            status = "max_evaluations"
+            break
+
+    if math.isnan(x) or math.isnan(fx) or math.isnan(fu):
+        status = "nan"
+    at_bound = None
+    if x - lo <= tol2:
+        at_bound = lo
+    elif hi - x <= tol2:
+        at_bound = hi
+    return BoundedMinimum(x=x, fun=fx, nfev=nfev, status=status, at_bound=at_bound)
+
+
+class BoxLeastSquares(NamedTuple):
+    """Outcome of :func:`least_squares_box`.
+
+    ``status`` is ``"converged"`` (the step or the scaled gradient fell below
+    tolerance), ``"stalled"`` (no damped step improved on the current point)
+    or ``"max_iterations"``.
+    """
+
+    x: np.ndarray
+    sse: float
+    nit: int
+    status: str
+
+
+def least_squares_box(
+    resid_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    x0,
+    lower,
+) -> BoxLeastSquares:
+    """Minimize ``sum(r(x)**2)`` subject to ``x >= lower``.
+
+    ``resid_jac(x)`` returns the residual vector and its Jacobian. Each step
+    solves the Marquardt-scaled damped normal equations over the free
+    variables: those above their bound, plus those at it whose descent
+    direction points inward. The trial point is projected onto the bounds
+    and accepted if it lowers the sum of squares, or, once the change is
+    within rounding of the sum, if it lowers the scaled gradient, which
+    stays informative there. The result never scores worse than ``x0``
+    projected onto the bounds.
+    """
+    lower = np.asarray(lower, dtype=float)
+    x_start = x = np.maximum(np.asarray(x0, dtype=float), lower)
+    r, jac = resid_jac(x)
+    sse_start = sse = float(r @ r)
+    damping = 1e-3
+    status = "max_iterations"
+    nit = 0
+    while nit < _MAX_ITERATIONS:
+        grad = jac.T @ r
+        free = (x > lower) | (grad < 0.0)
+        if sse == 0.0 or not free.any():
+            status = "converged"
+            break
+        jf = jac[:, free]
+        scale = np.sqrt(np.einsum("ij,ij->j", jf, jf))
+        scale[scale == 0.0] = 1.0
+        g = grad[free] / scale
+        g_max = np.max(np.abs(g))
+        if g_max <= _TOL * math.sqrt(sse):
+            status = "converged"
+            break
+        h = (jf / scale).T @ (jf / scale)
+        while damping <= 1e16:
+            try:
+                z = np.linalg.solve(h + damping * np.eye(h.shape[0]), -g)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            trial = x.copy()
+            trial[free] += z / scale
+            np.maximum(trial, lower, out=trial)
+            r_trial, jac_trial = resid_jac(trial)
+            sse_trial = float(r_trial @ r_trial)
+            if sse_trial < sse or (
+                sse_trial <= sse * (1.0 + 64 * _EPS)
+                and np.max(np.abs(jac_trial[:, free].T @ r_trial) / scale) < g_max
+            ):
+                break
+            damping *= 10.0
+        else:
+            status = "stalled"
+            break
+        nit += 1
+        small_step = bool(np.all(np.abs(trial - x) <= _TOL * (np.abs(x) + _TOL)))
+        x, r, jac, sse = trial, r_trial, jac_trial, sse_trial
+        damping = max(damping * 0.1, 1e-12)
+        if small_step:
+            status = "converged"
+            break
+    if sse > sse_start:
+        return BoxLeastSquares(x_start, sse_start, nit, status)
+    return BoxLeastSquares(x, sse, nit, status)

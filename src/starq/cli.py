@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -85,6 +86,10 @@ def cmd_predict_rate(args) -> int:
         for axis, value in fixed.items():
             if axis != args.sweep and value is None:
                 raise StarqError(f"sweeping {args.sweep} requires a fixed --{axis}")
+        if not (0 < args.sweep_from < math.inf and 0 < args.sweep_to < math.inf):
+            raise StarqError("--sweep-from and --sweep-to must be finite and > 0")
+        if args.points < 1:
+            raise StarqError(f"--points must be at least 1, got {args.points}")
         axis_values = np.geomspace(args.sweep_from, args.sweep_to, args.points)
         print("q,s,t,rate_kbps")
         for v in axis_values:
@@ -146,7 +151,9 @@ def cmd_optimize(args) -> int:
     else:
         solve = lambda budget: optimize_continuous(rp, qp, budget, grid=args.grid)
 
-    if args.budget_sweep:
+    if args.budget_sweep is not None:
+        if args.budget_sweep < 1:
+            raise StarqError(f"--budget-sweep must be at least 1, got {args.budget_sweep}")
         budgets = np.geomspace(0.01 * rp.r_max, rp.r_max, args.budget_sweep)
         print("budget_kbps,q,s,t,rate_kbps,quality")
         for budget in budgets:

@@ -13,12 +13,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
 
+from ._solve import least_squares_box, minimize_bounded
 from .errors import DegenerateDataError, InsufficientDataError, InvalidParameterError
 from .models import RateParams, ResolutionRef, Star, rate_surface
 
 _ANCHOR_RTOL = 1e-9
+_EXPONENT_MAX = 4.0
+# Lower bounds of (a, b, c, r_max) in the joint refinement.
+_JOINT_LOWER = (0.0, 0.0, 0.0, 1e-9)
 
 
 def _close(a: float, b: float) -> bool:
@@ -180,6 +183,12 @@ def fit_power_exponent(points, direction: str) -> float:
     scalar minimization on ``[0, 4]``; a log-log regression slope seeds the
     search and is kept if it happens to score better.
     """
+    return _fit_exponent(points, direction)[0]
+
+
+def _fit_exponent(points, direction: str) -> tuple[float, bool]:
+    # The exponent of fit_power_exponent, and whether the search stopped at
+    # its upper bound.
     if direction not in ("decreasing", "increasing"):
         raise InvalidParameterError(f"unknown direction {direction!r}")
     ratios = np.asarray([p[0] for p in points], dtype=float)
@@ -196,16 +205,15 @@ def fit_power_exponent(points, direction: str) -> float:
     log_v = np.log(values)
     dr = log_r - log_r.mean()
     slope = float(np.dot(dr, log_v - log_v.mean()) / np.dot(dr, dr))
-    init = min(max(sign * slope, 0.0), 4.0)
+    init = min(max(sign * slope, 0.0), _EXPONENT_MAX)
 
     def sse(x: float) -> float:
         return float(np.sum((ratios ** (sign * x) - values) ** 2))
 
-    result = minimize_scalar(sse, bounds=(0.0, 4.0), method="bounded", options={"xatol": 1e-10})
-    best = float(result.x)
-    if sse(init) < sse(best):
-        best = init
-    return best
+    result = minimize_bounded(sse, 0.0, _EXPONENT_MAX, xatol=1e-10)
+    if sse(init) < result.fun:
+        return init, init == _EXPONENT_MAX
+    return result.x, result.at_bound == _EXPONENT_MAX
 
 
 def pearson(x, y) -> float:
@@ -246,11 +254,26 @@ def _informative(points, axis: str) -> list[tuple[float, float]]:
     return points
 
 
-def _protocol_fit(log: EncodeLog) -> RateParams:
+def _protocol_fit(log: EncodeLog, warnings: list[str]) -> RateParams:
     anchor = _find_anchor(log)
-    a = fit_power_exponent(_informative(normalize_nrq(log), "stepsize"), "decreasing")
-    b = fit_power_exponent(_informative(normalize_nrt(log), "frame-rate"), "increasing")
-    c = fit_power_exponent(_informative(normalize_nrs(log), "frame-size"), "increasing")
+    exponents = []
+    bound_hits = []
+    for curve, axis, direction, name in (
+        (normalize_nrq, "stepsize", "decreasing", "a"),
+        (normalize_nrt, "frame-rate", "increasing", "b"),
+        (normalize_nrs, "frame-size", "increasing", "c"),
+    ):
+        value, at_bound = _fit_exponent(_informative(curve(log), axis), direction)
+        exponents.append(value)
+        if at_bound:
+            bound_hits.append(
+                f"{axis} exponent {name} stopped at the search bound {_EXPONENT_MAX:g}; "
+                "the data may call for a larger value"
+            )
+    # Warn only once every curve has fitted; a joint fit that falls back to
+    # the log-domain seed never uses these exponents.
+    warnings.extend(bound_hits)
+    a, b, c = exponents
     return RateParams(a=a, b=b, c=c, r_max=anchor.rate, ref=log.ref)
 
 
@@ -305,10 +328,10 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
 
     warnings: list[str] = []
     if mode == "protocol":
-        params = _protocol_fit(log)
+        params = _protocol_fit(log, warnings)
     else:
         try:
-            init = _protocol_fit(log)
+            init = _protocol_fit(log, warnings)
         except (InsufficientDataError, DegenerateDataError):
             init = _loglinear_init(log)
             warnings.append("anchor samples missing; joint fit seeded by log-domain regression")
@@ -337,31 +360,22 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
 
 def _joint_refine(log: EncodeLog, init: RateParams, warnings: list[str]) -> RateParams:
     ref = log.ref
-    qs = np.asarray([s.star.q for s in log.samples])
-    ss = np.asarray([s.star.s for s in log.samples])
-    ts = np.asarray([s.star.t for s in log.samples])
+    lq = np.log([s.star.q / ref.q_min for s in log.samples])
+    lt = np.log([s.star.t / ref.t_max for s in log.samples])
+    ls = np.log([s.star.s / ref.s_max for s in log.samples])
     measured = np.asarray([s.rate for s in log.samples])
 
-    def residual(x):
+    def resid_jac(x):
         a, b, c, r_max = x
-        return (
-            r_max
-            * (qs / ref.q_min) ** -a
-            * (ts / ref.t_max) ** b
-            * (ss / ref.s_max) ** c
-            - measured
-        )
+        unit = np.exp(-a * lq + b * lt + c * ls)
+        model = r_max * unit
+        return model - measured, np.column_stack((-lq * model, lt * model, ls * model, unit))
 
     x0 = np.array([init.a, init.b, init.c, init.r_max])
-    result = least_squares(
-        residual,
-        x0,
-        bounds=([0.0, 0.0, 0.0, 1e-9], [np.inf, np.inf, np.inf, np.inf]),
-        method="trf",
-    )
-    sse_init = float(np.sum(residual(x0) ** 2))
-    sse_final = float(np.sum(result.fun**2))
-    if sse_final > sse_init * (1.0 + 1e-12) + 1e-30:
+    result = least_squares_box(resid_jac, x0, _JOINT_LOWER)
+    residual0 = resid_jac(x0)[0]
+    sse_init = float(residual0 @ residual0)
+    if result.sse > sse_init * (1.0 + 1e-12) + 1e-30:
         warnings.append("joint refinement did not reduce the residual; kept the seed fit")
         return init
     a, b, c, r_max = (float(v) for v in result.x)

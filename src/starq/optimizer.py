@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from ._solve import minimize_bounded
 from .errors import (
     DegenerateDataError,
     InfeasibleError,
@@ -238,11 +238,8 @@ def fit_qr(curve, r_max: float) -> QrFit:
         model = np.expm1(-kappa * x) / np.expm1(-kappa)
         return float(np.sqrt(np.mean((model - qualities) ** 2)))
 
-    result = minimize_scalar(
-        rmse, bounds=(1e-6, 50.0), method="bounded", options={"xatol": 1e-10}
-    )
-    kappa = float(result.x)
-    return QrFit(model=QrModel(kappa=kappa, r_max=r_max), rmse=rmse(kappa))
+    result = minimize_bounded(rmse, 1e-6, 50.0, xatol=1e-10)
+    return QrFit(model=QrModel(kappa=result.x, r_max=r_max), rmse=result.fun)
 
 
 def optimal_quality_curve(

@@ -162,6 +162,29 @@ class TestOptimize:
         assert rc == 4
 
 
+SWEEP_T = ["--q", "16", "--s", "4cif", "--sweep", "t", "--sweep-to", "30"]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["predict-rate", *SWEEP_T, "--sweep-from", "0"], "--sweep-from and --sweep-to must"),
+        (["predict-rate", *SWEEP_T, "--sweep-from", "-2"], "--sweep-from and --sweep-to must"),
+        (["predict-rate", *SWEEP_T, "--sweep-from", "1.875", "--points", "0"], "--points must"),
+        (["optimize", "--budget-sweep", "0"], "--budget-sweep must"),
+    ],
+    ids=["sweep-from-zero", "sweep-from-negative", "zero-points", "zero-budget-sweep"],
+)
+def test_bad_sweep_arguments_are_input_errors(city_model_json, capsys, extra, message):
+    argv = [extra[0], str(city_model_json), *extra[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 class TestOrder:
     def write_levels(self, tmp_path, s_values):
         levels = tmp_path / "levels.json"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -175,6 +176,53 @@ class TestFitRateParams:
     def test_unknown_mode(self):
         with pytest.raises(InvalidParameterError):
             fit_rate_params(synthetic_log(CITY), mode="bayesian")
+
+
+class TestSearchBound:
+    def test_noiseless_fit_has_no_warning(self):
+        assert fit_rate_params(synthetic_log(CITY), mode="protocol").warnings == ()
+
+    @pytest.mark.parametrize("mode", ["protocol", "joint"])
+    def test_exponent_at_search_bound_is_reported(self, mode):
+        # The exponent search stops at 4, below the generating a = 5.
+        report = fit_rate_params(synthetic_log(dataclasses.replace(CITY, a=5.0)), mode=mode)
+        bound_warnings = [w for w in report.warnings if "search bound 4" in w]
+        assert len(bound_warnings) == 1
+        assert "stepsize exponent a" in bound_warnings[0]
+        if mode == "protocol":
+            assert report.params.a == pytest.approx(4.0, abs=1e-6)
+        else:
+            assert report.params.a == pytest.approx(5.0, rel=1e-6)
+
+
+def _scaled(log, k):
+    return EncodeLog(
+        samples=tuple(RateSample(star=s.star, rate=s.rate * k) for s in log.samples), ref=log.ref
+    )
+
+
+def _assert_same_fit(got, want, rate_scale=1.0):
+    assert got.a == pytest.approx(want.a, rel=1e-9)
+    assert got.b == pytest.approx(want.b, rel=1e-9)
+    assert got.c == pytest.approx(want.c, rel=1e-9)
+    assert got.r_max == pytest.approx(want.r_max * rate_scale, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["protocol", "joint"])
+@pytest.mark.parametrize("scenario, sequence, seed", [("svc1", "city", 1), ("sl2", "soccer", 2), ("svc1", "ice", 3)])
+class TestFitMetamorphic:
+    def test_rate_scaling_scales_r_max_only(self, mode, scenario, sequence, seed):
+        log = synthetic_log(rate_params(sequence, scenario), noise=0.03, seed=seed)
+        base = fit_rate_params(log, mode=mode).params
+        for k in (0.013, 3.7, 1e3 / 7):
+            _assert_same_fit(fit_rate_params(_scaled(log, k), mode=mode).params, base, rate_scale=k)
+
+    def test_sample_order_does_not_matter(self, mode, scenario, sequence, seed):
+        log = synthetic_log(rate_params(sequence, scenario), noise=0.03, seed=seed)
+        base = fit_rate_params(log, mode=mode).params
+        order = np.random.default_rng(seed).permutation(len(log.samples))
+        shuffled = EncodeLog(samples=tuple(log.samples[i] for i in order), ref=log.ref)
+        _assert_same_fit(fit_rate_params(shuffled, mode=mode).params, base)
 
 
 class TestEncodeLog:
