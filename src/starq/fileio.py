@@ -63,42 +63,40 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     the log and any warnings.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise InvalidParameterError(f"{path}: empty file, expected a CSV header")
-        columns = [name.strip() for name in reader.fieldnames]
-        missing = [c for c in _REQUIRED_LOG_COLUMNS if c not in columns]
-        if missing:
-            raise InvalidParameterError(f"{path}: line 1: missing columns {missing}")
-        has_q = "q" in columns
-        has_qp = "qp" in columns
-        if not has_q and not has_qp:
-            raise InvalidParameterError(f"{path}: line 1: need a 'q' or 'qp' column")
+    fieldnames, rows = _read_csv(path)
+    if fieldnames is None:
+        raise InvalidParameterError(f"{path}: empty file, expected a CSV header")
+    columns = [name.strip() for name in fieldnames]
+    missing = [c for c in _REQUIRED_LOG_COLUMNS if c not in columns]
+    if missing:
+        raise InvalidParameterError(f"{path}: line 1: missing columns {missing}")
+    has_q = "q" in columns
+    has_qp = "qp" in columns
+    if not has_q and not has_qp:
+        raise InvalidParameterError(f"{path}: line 1: need a 'q' or 'qp' column")
 
-        warnings: list[str] = []
-        if has_q and has_qp:
-            warnings.append("log has both 'q' and 'qp' columns; using 'qp'")
+    warnings: list[str] = []
+    if has_q and has_qp:
+        warnings.append("log has both 'q' and 'qp' columns; using 'qp'")
 
-        samples: list[RateSample] = []
-        for row in reader:
-            row = {k.strip(): (v.strip() if isinstance(v, str) else v) for k, v in row.items() if k}
-            num = reader.line_num
-            if has_qp:
-                q = stepsize_from_qp(_parse_float(num, "qp", row.get("qp")))
-            else:
-                q = _parse_float(num, "q", row.get("q"))
-            width = _parse_float(num, "width", row.get("width"))
-            height = _parse_float(num, "height", row.get("height"))
-            fps = _parse_float(num, "fps", row.get("fps"))
-            rate = _parse_float(num, "rate_kbps", row.get("rate_kbps"))
-            try:
-                star = Star(q=q, s=width * height, t=fps)
-                samples.append(RateSample(star=star, rate=rate, tag=row.get("label", "") or ""))
-            except InvalidParameterError as exc:
-                raise InvalidParameterError(f"{path}: line {num}: {exc}") from None
-        if not samples:
-            raise InvalidParameterError(f"{path}: no data rows")
+    samples: list[RateSample] = []
+    for num, row in rows:
+        row = {k.strip(): (v.strip() if isinstance(v, str) else v) for k, v in row.items() if k}
+        if has_qp:
+            q = stepsize_from_qp(_parse_float(num, "qp", row.get("qp")))
+        else:
+            q = _parse_float(num, "q", row.get("q"))
+        width = _parse_float(num, "width", row.get("width"))
+        height = _parse_float(num, "height", row.get("height"))
+        fps = _parse_float(num, "fps", row.get("fps"))
+        rate = _parse_float(num, "rate_kbps", row.get("rate_kbps"))
+        try:
+            star = Star(q=q, s=width * height, t=fps)
+            samples.append(RateSample(star=star, rate=rate, tag=row.get("label", "") or ""))
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{path}: line {num}: {exc}") from None
+    if not samples:
+        raise InvalidParameterError(f"{path}: no data rows")
     return EncodeLog.from_samples(samples), warnings
 
 
@@ -170,13 +168,7 @@ def model_from_dict(doc: dict) -> ModelFile:
 
 
 def read_model_file(path) -> ModelFile:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InvalidParameterError(f"{path}: expected a JSON object")
+    doc = _read_config(path)
     try:
         return model_from_dict(doc)
     except InvalidParameterError as exc:
@@ -187,7 +179,7 @@ def write_model_file(path, model: ModelFile) -> None:
     Path(path).write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
 
 
-def read_sets_config(path, ref: ResolutionRef) -> FeasibleSets:
+def read_sets_config(path) -> FeasibleSets:
     """Feasible-set config: keys s_values, t_values and q_range."""
     doc = _read_config(path)
     try:
@@ -214,11 +206,21 @@ def read_levels_config(path) -> tuple[tuple[float, ...], tuple[float, ...], tupl
     return s_levels, t_levels, q_levels
 
 
+def _read_csv(path) -> tuple[list[str] | None, list[tuple[int, dict]]]:
+    """Header and rows of a CSV file, each row with the line number it ends on."""
+    with Path(path).open(newline="") as handle:
+        reader = csv.DictReader(handle)
+        try:
+            return reader.fieldnames, [(reader.line_num, row) for row in reader]
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise InvalidParameterError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_config(path) -> dict:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidParameterError(f"{path}: expected a JSON object")

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._solve import least_squares_box, minimize_bounded
 from .errors import DegenerateDataError, InsufficientDataError, InvalidParameterError
-from .models import RateParams, ResolutionRef, Star, rate_surface
+from .models import RateParams, ResolutionRef, Star, _rate
 
 _ANCHOR_RTOL = 1e-9
 _EXPONENT_MAX = 4.0
@@ -94,6 +94,27 @@ class FitReport:
     warnings: tuple[str, ...] = field(default=())
 
 
+def _normalize(samples, group, axis: str, anchor: float, missing: str):
+    # Rates divided by the rate measured at ``axis == anchor`` within each
+    # group of samples, groups in sorted order and each group sorted along
+    # ``axis``. Groups without an anchor measurement are skipped.
+    groups: dict = {}
+    for sample in samples:
+        groups.setdefault(group(sample.star), []).append(sample)
+    points: list[tuple[float, float]] = []
+    for key in sorted(groups):
+        members = groups[key]
+        anchors = [m for m in members if _close(getattr(m.star, axis), anchor)]
+        if anchors:
+            points += [
+                (getattr(m.star, axis) / anchor, m.rate / anchors[0].rate)
+                for m in sorted(members, key=lambda m: getattr(m.star, axis))
+            ]
+    if not points:
+        raise InsufficientDataError(missing)
+    return points
+
+
 def normalize_nrq(log: EncodeLog) -> list[tuple[float, float]]:
     """Rates at ``s_max`` normalized by the rate at ``q_min``, pooled over
     every frame rate measured there.
@@ -104,24 +125,10 @@ def normalize_nrq(log: EncodeLog) -> list[tuple[float, float]]:
     """
     ref = log.ref
     at_smax = [s for s in log.samples if _close(s.star.s, ref.s_max)]
-    groups: dict[float, list[RateSample]] = {}
-    for sample in at_smax:
-        groups.setdefault(sample.star.t, []).append(sample)
-
-    points: list[tuple[float, float]] = []
-    for t in sorted(groups):
-        group = groups[t]
-        anchors = [s for s in group if _close(s.star.q, ref.q_min)]
-        if not anchors:
-            continue
-        anchor_rate = anchors[0].rate
-        for sample in sorted(group, key=lambda s: s.star.q):
-            points.append((sample.star.q / ref.q_min, sample.rate / anchor_rate))
-    if not points:
-        raise InsufficientDataError(
-            "no rate measured at the reference stepsize and frame size"
-        )
-    return points
+    return _normalize(
+        at_smax, lambda x: x.t, "q", ref.q_min,
+        "no rate measured at the reference stepsize and frame size",
+    )
 
 
 def normalize_nrt(log: EncodeLog) -> list[tuple[float, float]]:
@@ -131,21 +138,12 @@ def normalize_nrt(log: EncodeLog) -> list[tuple[float, float]]:
     """
     ref = log.ref
     curve = [
-        s
-        for s in log.samples
-        if _close(s.star.q, ref.q_min) and _close(s.star.s, ref.s_max)
+        s for s in log.samples if _close(s.star.q, ref.q_min) and _close(s.star.s, ref.s_max)
     ]
-    anchors = [s for s in curve if _close(s.star.t, ref.t_max)]
-    if not anchors:
-        raise InsufficientDataError(
-            "no rate measured at the reference frame rate for the reference "
-            "stepsize and frame size"
-        )
-    anchor_rate = anchors[0].rate
-    return [
-        (s.star.t / ref.t_max, s.rate / anchor_rate)
-        for s in sorted(curve, key=lambda s: s.star.t)
-    ]
+    return _normalize(
+        curve, lambda x: None, "t", ref.t_max,
+        "no rate measured at the reference frame rate for the reference stepsize and frame size",
+    )
 
 
 def normalize_nrs(log: EncodeLog) -> list[tuple[float, float]]:
@@ -155,23 +153,10 @@ def normalize_nrs(log: EncodeLog) -> list[tuple[float, float]]:
     Returns ``(s / s_max, rate ratio)`` pairs. Pairs without an ``s_max``
     measurement are skipped.
     """
-    ref = log.ref
-    groups: dict[tuple[float, float], list[RateSample]] = {}
-    for sample in log.samples:
-        groups.setdefault((sample.star.q, sample.star.t), []).append(sample)
-
-    points: list[tuple[float, float]] = []
-    for key in sorted(groups):
-        group = groups[key]
-        anchors = [s for s in group if _close(s.star.s, ref.s_max)]
-        if not anchors:
-            continue
-        anchor_rate = anchors[0].rate
-        for sample in sorted(group, key=lambda s: s.star.s):
-            points.append((sample.star.s / ref.s_max, sample.rate / anchor_rate))
-    if not points:
-        raise InsufficientDataError("no rate measured at the reference frame size")
-    return points
+    return _normalize(
+        log.samples, lambda x: (x.q, x.t), "s", log.ref.s_max,
+        "no rate measured at the reference frame size",
+    )
 
 
 def fit_power_exponent(points, direction: str) -> float:
@@ -277,25 +262,21 @@ def _protocol_fit(log: EncodeLog, warnings: list[str]) -> RateParams:
     return RateParams(a=a, b=b, c=c, r_max=anchor.rate, ref=log.ref)
 
 
-def _loglinear_init(log: EncodeLog) -> RateParams:
-    # log rate is linear in the four unknowns; used only to seed the joint fit.
-    if len(log.samples) < 4:
-        raise InsufficientDataError("joint fit needs at least four samples")
+def _log_ratios(log: EncodeLog):
+    # Per sample: log of q, t and s over their reference values, and the rate.
     ref = log.ref
-    rows = []
-    rhs = []
-    for sample in log.samples:
-        star = sample.star
-        rows.append(
-            [
-                1.0,
-                -math.log(star.q / ref.q_min),
-                math.log(star.t / ref.t_max),
-                math.log(star.s / ref.s_max),
-            ]
-        )
-        rhs.append(math.log(sample.rate))
-    coef, _, rank, _ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
+    lq = np.log([s.star.q / ref.q_min for s in log.samples])
+    lt = np.log([s.star.t / ref.t_max for s in log.samples])
+    ls = np.log([s.star.s / ref.s_max for s in log.samples])
+    return lq, lt, ls, np.asarray([s.rate for s in log.samples])
+
+
+def _loglinear_init(ref: ResolutionRef, lq, lt, ls, rate) -> RateParams:
+    # log rate is linear in the four unknowns; used only to seed the joint fit.
+    if len(rate) < 4:
+        raise InsufficientDataError("joint fit needs at least four samples")
+    rows = np.column_stack((np.ones_like(lq), -lq, lt, ls))
+    coef, _, rank, _ = np.linalg.lstsq(rows, np.log(rate), rcond=None)
     if rank < 4:
         raise InsufficientDataError(
             "samples do not vary enough across the three axes for a joint fit"
@@ -330,18 +311,19 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
     if mode == "protocol":
         params = _protocol_fit(log, warnings)
     else:
+        ratios = _log_ratios(log)
         try:
             init = _protocol_fit(log, warnings)
         except (InsufficientDataError, DegenerateDataError):
-            init = _loglinear_init(log)
+            init = _loglinear_init(log.ref, *ratios)
             warnings.append("anchor samples missing; joint fit seeded by log-domain regression")
-        params = _joint_refine(log, init, warnings)
+        params = _joint_refine(ratios, init, warnings)
 
     qs = np.asarray([s.star.q for s in log.samples])
     ss = np.asarray([s.star.s for s in log.samples])
     ts = np.asarray([s.star.t for s in log.samples])
     measured = np.asarray([s.rate for s in log.samples])
-    predicted = rate_surface(params, qs, ss, ts)
+    predicted = _rate(params, qs, ss, ts)
 
     rmse = float(np.sqrt(np.mean((measured - predicted) ** 2)))
     residuals = tuple(
@@ -358,12 +340,8 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
     )
 
 
-def _joint_refine(log: EncodeLog, init: RateParams, warnings: list[str]) -> RateParams:
-    ref = log.ref
-    lq = np.log([s.star.q / ref.q_min for s in log.samples])
-    lt = np.log([s.star.t / ref.t_max for s in log.samples])
-    ls = np.log([s.star.s / ref.s_max for s in log.samples])
-    measured = np.asarray([s.rate for s in log.samples])
+def _joint_refine(ratios, init: RateParams, warnings: list[str]) -> RateParams:
+    lq, lt, ls, measured = ratios
 
     def resid_jac(x):
         a, b, c, r_max = x
@@ -379,4 +357,4 @@ def _joint_refine(log: EncodeLog, init: RateParams, warnings: list[str]) -> Rate
         warnings.append("joint refinement did not reduce the residual; kept the seed fit")
         return init
     a, b, c, r_max = (float(v) for v in result.x)
-    return RateParams(a=a, b=b, c=c, r_max=r_max, ref=ref)
+    return RateParams(a=a, b=b, c=c, r_max=r_max, ref=init.ref)

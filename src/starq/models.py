@@ -8,7 +8,9 @@ at the same point, and a one-parameter inverted exponential summarizes the
 achievable quality as a function of rate alone.
 
 The ``*_surface`` functions broadcast over numpy arrays; the ``evaluate_*``
-wrappers take validated scalar operating points and return plain floats.
+wrappers take validated scalar operating points and return plain floats. Both
+call one private core per formula, built on numpy ufuncs (``np.power``, not
+``**``), so a scalar result has exactly the bits of the array result.
 """
 
 from __future__ import annotations
@@ -34,11 +36,17 @@ def _require_positive(**values: float) -> None:
             raise InvalidParameterError(f"{name} must be finite and > 0, got {v!r}")
 
 
-def _require_positive_array(**values) -> None:
-    for name, v in values.items():
-        arr = np.asarray(v, dtype=float)
+def _positive_arrays(**values) -> list[np.ndarray]:
+    """The values as float arrays, each checked finite and strictly positive."""
+    arrays = [np.asarray(v, dtype=float) for v in values.values()]
+    for name, arr in zip(values, arrays):
         if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
             raise InvalidParameterError(f"{name} must be finite and strictly positive")
+    return arrays
+
+
+def _qp(q):
+    return 4.0 + 6.0 * np.log2(q)
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,7 @@ class QualityParams:
 
     def alpha_s(self, q):
         """Stepsize-coupled spatial falloff coefficient, flat below the QP clamp."""
-        qp = np.maximum(4.0 + 6.0 * np.log2(q), self.qp_clamp)
+        qp = np.maximum(_qp(q), self.qp_clamp)
         return self.alpha_s_tilde * (self.nu1 * qp + self.nu2)
 
 
@@ -143,13 +151,18 @@ class QrModel:
         _require_positive(kappa=self.kappa, r_max=self.r_max)
 
 
-def qp_from_stepsize(q: float) -> float:
+def _check_shared_ref(rp: RateParams, qp: QualityParams) -> None:
+    if not rp.ref.matches(qp.ref):
+        raise InvalidParameterError("rate and quality parameters use different references")
+
+
+def qp_from_stepsize(q):
     """Map a quantization stepsize to the real-valued H.264 QP scale.
 
     The stepsize doubles every 6 QP units, with QP 4 at stepsize 1.
+    Broadcasts over numpy arrays.
     """
-    _require_positive(q=q)
-    return 4.0 + 6.0 * math.log2(q)
+    return _qp(*_positive_arrays(q=q))
 
 
 def stepsize_from_qp(qp: float) -> float:
@@ -159,25 +172,37 @@ def stepsize_from_qp(qp: float) -> float:
     return 2.0 ** ((qp - 4.0) / 6.0)
 
 
+def _rate(p: RateParams, q, s, t):
+    ref = p.ref
+    return (
+        p.r_max
+        * np.power(q / ref.q_min, -p.a)
+        * np.power(t / ref.t_max, p.b)
+        * np.power(s / ref.s_max, p.c)
+    )
+
+
 def rate_surface(p: RateParams, q, s, t):
     """Bit rate in kbps at stepsize ``q``, frame size ``s``, frame rate ``t``.
 
     Accepts scalars or broadcastable numpy arrays. Equals ``p.r_max`` exactly
     at the reference point.
     """
-    _require_positive_array(q=q, s=s, t=t)
-    ref = p.ref
-    return (
-        p.r_max
-        * (q / ref.q_min) ** -p.a
-        * (t / ref.t_max) ** p.b
-        * (s / ref.s_max) ** p.c
-    )
+    return _rate(p, *_positive_arrays(q=q, s=s, t=t))
 
 
 def evaluate_rate(p: RateParams, x: Star) -> float:
     """Bit rate in kbps at the operating point ``x``."""
-    return float(rate_surface(p, x.q, x.s, x.t))
+    return float(_rate(p, x.q, x.s, x.t))
+
+
+def _quality(p: QualityParams, q, s, t):
+    ref = p.ref
+    f_q = np.expm1(-p.alpha_q * np.power(ref.q_min / q, p.beta_q)) / np.expm1(-p.alpha_q)
+    a_s_ref = p.alpha_s(ref.q_min)
+    f_s = np.expm1(-p.alpha_s(q) * np.power(s / ref.s_max, p.beta_s)) / np.expm1(-a_s_ref)
+    f_t = np.expm1(-p.alpha_t * np.power(t / ref.t_max, p.beta_t)) / np.expm1(-p.alpha_t)
+    return f_q * f_s * f_t
 
 
 def quality_surface(p: QualityParams, q, s, t):
@@ -189,19 +214,17 @@ def quality_surface(p: QualityParams, q, s, t):
     scale; its normalizing denominator is pinned at the reference stepsize so
     the full product is exactly 1.0 at ``(q_min, s_max, t_max)``.
     """
-    _require_positive_array(q=q, s=s, t=t)
-    ref = p.ref
-    a_s = p.alpha_s(q)
-    a_s_ref = p.alpha_s(ref.q_min)
-    f_q = np.expm1(-p.alpha_q * (ref.q_min / q) ** p.beta_q) / np.expm1(-p.alpha_q)
-    f_s = np.expm1(-a_s * (s / ref.s_max) ** p.beta_s) / np.expm1(-a_s_ref)
-    f_t = np.expm1(-p.alpha_t * (t / ref.t_max) ** p.beta_t) / np.expm1(-p.alpha_t)
-    return f_q * f_s * f_t
+    return _quality(p, *_positive_arrays(q=q, s=s, t=t))
 
 
 def evaluate_quality(p: QualityParams, x: Star) -> float:
     """Perceptual quality at the operating point ``x``."""
-    return float(quality_surface(p, x.q, x.s, x.t))
+    return float(_quality(p, x.q, x.s, x.t))
+
+
+def _qr(kappa: float, ratio):
+    # Summary quality at rate ratio r / r_max.
+    return np.expm1(-kappa * np.power(ratio, QrModel.exponent)) / np.expm1(-kappa)
 
 
 def qr_surface(m: QrModel, r):
@@ -211,7 +234,7 @@ def qr_surface(m: QrModel, r):
         raise OutOfRangeError("rate must be finite and > 0")
     if np.any(arr > m.r_max):
         raise OutOfRangeError(f"rate exceeds the model ceiling {m.r_max}")
-    return np.expm1(-m.kappa * (r / m.r_max) ** m.exponent) / np.expm1(-m.kappa)
+    return _qr(m.kappa, arr / m.r_max)
 
 
 def evaluate_qr(m: QrModel, r: float) -> float:

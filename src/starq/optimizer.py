@@ -29,10 +29,16 @@ from .models import (
     QualityParams,
     RateParams,
     Star,
-    qr_surface,
-    quality_surface,
-    rate_surface,
+    _check_shared_ref,
+    _positive_arrays,
+    _qr,
+    _quality,
+    _rate,
 )
+
+# Cells of (budget x frame size x frame rate) scored in one batch of a
+# budget sweep; bounds the sweep's memory at a few megabytes.
+_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,40 +68,74 @@ class OptimizationResult:
     star: Star
     quality: float
     rate: float
-    feasible: bool = True
 
 
-def feasible_q(p: RateParams, s: float, t: float, budget: float) -> float:
+def _budget_q(p: RateParams, s, t, budget):
+    if p.a == 0:
+        raise InvalidParameterError("stepsize exponent a = 0 leaves the budget equation unsolvable")
+    ref = p.ref
+    return ref.q_min * np.power(
+        (p.r_max / budget) * np.power(s / ref.s_max, p.c) * np.power(t / ref.t_max, p.b),
+        1.0 / p.a,
+    )
+
+
+def _require_budget(budget: float) -> None:
+    if not math.isfinite(budget) or budget <= 0:
+        raise InvalidParameterError(f"budget must be finite and > 0, got {budget!r}")
+
+
+def feasible_q(p: RateParams, s, t, budget):
     """Stepsize at which the rate surface meets ``budget`` exactly for the
-    given frame size and frame rate.
+    given frame size and frame rate. Broadcasts over numpy arrays.
 
     Purely algebraic: the result may fall below ``q_min`` when the budget is
     generous; callers clamp according to their own policy.
     """
-    if p.a == 0:
-        raise InvalidParameterError("stepsize exponent a = 0 leaves the budget equation unsolvable")
-    for name, v in (("s", s), ("t", t), ("budget", budget)):
-        if not math.isfinite(v) or v <= 0:
-            raise InvalidParameterError(f"{name} must be finite and > 0, got {v!r}")
-    ref = p.ref
-    return ref.q_min * (
-        (p.r_max / budget) * (s / ref.s_max) ** p.c * (t / ref.t_max) ** p.b
-    ) ** (1.0 / p.a)
+    return _budget_q(p, *_positive_arrays(s=s, t=t, budget=budget))
 
 
-def _check_shared_ref(rp: RateParams, qp: QualityParams) -> None:
-    if not rp.ref.matches(qp.ref):
-        raise InvalidParameterError("rate and quality parameters use different references")
-
-
-def _grid_shape(grid) -> tuple[int, int]:
-    if isinstance(grid, int):
-        shape = (grid, grid)
-    else:
-        shape = (int(grid[0]), int(grid[1]))
+def _grid_shape(grid, span) -> tuple[int, int]:
+    shape = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
     if shape[0] < 2 or shape[1] < 2:
         raise InvalidParameterError("grid needs at least 2 points per axis")
+    if span[0] <= 1 or span[1] <= 1:
+        raise InvalidParameterError("span factors must exceed 1")
     return shape
+
+
+def _best_cells(rp: RateParams, qp: QualityParams, budget, s, t):
+    # Per budget (shape (B, 1, 1)), the best cell of the grid s (B or 1, n_s) x
+    # t (B or 1, n_t): its quality, clamped stepsize and s and t indices.
+    s, t = s[:, :, None], t[:, None, :]
+    q = np.maximum(_budget_q(rp, s, t, budget), rp.ref.q_min)
+    quality = _quality(qp, q, s, t)
+    best = np.argmax(quality.reshape(len(budget), -1), axis=1)
+    i, j = np.unravel_index(best, quality.shape[1:])
+    rows = np.arange(len(budget))
+    return quality[rows, i, j], q[rows, i, j], i, j
+
+
+def _grid_search(rp, qp, budgets: np.ndarray, n_s: int, n_t: int, span, refine: bool):
+    # The search of optimize_continuous for every budget at once, on validated
+    # arguments. Returns (quality, q, s, t) arrays shaped like budgets.
+    ref = rp.ref
+    budget = budgets[:, None, None]
+    s_axis = np.geomspace(ref.s_max / span[0], ref.s_max, n_s)
+    t_axis = np.geomspace(ref.t_max / span[1], ref.t_max, n_t)
+    quality, q, i, j = _best_cells(rp, qp, budget, s_axis[None], t_axis[None])
+    s, t = s_axis[i], t_axis[j]
+    if refine:
+        # One grid-halving pass: 5 x 5 points spanning the best cell's neighbours.
+        lo = (s_axis[np.maximum(i - 1, 0)], t_axis[np.maximum(j - 1, 0)])
+        hi = (s_axis[np.minimum(i + 1, n_s - 1)], t_axis[np.minimum(j + 1, n_t - 1)])
+        s_fine, t_fine = np.geomspace(lo, hi, 5, axis=-1)
+        fine_quality, fine_q, fi, fj = _best_cells(rp, qp, budget, s_fine, t_fine)
+        better = fine_quality > quality
+        rows = np.arange(len(budgets))
+        quality, q = np.where(better, fine_quality, quality), np.where(better, fine_q, q)
+        s, t = np.where(better, s_fine[rows, fi], s), np.where(better, t_fine[rows, fj], t)
+    return quality, q, s, t
 
 
 def optimize_continuous(
@@ -116,47 +156,12 @@ def optimize_continuous(
     the result toward the continuous optimum.
     """
     _check_shared_ref(rp, qp)
-    if rp.a == 0:
-        raise InvalidParameterError("stepsize exponent a = 0 leaves the budget equation unsolvable")
-    if not math.isfinite(budget) or budget <= 0:
-        raise InvalidParameterError(f"budget must be finite and > 0, got {budget!r}")
-    n_s, n_t = _grid_shape(grid)
-    if span[0] <= 1 or span[1] <= 1:
-        raise InvalidParameterError("span factors must exceed 1")
-
-    ref = rp.ref
-
-    def best_on(s_axis: np.ndarray, t_axis: np.ndarray):
-        s_mesh = s_axis[:, None]
-        t_mesh = t_axis[None, :]
-        q_exact = rp.ref.q_min * (
-            (rp.r_max / budget)
-            * (s_mesh / ref.s_max) ** rp.c
-            * (t_mesh / ref.t_max) ** rp.b
-        ) ** (1.0 / rp.a)
-        q_used = np.maximum(q_exact, ref.q_min)
-        quality = quality_surface(qp, q_used, s_mesh, t_mesh)
-        i, j = np.unravel_index(int(np.argmax(quality)), quality.shape)
-        return float(quality[i, j]), i, j, float(q_used[i, j])
-
-    s_axis = np.geomspace(ref.s_max / span[0], ref.s_max, n_s)
-    t_axis = np.geomspace(ref.t_max / span[1], ref.t_max, n_t)
-    best_quality, i, j, q_best = best_on(s_axis, t_axis)
-    s_best, t_best = float(s_axis[i]), float(t_axis[j])
-
-    if refine:
-        s_fine = np.geomspace(s_axis[max(i - 1, 0)], s_axis[min(i + 1, n_s - 1)], 5)
-        t_fine = np.geomspace(t_axis[max(j - 1, 0)], t_axis[min(j + 1, n_t - 1)], 5)
-        fine_quality, fi, fj, fq = best_on(s_fine, t_fine)
-        if fine_quality > best_quality:
-            best_quality, q_best = fine_quality, fq
-            s_best, t_best = float(s_fine[fi]), float(t_fine[fj])
-
-    star = Star(q=q_best, s=s_best, t=t_best)
+    _require_budget(budget)
+    n_s, n_t = _grid_shape(grid, span)
+    best = _grid_search(rp, qp, np.array([budget], dtype=float), n_s, n_t, span, refine)
+    quality, q, s, t = (float(v[0]) for v in best)
     return OptimizationResult(
-        star=star,
-        quality=best_quality,
-        rate=float(rate_surface(rp, star.q, star.s, star.t)),
+        star=Star(q=q, s=s, t=t), quality=quality, rate=float(_rate(rp, q, s, t))
     )
 
 
@@ -175,8 +180,7 @@ def optimize_discrete(
     frame size.
     """
     _check_shared_ref(rp, qp)
-    if not math.isfinite(budget) or budget <= 0:
-        raise InvalidParameterError(f"budget must be finite and > 0, got {budget!r}")
+    _require_budget(budget)
     ref = rp.ref
     q_lo, q_hi = sets.q_range
     if q_lo < ref.q_min * (1.0 - 1e-9):
@@ -186,28 +190,22 @@ def optimize_discrete(
     if not math.isclose(max(sets.t_values), ref.t_max, rel_tol=1e-9):
         raise InvalidParameterError("largest frame rate must equal the reference frame rate")
 
-    best_key = None
-    best: OptimizationResult | None = None
-    for s in sets.s_values:
-        for t in sets.t_values:
-            q = max(feasible_q(rp, s, t, budget), q_lo)
-            if q > q_hi * (1.0 + 1e-9):
-                continue
-            quality = float(quality_surface(qp, q, s, t))
-            key = (quality, -q, t, s)
-            if best_key is None or key > best_key:
-                best_key = key
-                star = Star(q=q, s=s, t=t)
-                best = OptimizationResult(
-                    star=star,
-                    quality=quality,
-                    rate=float(rate_surface(rp, q, s, t)),
-                )
-    if best is None:
+    s, t = (v.ravel() for v in np.meshgrid(sets.s_values, sets.t_values, indexing="ij"))
+    q = np.maximum(_budget_q(rp, s, t, budget), q_lo)
+    feasible = q <= q_hi * (1.0 + 1e-9)
+    if not feasible.any():
         raise InfeasibleError(
             f"budget {budget} kbps is unreachable even at the coarsest stepsize"
         )
-    return best
+    q, s, t = q[feasible], s[feasible], t[feasible]
+    quality = _quality(qp, q, s, t)
+    # lexsort sorts by its last key first, so the best pair comes last.
+    k = np.lexsort((s, t, -q, quality))[-1]
+    return OptimizationResult(
+        star=Star(q=float(q[k]), s=float(s[k]), t=float(t[k])),
+        quality=float(quality[k]),
+        rate=float(_rate(rp, q[k], s[k], t[k])),
+    )
 
 
 @dataclass(frozen=True)
@@ -232,11 +230,10 @@ def fit_qr(curve, r_max: float) -> QrFit:
     if np.all(qualities == qualities[0]):
         raise DegenerateDataError("curve is flat; no summary parameter fits it")
 
-    x = np.minimum(rates / r_max, 1.0) ** QrModel.exponent
+    ratio = np.minimum(rates / r_max, 1.0)
 
     def rmse(kappa: float) -> float:
-        model = np.expm1(-kappa * x) / np.expm1(-kappa)
-        return float(np.sqrt(np.mean((model - qualities) ** 2)))
+        return float(np.sqrt(np.mean((_qr(kappa, ratio) - qualities) ** 2)))
 
     result = minimize_bounded(rmse, 1e-6, 50.0, xatol=1e-10)
     return QrFit(model=QrModel(kappa=result.x, r_max=r_max), rmse=result.fun)
@@ -263,8 +260,12 @@ def optimal_quality_curve(
         raise InvalidParameterError("need at least two budgets")
     if not 0 < lo_frac < 1:
         raise InvalidParameterError("lo_frac must lie in (0, 1)")
+    _check_shared_ref(rp, qp)
+    n_s, n_t = _grid_shape(grid, span)
     budgets = np.geomspace(lo_frac * rp.r_max, rp.r_max, n_points)
-    return [
-        (float(budget), optimize_continuous(rp, qp, float(budget), grid, span, refine).quality)
-        for budget in budgets
-    ]
+    batches = -(-n_points * n_s * n_t // _BATCH_CELLS)
+    quality = np.concatenate([
+        _grid_search(rp, qp, part, n_s, n_t, span, refine)[0]
+        for part in np.array_split(budgets, batches)
+    ])
+    return [(float(b), float(v)) for b, v in zip(budgets, quality)]

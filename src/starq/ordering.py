@@ -18,10 +18,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, OutOfRangeError
-from .models import QrModel, QualityParams, RateParams, qr_surface, quality_surface, rate_surface
+from .models import (
+    QrModel,
+    QualityParams,
+    RateParams,
+    _check_shared_ref,
+    qr_surface,
+    quality_surface,
+    rate_surface,
+)
 
-# Tie-break order for equal gain ratios: amplitude, then temporal, then spatial.
-_MOVE_PRIORITY = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+# Single-coordinate moves of each walk as (axis, signed index step), in the
+# tie-break order for equal slopes: amplitude, then temporal, then spatial.
+_MOVES = {
+    "forward": ((2, (0, 0, 1)), (1, (0, 1, 0)), (0, (1, 0, 0))),
+    "backward": ((2, (0, 0, -1)), (1, (0, -1, 0)), (0, (-1, 0, 0))),
+}
 
 
 @dataclass(frozen=True)
@@ -121,8 +133,7 @@ def build_layer_grid(
     q_levels,
 ) -> LayerGrid:
     """Populate a layer lattice from the analytic rate and quality surfaces."""
-    if not rp.ref.matches(qp.ref):
-        raise InvalidParameterError("rate and quality parameters use different references")
+    _check_shared_ref(rp, qp)
     s_levels = tuple(float(v) for v in s_levels)
     t_levels = tuple(float(v) for v in t_levels)
     q_levels = tuple(float(v) for v in q_levels)
@@ -158,72 +169,56 @@ def _flag_nonpositive(steps: tuple[PathStep, ...]) -> tuple[int, ...]:
     )
 
 
+def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
+    # Both walks score a single-coordinate move by the slope dq/dr between its
+    # two lattice points; forward takes the largest, backward the smallest.
+    forward = direction == "forward"
+    moves = _MOVES[direction]
+    L, M, N = grid.shape
+    top = (L - 1, M - 1, N - 1)
+    pos, end = ((0, 0, 0), top) if forward else (top, (0, 0, 0))
+    visited = [_step_at(grid, pos)]
+    while pos != end:
+        rate0 = grid.rate[pos]
+        quality0 = grid.quality[pos]
+        best_slope = best_pos = None
+        for axis, (dl, dm, dn) in moves:
+            if pos[axis] == end[axis]:
+                continue
+            nxt = (pos[0] + dl, pos[1] + dm, pos[2] + dn)
+            slope = (grid.quality[nxt] - quality0) / (grid.rate[nxt] - rate0)
+            if best_pos is None or (slope > best_slope if forward else slope < best_slope):
+                best_slope = slope
+                best_pos = nxt
+        pos = best_pos
+        visited.append(_step_at(grid, pos))
+    steps = tuple(visited if forward else reversed(visited))
+    return OrderedPath(
+        steps=steps, direction=direction, nonpositive_gain_steps=_flag_nonpositive(steps)
+    )
+
+
 def order_forward(grid: LayerGrid) -> OrderedPath:
     """Grow the path from the base layer, taking at each step the single-
     coordinate increment with the largest quality gain per rate increase."""
-    L, M, N = grid.shape
-    pos = (0, 0, 0)
-    steps = [_step_at(grid, pos)]
-    while pos != (L - 1, M - 1, N - 1):
-        rate0 = grid.rate[pos]
-        quality0 = grid.quality[pos]
-        best_ratio = None
-        best_pos = None
-        for move in _MOVE_PRIORITY:
-            nxt = (pos[0] + move[0], pos[1] + move[1], pos[2] + move[2])
-            if nxt[0] >= L or nxt[1] >= M or nxt[2] >= N:
-                continue
-            ratio = (grid.quality[nxt] - quality0) / (grid.rate[nxt] - rate0)
-            if best_ratio is None or ratio > best_ratio:
-                best_ratio = ratio
-                best_pos = nxt
-        pos = best_pos
-        steps.append(_step_at(grid, pos))
-    steps = tuple(steps)
-    return OrderedPath(
-        steps=steps, direction="forward", nonpositive_gain_steps=_flag_nonpositive(steps)
-    )
+    return _greedy(grid, "forward")
 
 
 def order_backward(grid: LayerGrid) -> OrderedPath:
     """Shrink the path from the full stream, dropping at each step the single-
     coordinate decrement with the smallest quality drop per rate drop. The
     result is returned in increasing-rate order."""
-    L, M, N = grid.shape
-    pos = (L - 1, M - 1, N - 1)
-    visited = [_step_at(grid, pos)]
-    while pos != (0, 0, 0):
-        rate0 = grid.rate[pos]
-        quality0 = grid.quality[pos]
-        best_ratio = None
-        best_pos = None
-        for move in _MOVE_PRIORITY:
-            prv = (pos[0] - move[0], pos[1] - move[1], pos[2] - move[2])
-            if prv[0] < 0 or prv[1] < 0 or prv[2] < 0:
-                continue
-            ratio = (quality0 - grid.quality[prv]) / (rate0 - grid.rate[prv])
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
-                best_pos = prv
-        pos = best_pos
-        visited.append(_step_at(grid, pos))
-    steps = tuple(reversed(visited))
-    return OrderedPath(
-        steps=steps, direction="backward", nonpositive_gain_steps=_flag_nonpositive(steps)
-    )
+    return _greedy(grid, "backward")
 
 
 def path_quality_loss(path: OrderedPath, qr: QrModel) -> float:
     """Largest shortfall of the path's quality below the continuous
     rate-quality summary, evaluated at the path's own rates."""
-    top_rate = max(step.rate for step in path.steps)
-    if top_rate > qr.r_max * (1.0 + 1e-9):
+    rates = np.array([step.rate for step in path.steps])
+    qualities = np.array([step.quality for step in path.steps])
+    if rates.max() > qr.r_max * (1.0 + 1e-9):
         raise OutOfRangeError("path reaches rates above the summary model ceiling")
-    gaps = [
-        float(qr_surface(qr, min(step.rate, qr.r_max))) - step.quality
-        for step in path.steps
-    ]
-    return max(gaps)
+    return float(np.max(qr_surface(qr, np.minimum(rates, qr.r_max)) - qualities))
 
 
 def max_rate_gap(path: OrderedPath) -> float:

@@ -1,0 +1,165 @@
+"""The CLI exit-code contract holds for any argv and any input file.
+
+Every run ends with 0 (success), 2 (input error), 3 (insufficient data) or
+4 (infeasible), never with an uncaught exception. Integer options that size
+an allocation (--grid, --points, --budget-sweep) are drawn from a small range:
+large values are valid requests that take memory in proportion.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sequences import LAYER_Q, LAYER_S, LAYER_T, REF, quality_params, rate_params, synthetic_log
+import starq
+from starq.cli import main
+from starq.fileio import ModelFile, write_model_file
+
+CONTRACT = {0, 2, 3, 4}
+# The child process imports the same starq as this test.
+SRC = Path(starq.__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    write_model_file(
+        d / "model.json",
+        ModelFile(ref=REF, scenario="city", rate=rate_params("city"), quality=quality_params("city")),
+    )
+    lines = ["q,width,height,fps,rate_kbps"] + [
+        f"{x.star.q!r},{x.star.s!r},1,{x.star.t!r},{x.rate!r}"
+        for x in synthetic_log(rate_params("city")).samples
+    ]
+    (d / "log.csv").write_text("\n".join(lines) + "\n")
+    (d / "sets.json").write_text(
+        json.dumps({"s_values": list(LAYER_S), "t_values": list(LAYER_T), "q_range": [16, 104]})
+    )
+    (d / "levels.json").write_text(
+        json.dumps({"s_values": list(LAYER_S), "t_values": list(LAYER_T), "q_levels": list(LAYER_Q)})
+    )
+    (d / "features.json").write_text(json.dumps({"mu_dfd": 8, "sigma_mvm": 4, "sigma_mda": 2}))
+    (d / "features.csv").write_text("mu_dfd,sigma_mvm,sigma_mda\n8,4,2\n")
+    binary = bytes(range(256)) * 4
+    for name in ("binary.csv", "binary.json"):
+        (d / name).write_bytes(binary)
+    (d / "empty.csv").write_text("")
+    (d / "empty.json").write_text("")
+    (d / "list.json").write_text("[1, 2]")
+    (d / "broken.json").write_text("{broken")
+    (d / "longfield.csv").write_text("q,width,height,fps,rate_kbps\n" + "1" * 200_000 + "\n")
+    (d / "nul.csv").write_text("q,width,height,fps,rate_kbps\n16,\x00,1,30,100\n")
+    (d / "dir").mkdir()
+    return d
+
+
+def resolve(files: Path, argv) -> list[str]:
+    """argv with every fixture file name replaced by its path."""
+    names = set(FILE_NAMES) | {"out.json"}
+    return [str(files / a) if a in names else a for a in argv]
+
+
+def run_main(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+BAD_FILE_CASES = [
+    ["fit", "binary.csv"],
+    ["predict-rate", "binary.json", "--q", "16", "--s", "cif", "--t", "30"],
+    ["predict-params", "--scenario", "SVC1", "--features", "binary.csv"],
+    ["predict-params", "--scenario", "SVC1", "--features", "binary.json"],
+    ["predict-rate", "model.json", "--log", "binary.csv"],
+    ["optimize", "model.json", "--budget", "500", "--mode", "dyadic", "--sets", "binary.json"],
+    ["order", "model.json", "--levels", "binary.json"],
+    ["fit", "longfield.csv"],
+    ["predict-params", "--scenario", "SL2", "--features", "longfield.csv"],
+]
+
+
+@pytest.mark.parametrize("template", BAD_FILE_CASES, ids=lambda a: " ".join(a))
+def test_unreadable_file_is_input_error(files, template):
+    argv = resolve(files, template)
+    proc = subprocess.run(
+        [sys.executable, "-m", "starq.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+
+
+NUMBERS = st.sampled_from(
+    ["0", "-1", "1", "1.875", "16", "30", "500", "2379", "1e-300", "1e300",
+     "nan", "inf", "-inf", "abc", "", "qcif", "cif", "4cif"]
+) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+SMALL_INTS = st.integers(min_value=-3, max_value=40).map(str)
+FILE_NAMES = (
+    "model.json", "log.csv", "sets.json", "levels.json", "features.json", "features.csv",
+    "binary.csv", "binary.json", "empty.csv", "empty.json", "list.json", "broken.json",
+    "longfield.csv", "nul.csv", "dir", "missing.json",
+)
+FILES = st.sampled_from(FILE_NAMES)
+
+OPTIONS = {
+    "fit": {"--mode": st.sampled_from(["protocol", "joint", "x"]), "--out": st.just("out.json")},
+    "predict-rate": {
+        "--q": NUMBERS, "--s": NUMBERS, "--t": NUMBERS,
+        "--sweep": st.sampled_from(["q", "s", "t", "x"]),
+        "--sweep-from": NUMBERS, "--sweep-to": NUMBERS, "--points": SMALL_INTS, "--log": FILES,
+    },
+    "optimize": {
+        "--quality-model": FILES, "--budget": NUMBERS, "--budget-sweep": SMALL_INTS,
+        "--mode": st.sampled_from(["continuous", "dyadic", "x"]), "--sets": FILES,
+        "--grid": SMALL_INTS,
+    },
+    "order": {
+        "--quality-model": FILES, "--levels": FILES,
+        "--direction": st.sampled_from(["forward", "backward", "x"]),
+    },
+    "predict-params": {
+        "--scenario": st.sampled_from(["SVC1", "sl2", "SL#2", "x"]), "--features": FILES,
+        "--mu-dfd": NUMBERS, "--sigma-mvm": NUMBERS, "--sigma-mda": NUMBERS,
+        "--q-min": NUMBERS, "--s-max": NUMBERS, "--t-max": NUMBERS, "--out": st.just("out.json"),
+    },
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    if command != "predict-params":
+        argv.append(draw(st.sampled_from(["model.json", "log.csv"]) | FILES))
+    options = OPTIONS[command]
+    for name in draw(st.lists(st.sampled_from(sorted(options)), max_size=6)):
+        argv += [name, draw(options[name])]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+def test_any_argv_keeps_exit_contract(files, argv):
+    argv = resolve(files, argv)
+    code, err = run_main(argv)
+    assert code in CONTRACT, (argv, code, err)
+    assert "Traceback" not in err

@@ -151,7 +151,7 @@ class TestConfigs:
                 {"s_values": ["qcif", "cif", "4cif"], "t_values": [3.75, 7.5, 15, 30], "q_range": [16, 104]}
             ),
         )
-        sets = read_sets_config(path, REF)
+        sets = read_sets_config(path)
         assert sets.s_values == (float(QCIF), 352.0 * 288.0, float(CIF4))
         assert sets.q_range == (16.0, 104.0)
 
@@ -168,4 +168,4 @@ class TestConfigs:
 
     def test_malformed_config(self, tmp_path):
         with pytest.raises(InvalidParameterError):
-            read_sets_config(write(tmp_path, "sets.json", json.dumps({"s_values": [1]})), REF)
+            read_sets_config(write(tmp_path, "sets.json", json.dumps({"s_values": [1]})))
