@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .fileio import (
     write_model_file,
 )
 from .fitting import fit_rate_params
-from .models import ResolutionRef, Star, evaluate_rate
+from .models import ResolutionRef, Star, _check, evaluate_rate
 from .optimizer import optimize_continuous, optimize_discrete
 from .ordering import build_layer_grid, max_rate_gap, order_backward, order_forward
 
@@ -70,6 +69,14 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _print_csv(header: str, rows) -> None:
+    # Rows are all computed first: a run that fails part way prints nothing.
+    rows = list(rows)
+    print(header)
+    for row in rows:
+        print(",".join(_fmt(x) for x in row))
+
+
 def _require_rate(model: ModelFile, path) -> None:
     if model.rate is None:
         raise StarqError(f"{path}: model document has no rate parameters")
@@ -81,34 +88,25 @@ def cmd_predict_rate(args) -> int:
     rp = model.rate
 
     if args.sweep:
-        if args.sweep_from is None or args.sweep_to is None:
-            raise StarqError("--sweep requires --sweep-from and --sweep-to")
+        ends = (args.sweep_from, args.sweep_to)
+        lo, hi = (_check("--sweep-from and --sweep-to", v) for v in ends)
         fixed = {"q": args.q, "s": args.s, "t": args.t}
         for axis, value in fixed.items():
             if axis != args.sweep and value is None:
                 raise StarqError(f"sweeping {args.sweep} requires a fixed --{axis}")
-        if not (0 < args.sweep_from < math.inf and 0 < args.sweep_to < math.inf):
-            raise StarqError("--sweep-from and --sweep-to must be finite and > 0")
         if args.points < 1:
             raise StarqError(f"--points must be at least 1, got {args.points}")
-        axis_values = np.geomspace(args.sweep_from, args.sweep_to, args.points)
-        print("q,s,t,rate_kbps")
-        for v in axis_values:
-            coords = dict(fixed)
-            coords[args.sweep] = float(v)
-            star = Star(q=coords["q"], s=coords["s"], t=coords["t"])
-            print(",".join(_fmt(x) for x in (star.q, star.s, star.t, evaluate_rate(rp, star))))
+        stars = (Star(**{**fixed, args.sweep: float(v)}) for v in np.geomspace(lo, hi, args.points))
+        _print_csv("q,s,t,rate_kbps", ((x.q, x.s, x.t, evaluate_rate(rp, x)) for x in stars))
         return EXIT_OK
 
     if args.log:
         log, warnings = read_encode_log(args.log)
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
-        print("q,s,t,measured_kbps,predicted_kbps")
-        for sample in log.samples:
-            star = sample.star
-            predicted = evaluate_rate(rp, star)
-            print(",".join(_fmt(x) for x in (star.q, star.s, star.t, sample.rate, predicted)))
+        _print_csv("q,s,t,measured_kbps,predicted_kbps", (
+            (x.star.q, x.star.s, x.star.t, x.rate, evaluate_rate(rp, x.star)) for x in log.samples
+        ))
         return EXIT_OK
 
     if args.q is None or args.s is None or args.t is None:
@@ -124,8 +122,6 @@ def _load_rate_and_quality(args) -> tuple:
     quality_doc = read_model_file(quality_path)
     if quality_doc.quality is None:
         raise StarqError(f"{quality_path}: model document has no quality parameters")
-    if not model.ref.matches(quality_doc.ref):
-        raise StarqError("rate and quality model files use different reference resolutions")
     return model.rate, quality_doc.quality
 
 
@@ -156,10 +152,9 @@ def cmd_optimize(args) -> int:
         if args.budget_sweep < 1:
             raise StarqError(f"--budget-sweep must be at least 1, got {args.budget_sweep}")
         budgets = np.geomspace(0.01 * rp.r_max, rp.r_max, args.budget_sweep)
-        print("budget_kbps,q,s,t,rate_kbps,quality")
-        for budget in budgets:
-            r = solve(float(budget))
-            print(",".join(_fmt(x) for x in (budget, r.star.q, r.star.s, r.star.t, r.rate, r.quality)))
+        results = ((b, solve(float(b))) for b in budgets)
+        _print_csv("budget_kbps,q,s,t,rate_kbps,quality",
+                   ((b, r.star.q, r.star.s, r.star.t, r.rate, r.quality) for b, r in results))
         return EXIT_OK
 
     if args.budget is None:
@@ -317,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Results are checked and reported as errors, so numpy warnings add nothing.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT

@@ -10,13 +10,12 @@ extraction itself is out of scope; callers supply precomputed vectors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .models import RateParams, ResolutionRef
+from .models import RateParams, ResolutionRef, _check_fields
 
 
 @dataclass(frozen=True)
@@ -28,10 +27,7 @@ class FeatureVector:
     sigma_mda: float
 
     def __post_init__(self) -> None:
-        for name in ("mu_dfd", "sigma_mvm", "sigma_mda"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise InvalidParameterError(f"{name} must be finite and >= 0, got {v!r}")
+        _check_fields(self, ("mu_dfd", "sigma_mvm", "sigma_mda"), strict=False)
 
 
 @dataclass(frozen=True)
@@ -86,35 +82,23 @@ class ParamPrediction:
         return bool(self.clamped_fields)
 
 
-def predict_params(
-    h: PredictorMatrix,
-    f: FeatureVector,
-    ref: ResolutionRef,
-    r_max_floor: float = 1.0,
-) -> ParamPrediction:
+def predict_params(h: PredictorMatrix, f: FeatureVector, ref: ResolutionRef) -> ParamPrediction:
     """Apply the linear predictor and assemble usable rate parameters.
 
     The predictor is unconstrained, so it can produce negative exponents or a
     nonpositive ``r_max`` for features far from its training range. Such
-    values are clamped (exponents to 0, ``r_max`` to ``r_max_floor``) and the
+    values are clamped (exponents to 0, ``r_max`` to 1.0 kbps) and the
     affected field names are reported so callers can treat the result as
     out of domain.
     """
-    if r_max_floor <= 0:
-        raise InvalidParameterError("r_max_floor must be positive")
     vec = h.as_array() @ np.array([1.0, f.mu_dfd, f.sigma_mvm, f.sigma_mda])
     a, b, c, r_max = (float(v) for v in vec)
     raw = (a, b, c, r_max)
 
-    clamped = []
-    if a < 0:
-        a, clamped = 0.0, clamped + ["a"]
-    if b < 0:
-        b, clamped = 0.0, clamped + ["b"]
-    if c < 0:
-        c, clamped = 0.0, clamped + ["c"]
+    clamped = [name for name, v in zip("abc", raw) if v < 0]
+    a, b, c = (max(v, 0.0) for v in raw[:3])
     if r_max <= 0:
-        r_max, clamped = r_max_floor, clamped + ["r_max"]
+        r_max, clamped = 1.0, clamped + ["r_max"]
 
     params = RateParams(a=a, b=b, c=c, r_max=r_max, ref=ref)
     return ParamPrediction(params=params, raw=raw, clamped_fields=tuple(clamped))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .models import (
     RateParams,
     ResolutionRef,
     Star,
+    _check,
     stepsize_from_qp,
 )
 from .optimizer import FeasibleSets
@@ -39,10 +39,7 @@ def parse_frame_size(value) -> float:
             value = float(name)
         except ValueError:
             raise InvalidParameterError(f"unknown frame size {value!r}") from None
-    size = float(value)
-    if not math.isfinite(size) or size <= 0:
-        raise InvalidParameterError(f"frame size must be positive, got {value!r}")
-    return size
+    return _check("frame size", value)
 
 
 def _parse_float(row_num: int, column: str, raw: str) -> float:

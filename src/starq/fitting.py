@@ -16,16 +16,11 @@ import numpy as np
 
 from ._solve import least_squares_box, minimize_bounded
 from .errors import DegenerateDataError, InsufficientDataError, InvalidParameterError
-from .models import RateParams, ResolutionRef, Star, _rate
+from .models import RateParams, ResolutionRef, Star, _check, _check_fields, _close, _rate
 
-_ANCHOR_RTOL = 1e-9
 _EXPONENT_MAX = 4.0
 # Lower bounds of (a, b, c, r_max) in the joint refinement.
 _JOINT_LOWER = (0.0, 0.0, 0.0, 1e-9)
-
-
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=_ANCHOR_RTOL)
 
 
 @dataclass(frozen=True)
@@ -37,8 +32,7 @@ class RateSample:
     tag: str = ""
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.rate) or self.rate <= 0:
-            raise InvalidParameterError(f"rate must be finite and > 0, got {self.rate!r}")
+        _check_fields(self, ("rate",))
 
 
 @dataclass(frozen=True)
@@ -176,12 +170,10 @@ def _fit_exponent(points, direction: str) -> tuple[float, bool]:
     # its upper bound.
     if direction not in ("decreasing", "increasing"):
         raise InvalidParameterError(f"unknown direction {direction!r}")
-    ratios = np.asarray([p[0] for p in points], dtype=float)
-    values = np.asarray([p[1] for p in points], dtype=float)
+    ratios = _check("ratios", [p[0] for p in points], array=True)
+    values = _check("normalized rates", [p[1] for p in points], array=True)
     if ratios.size < 2:
         raise InvalidParameterError("need at least two normalized points")
-    if np.any(ratios <= 0) or np.any(values <= 0):
-        raise InvalidParameterError("ratios and normalized rates must be positive")
     if all(math.isclose(r, 1.0, rel_tol=1e-12) for r in ratios):
         raise DegenerateDataError("all ratios equal 1; exponent is unidentifiable")
 
@@ -203,8 +195,8 @@ def _fit_exponent(points, direction: str) -> tuple[float, bool]:
 
 def pearson(x, y) -> float:
     """Linear correlation between two equally long measurement vectors."""
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
+    xv = _check("x", x, -math.inf, array=True)
+    yv = _check("y", y, -math.inf, array=True)
     if xv.ndim != 1 or xv.shape != yv.shape:
         raise InvalidParameterError("inputs must be 1-d vectors of equal length")
     if xv.size < 2:
@@ -222,11 +214,8 @@ def pearson(x, y) -> float:
 def _find_anchor(log: EncodeLog) -> RateSample:
     ref = log.ref
     for sample in log.samples:
-        if (
-            _close(sample.star.q, ref.q_min)
-            and _close(sample.star.s, ref.s_max)
-            and _close(sample.star.t, ref.t_max)
-        ):
+        x = sample.star
+        if _close(x.q, ref.q_min) and _close(x.s, ref.s_max) and _close(x.t, ref.t_max):
             return sample
     raise InsufficientDataError(
         "log has no measurement at the reference point (q_min, s_max, t_max)"

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
-from .errors import InvalidParameterError, OutOfRangeError
+from .errors import InfeasibleError, InvalidParameterError, OutOfRangeError
 
 # Pixels per frame for the named broadcast formats.
 QCIF = 176 * 144
@@ -30,19 +31,56 @@ CIF4 = 704 * 576
 FRAME_SIZE_NAMES = {"qcif": float(QCIF), "cif": float(CIF), "4cif": float(CIF4)}
 
 
-def _require_positive(**values: float) -> None:
-    for name, v in values.items():
-        if not isinstance(v, (int, float)) or not math.isfinite(v) or not v > 0:
-            raise InvalidParameterError(f"{name} must be finite and > 0, got {v!r}")
+# Relative tolerance within which a value counts as equal to a reference value.
+_REL_TOL = 1e-9
+
+
+def _close(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=_REL_TOL)
+
+
+def _check(name, value, low=0.0, strict=True, *, array=False, error=InvalidParameterError):
+    """``value`` as a float (a float array with ``array``), checked real,
+    finite and ``> low`` (``>= low`` unless ``strict``); else raises ``error``.
+    Every numeric input rule of the package goes through here."""
+    if array:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "biuf":
+            arr = arr.astype(float, copy=False)
+            ok = np.isfinite(arr) & ((arr > low) if strict else (arr >= low))
+            if np.count_nonzero(ok) == ok.size:  # cheaper than ok.all() on small arrays
+                return arr
+    elif type(value) is float or isinstance(value, Real):
+        v = float(value)
+        if math.isfinite(v) and (v > low if strict else v >= low):
+            return v
+    bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+    if array:
+        raise error(f"{name} must hold finite reals{bound}")
+    raise error(f"{name} must be a finite real{bound}, got {value!r}")
+
+
+def _check_fields(obj, names, strict=True) -> None:
+    # Checks the named fields of a frozen dataclass and stores them as floats.
+    for name in names:
+        value = getattr(obj, name)
+        checked = _check(name, value, strict=strict)
+        if checked is not value:
+            object.__setattr__(obj, name, checked)
+
+
+def _check_ladder(name: str, values, increasing: bool = True) -> tuple[float, ...]:
+    # The values as floats, checked non-empty, finite, > 0 and strictly monotone.
+    arr = _check(name, values, array=True)
+    ladder = tuple(arr.tolist()) if arr.ndim == 1 else ()
+    if not ladder or not all(a < b if increasing else a > b for a, b in zip(ladder, ladder[1:])):
+        direction = "increasing" if increasing else "decreasing"
+        raise InvalidParameterError(f"{name} must be a non-empty, strictly {direction} sequence")
+    return ladder
 
 
 def _positive_arrays(**values) -> list[np.ndarray]:
-    """The values as float arrays, each checked finite and strictly positive."""
-    arrays = [np.asarray(v, dtype=float) for v in values.values()]
-    for name, arr in zip(values, arrays):
-        if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
-            raise InvalidParameterError(f"{name} must be finite and strictly positive")
-    return arrays
+    return [_check(name, v, array=True) for name, v in values.items()]
 
 
 def _qp(q):
@@ -60,7 +98,7 @@ class Star:
     t: float
 
     def __post_init__(self) -> None:
-        _require_positive(q=self.q, s=self.s, t=self.t)
+        _check_fields(self, ("q", "s", "t"))
 
 
 @dataclass(frozen=True)
@@ -72,14 +110,10 @@ class ResolutionRef:
     t_max: float
 
     def __post_init__(self) -> None:
-        _require_positive(q_min=self.q_min, s_max=self.s_max, t_max=self.t_max)
+        _check_fields(self, ("q_min", "s_max", "t_max"))
 
-    def matches(self, other: "ResolutionRef", rel_tol: float = 1e-9) -> bool:
-        return (
-            math.isclose(self.q_min, other.q_min, rel_tol=rel_tol)
-            and math.isclose(self.s_max, other.s_max, rel_tol=rel_tol)
-            and math.isclose(self.t_max, other.t_max, rel_tol=rel_tol)
-        )
+    def matches(self, other: "ResolutionRef") -> bool:
+        return all(_close(getattr(self, f), getattr(other, f)) for f in ("q_min", "s_max", "t_max"))
 
 
 @dataclass(frozen=True)
@@ -98,11 +132,8 @@ class RateParams:
     ref: ResolutionRef
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise InvalidParameterError(f"exponent {name} must be finite and >= 0, got {v!r}")
-        _require_positive(r_max=self.r_max)
+        _check_fields(self, ("a", "b", "c"), strict=False)
+        _check_fields(self, ("r_max",))
 
 
 @dataclass(frozen=True)
@@ -126,11 +157,12 @@ class QualityParams:
     nu1 = -0.037
     nu2 = 2.25
     qp_clamp = 28.0
+    # Stepsize where the spatial coefficient reaches 0 (QP -nu2/nu1, about
+    # 60.81): quality is <= 0 from here on, so the model ends below it.
+    q_limit = 2.0 ** ((nu2 / -nu1 - 4.0) / 6.0)
 
     def __post_init__(self) -> None:
-        _require_positive(
-            alpha_q=self.alpha_q, alpha_s_tilde=self.alpha_s_tilde, alpha_t=self.alpha_t
-        )
+        _check_fields(self, ("alpha_q", "alpha_s_tilde", "alpha_t"))
 
     def alpha_s(self, q):
         """Stepsize-coupled spatial falloff coefficient, flat below the QP clamp."""
@@ -148,7 +180,7 @@ class QrModel:
     exponent = 0.55
 
     def __post_init__(self) -> None:
-        _require_positive(kappa=self.kappa, r_max=self.r_max)
+        _check_fields(self, ("kappa", "r_max"))
 
 
 def _check_shared_ref(rp: RateParams, qp: QualityParams) -> None:
@@ -167,9 +199,11 @@ def qp_from_stepsize(q):
 
 def stepsize_from_qp(qp: float) -> float:
     """Inverse of :func:`qp_from_stepsize`."""
-    if not math.isfinite(qp):
-        raise InvalidParameterError(f"qp must be finite, got {qp!r}")
-    return 2.0 ** ((qp - 4.0) / 6.0)
+    qp = _check("qp", qp, -math.inf)
+    try:
+        return 2.0 ** ((qp - 4.0) / 6.0)
+    except OverflowError:
+        raise InvalidParameterError(f"qp {qp!r} gives a stepsize beyond the float range") from None
 
 
 def _rate(p: RateParams, q, s, t):
@@ -186,14 +220,17 @@ def rate_surface(p: RateParams, q, s, t):
     """Bit rate in kbps at stepsize ``q``, frame size ``s``, frame rate ``t``.
 
     Accepts scalars or broadcastable numpy arrays. Equals ``p.r_max`` exactly
-    at the reference point.
+    at the reference point. Raises :class:`OutOfRangeError` where the rate
+    overflows to infinity or underflows to 0.
     """
-    return _rate(p, *_positive_arrays(q=q, s=s, t=t))
+    rate = _rate(p, *_positive_arrays(q=q, s=s, t=t))
+    _check("rate", rate, array=True, error=OutOfRangeError)
+    return rate
 
 
 def evaluate_rate(p: RateParams, x: Star) -> float:
     """Bit rate in kbps at the operating point ``x``."""
-    return float(_rate(p, x.q, x.s, x.t))
+    return _check("rate", float(_rate(p, x.q, x.s, x.t)), error=OutOfRangeError)
 
 
 def _quality(p: QualityParams, q, s, t):
@@ -212,14 +249,29 @@ def quality_surface(p: QualityParams, q, s, t):
     Each axis contributes an inverted-exponential factor. The spatial
     factor's falloff coefficient depends on the stepsize through the QP
     scale; its normalizing denominator is pinned at the reference stepsize so
-    the full product is exactly 1.0 at ``(q_min, s_max, t_max)``.
+    the full product is exactly 1.0 at ``(q_min, s_max, t_max)``. Raises
+    :class:`OutOfRangeError` at stepsizes ``>= p.q_limit``.
     """
-    return _quality(p, *_positive_arrays(q=q, s=s, t=t))
+    q, s, t = _positive_arrays(q=q, s=s, t=t)
+    _check_q_limit(q.max(initial=0.0))
+    return _quality(p, q, s, t)
 
 
 def evaluate_quality(p: QualityParams, x: Star) -> float:
     """Perceptual quality at the operating point ``x``."""
+    _check_q_limit(x.q)
     return float(_quality(p, x.q, x.s, x.t))
+
+
+def _check_q_limit(q: float, budget: float | None = None) -> None:
+    # A stepsize at or above the limit is out of range; as an optimizer's best
+    # point at a budget it makes that budget infeasible.
+    limit = QualityParams.q_limit
+    if q >= limit:
+        limit = f"stepsize {q:.6g} is not below the quality model's limit {limit:.6g}"
+        if budget is None:
+            raise OutOfRangeError(limit)
+        raise InfeasibleError(f"budget {budget:.6g} kbps: best {limit}")
 
 
 def _qr(kappa: float, ratio):
@@ -229,9 +281,7 @@ def _qr(kappa: float, ratio):
 
 def qr_surface(m: QrModel, r):
     """Summary quality at rate ``r`` kbps, for ``0 < r <= m.r_max``."""
-    arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
-        raise OutOfRangeError("rate must be finite and > 0")
+    arr = _check("rate", r, array=True, error=OutOfRangeError)
     if np.any(arr > m.r_max):
         raise OutOfRangeError(f"rate exceeds the model ceiling {m.r_max}")
     return _qr(m.kappa, arr / m.r_max)

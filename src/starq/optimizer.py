@@ -11,7 +11,6 @@ optimal quality-versus-rate curve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,12 @@ from .models import (
     QualityParams,
     RateParams,
     Star,
+    _REL_TOL,
+    _check,
+    _check_ladder,
+    _check_q_limit,
     _check_shared_ref,
+    _close,
     _positive_arrays,
     _qr,
     _quality,
@@ -51,16 +55,11 @@ class FeasibleSets:
 
     def __post_init__(self) -> None:
         for name in ("s_values", "t_values"):
-            values = getattr(self, name)
-            if not values:
-                raise InvalidParameterError(f"{name} is empty")
-            if any(v <= 0 or not math.isfinite(v) for v in values):
-                raise InvalidParameterError(f"{name} must be finite and positive")
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise InvalidParameterError(f"{name} must be strictly increasing")
-        lo, hi = self.q_range
-        if not (0 < lo <= hi) or not math.isfinite(hi):
-            raise InvalidParameterError(f"q_range must satisfy 0 < lo <= hi, got {self.q_range}")
+            object.__setattr__(self, name, _check_ladder(name, getattr(self, name)))
+        lo, hi = (_check("q_range", v) for v in self.q_range)
+        if lo > hi:
+            raise InvalidParameterError(f"q_range must satisfy lo <= hi, got {self.q_range}")
+        object.__setattr__(self, "q_range", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,6 @@ def _budget_q(p: RateParams, s, t, budget):
     )
 
 
-def _require_budget(budget: float) -> None:
-    if not math.isfinite(budget) or budget <= 0:
-        raise InvalidParameterError(f"budget must be finite and > 0, got {budget!r}")
-
-
 def feasible_q(p: RateParams, s, t, budget):
     """Stepsize at which the rate surface meets ``budget`` exactly for the
     given frame size and frame rate. Broadcasts over numpy arrays.
@@ -99,14 +93,16 @@ def _grid_shape(grid, span) -> tuple[int, int]:
     shape = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
     if shape[0] < 2 or shape[1] < 2:
         raise InvalidParameterError("grid needs at least 2 points per axis")
-    if span[0] <= 1 or span[1] <= 1:
-        raise InvalidParameterError("span factors must exceed 1")
+    for factor in span:
+        _check("span factor", factor, 1.0)
     return shape
 
 
 def _best_cells(rp: RateParams, qp: QualityParams, budget, s, t):
     # Per budget (shape (B, 1, 1)), the best cell of the grid s (B or 1, n_s) x
-    # t (B or 1, n_t): its quality, clamped stepsize and s and t indices.
+    # t (B or 1, n_t): its quality, clamped stepsize and s and t indices. Cells
+    # at stepsizes >= q_limit score <= 0 and all others > 0, so the best cell
+    # lies at or above q_limit only when every cell does; callers check it.
     s, t = s[:, :, None], t[:, None, :]
     q = np.maximum(_budget_q(rp, s, t, budget), rp.ref.q_min)
     quality = _quality(qp, q, s, t)
@@ -153,13 +149,15 @@ def optimize_continuous(
     each cell the stepsize comes from :func:`feasible_q`, clamped below at
     ``q_min``; leftover budget from the clamp is simply unspent. With
     ``refine`` enabled, one grid-halving pass around the best cell tightens
-    the result toward the continuous optimum.
+    the result toward the continuous optimum. Raises :class:`InfeasibleError`
+    when even the best cell needs a stepsize at or above ``qp.q_limit``.
     """
     _check_shared_ref(rp, qp)
-    _require_budget(budget)
+    budget = _check("budget", budget)
     n_s, n_t = _grid_shape(grid, span)
-    best = _grid_search(rp, qp, np.array([budget], dtype=float), n_s, n_t, span, refine)
+    best = _grid_search(rp, qp, np.array([budget]), n_s, n_t, span, refine)
     quality, q, s, t = (float(v[0]) for v in best)
+    _check_q_limit(q, budget)
     return OptimizationResult(
         star=Star(q=q, s=s, t=t), quality=quality, rate=float(_rate(rp, q, s, t))
     )
@@ -180,19 +178,19 @@ def optimize_discrete(
     frame size.
     """
     _check_shared_ref(rp, qp)
-    _require_budget(budget)
+    budget = _check("budget", budget)
     ref = rp.ref
     q_lo, q_hi = sets.q_range
-    if q_lo < ref.q_min * (1.0 - 1e-9):
+    if q_lo < ref.q_min and not _close(q_lo, ref.q_min):
         raise InvalidParameterError("q_range must not extend below the reference stepsize")
-    if not math.isclose(max(sets.s_values), ref.s_max, rel_tol=1e-9):
+    if not _close(sets.s_values[-1], ref.s_max):
         raise InvalidParameterError("largest frame size must equal the reference frame size")
-    if not math.isclose(max(sets.t_values), ref.t_max, rel_tol=1e-9):
+    if not _close(sets.t_values[-1], ref.t_max):
         raise InvalidParameterError("largest frame rate must equal the reference frame rate")
 
     s, t = (v.ravel() for v in np.meshgrid(sets.s_values, sets.t_values, indexing="ij"))
     q = np.maximum(_budget_q(rp, s, t, budget), q_lo)
-    feasible = q <= q_hi * (1.0 + 1e-9)
+    feasible = q <= q_hi * (1.0 + _REL_TOL)
     if not feasible.any():
         raise InfeasibleError(
             f"budget {budget} kbps is unreachable even at the coarsest stepsize"
@@ -201,6 +199,7 @@ def optimize_discrete(
     quality = _quality(qp, q, s, t)
     # lexsort sorts by its last key first, so the best pair comes last.
     k = np.lexsort((s, t, -q, quality))[-1]
+    _check_q_limit(float(q[k]), budget)
     return OptimizationResult(
         star=Star(q=float(q[k]), s=float(s[k]), t=float(t[k])),
         quality=float(quality[k]),
@@ -223,9 +222,9 @@ def fit_qr(curve, r_max: float) -> QrFit:
     points = list(curve)
     if len(points) < 3:
         raise InsufficientDataError("need at least three curve points")
-    rates = np.asarray([p[0] for p in points], dtype=float)
-    qualities = np.asarray([p[1] for p in points], dtype=float)
-    if np.any(rates <= 0) or np.any(rates > r_max * (1.0 + 1e-9)):
+    rates = _check("curve rates", [p[0] for p in points], array=True, error=OutOfRangeError)
+    qualities = _check("curve qualities", [p[1] for p in points], -np.inf, array=True)
+    if np.any(rates > r_max * (1.0 + _REL_TOL)):
         raise OutOfRangeError("curve rates must lie in (0, r_max]")
     if np.all(qualities == qualities[0]):
         raise DegenerateDataError("curve is flat; no summary parameter fits it")
@@ -264,8 +263,10 @@ def optimal_quality_curve(
     n_s, n_t = _grid_shape(grid, span)
     budgets = np.geomspace(lo_frac * rp.r_max, rp.r_max, n_points)
     batches = -(-n_points * n_s * n_t // _BATCH_CELLS)
-    quality = np.concatenate([
-        _grid_search(rp, qp, part, n_s, n_t, span, refine)[0]
+    quality, q = (np.concatenate(v) for v in zip(*(
+        _grid_search(rp, qp, part, n_s, n_t, span, refine)[:2]
         for part in np.array_split(budgets, batches)
-    ])
+    )))
+    k = q.argmax()
+    _check_q_limit(float(q[k]), float(budgets[k]))
     return [(float(b), float(v)) for b, v in zip(budgets, quality)]

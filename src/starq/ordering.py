@@ -12,7 +12,6 @@ drop and tends to spread the achievable rates more evenly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,9 @@ from .models import (
     QrModel,
     QualityParams,
     RateParams,
+    _REL_TOL,
+    _check,
+    _check_ladder,
     _check_shared_ref,
     qr_surface,
     quality_surface,
@@ -54,23 +56,11 @@ class LayerGrid:
     quality: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, values, increasing in (
-            ("s_levels", self.s_levels, True),
-            ("t_levels", self.t_levels, True),
-            ("q_levels", self.q_levels, False),
-        ):
-            if not values or any(v <= 0 or not math.isfinite(v) for v in values):
-                raise InvalidParameterError(f"{name} must be non-empty, finite and positive")
-            if increasing:
-                ordered = all(a < b for a, b in zip(values, values[1:]))
-            else:
-                ordered = all(a > b for a, b in zip(values, values[1:]))
-            if not ordered:
-                direction = "increasing" if increasing else "decreasing"
-                raise InvalidParameterError(f"{name} must be strictly {direction}")
-        shape = (len(self.s_levels), len(self.t_levels), len(self.q_levels))
-        for name, table in (("rate", self.rate), ("quality", self.quality)):
-            if np.asarray(table).shape != shape:
+        for name, increasing in (("s_levels", True), ("t_levels", True), ("q_levels", False)):
+            object.__setattr__(self, name, _check_ladder(name, getattr(self, name), increasing))
+        shape = self.shape
+        for name, table, low in (("rate", self.rate, 0.0), ("quality", self.quality, -np.inf)):
+            if _check(name, table, low, array=True).shape != shape:
                 raise InvalidParameterError(f"{name} table shape must be {shape}")
         for axis in range(3):
             if not np.all(np.diff(self.rate, axis=axis) > 0):
@@ -134,19 +124,9 @@ def build_layer_grid(
 ) -> LayerGrid:
     """Populate a layer lattice from the analytic rate and quality surfaces."""
     _check_shared_ref(rp, qp)
-    s_levels = tuple(float(v) for v in s_levels)
-    t_levels = tuple(float(v) for v in t_levels)
-    q_levels = tuple(float(v) for v in q_levels)
-    s = np.asarray(s_levels)[:, None, None]
-    t = np.asarray(t_levels)[None, :, None]
-    q = np.asarray(q_levels)[None, None, :]
-    return LayerGrid(
-        s_levels=s_levels,
-        t_levels=t_levels,
-        q_levels=q_levels,
-        rate=rate_surface(rp, q, s, t),
-        quality=quality_surface(qp, q, s, t),
-    )
+    levels = [tuple(float(v) for v in x) for x in (s_levels, t_levels, q_levels)]
+    s, t, q = (np.reshape(v, k) for v, k in zip(levels, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))))
+    return LayerGrid(*levels, rate=rate_surface(rp, q, s, t), quality=quality_surface(qp, q, s, t))
 
 
 def _step_at(grid: LayerGrid, idx: tuple[int, int, int]) -> PathStep:
@@ -216,7 +196,7 @@ def path_quality_loss(path: OrderedPath, qr: QrModel) -> float:
     rate-quality summary, evaluated at the path's own rates."""
     rates = np.array([step.rate for step in path.steps])
     qualities = np.array([step.quality for step in path.steps])
-    if rates.max() > qr.r_max * (1.0 + 1e-9):
+    if rates.max() > qr.r_max * (1.0 + _REL_TOL):
         raise OutOfRangeError("path reaches rates above the summary model ceiling")
     return float(np.max(qr_surface(qr, np.minimum(rates, qr.r_max)) - qualities))
 

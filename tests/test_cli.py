@@ -279,3 +279,49 @@ class TestPredictParams:
             ]
         )
         assert rc == 2
+
+
+def test_infeasible_budget_sweep_prints_nothing(city_model_json, tmp_path, capsys):
+    # Every budget of the sweep needs a stepsize above 20, so the first one
+    # already fails; no CSV header may reach stdout before exit 4.
+    sets = tmp_path / "sets.json"
+    sets.write_text(
+        json.dumps({"s_values": ["qcif", "cif", "4cif"], "t_values": [3.75, 7.5, 15, 30], "q_range": [16, 20]})
+    )
+    argv = ["optimize", str(city_model_json), "--mode", "dyadic", "--sets", str(sets), "--budget-sweep", "5"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_budget_below_quality_domain_is_infeasible(city_model_json, capsys):
+    # At 0.05 kbps every cell needs a stepsize beyond QualityParams.q_limit,
+    # where the quality model turns negative.
+    assert main(["optimize", str(city_model_json), "--budget", "0.05"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limit" in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--q", "1e-300", "--s", "cif", "--t", "30"],
+        ["--q", "1e300", "--s", "cif", "--t", "30"],
+        ["--s", "cif", "--t", "30", "--sweep", "q", "--sweep-from", "1e-300", "--sweep-to", "16"],
+    ],
+    ids=["overflow", "underflow", "sweep-overflow"],
+)
+def test_rate_outside_float_range_is_input_error(city_model_json, capsys, extra):
+    assert main(["predict-rate", str(city_model_json), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rate must be a finite real > 0")
+
+
+def test_huge_qp_in_log_is_input_error(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("qp,width,height,fps,rate_kbps\n1e10,352,288,30,100\n")
+    assert main(["fit", str(log)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -61,13 +61,6 @@ def test_unit_features_give_row_sums():
     assert not prediction.out_of_domain
 
 
-def test_r_max_floor_configurable():
-    prediction = predict_params(SVC1, FeatureVector(0.0, 0.0, 0.0), REF, r_max_floor=5.0)
-    assert prediction.params.r_max == 5.0
-    with pytest.raises(InvalidParameterError):
-        predict_params(SVC1, FeatureVector(0.0, 0.0, 0.0), REF, r_max_floor=0.0)
-
-
 def test_prediction_carries_reference():
     prediction = predict_params(SVC1, FeatureVector(2.0, 1.0, 0.5), REF)
     assert prediction.params.ref == REF
