@@ -21,10 +21,9 @@ from .errors import InfeasibleError, InsufficientDataError, StarqError
 from .features import BUILTIN_PREDICTORS, FeatureVector, predict_params
 from .fileio import (
     ModelFile,
-    _read_config,
-    _read_csv,
     parse_frame_size,
     read_encode_log,
+    read_features,
     read_levels_config,
     read_model_file,
     read_sets_config,
@@ -77,15 +76,16 @@ def _print_csv(header: str, rows) -> None:
         print(",".join(_fmt(x) for x in row))
 
 
-def _require_rate(model: ModelFile, path) -> None:
-    if model.rate is None:
-        raise StarqError(f"{path}: model document has no rate parameters")
+def _read_part(path, part: str):
+    # One parameter set ("rate" or "quality") of a model document that must hold it.
+    params = getattr(read_model_file(path), part)
+    if params is None:
+        raise StarqError(f"{path}: model document has no {part} parameters")
+    return params
 
 
 def cmd_predict_rate(args) -> int:
-    model = read_model_file(args.model)
-    _require_rate(model, args.model)
-    rp = model.rate
+    rp = _read_part(args.model, "rate")
 
     if args.sweep:
         ends = (args.sweep_from, args.sweep_to)
@@ -116,13 +116,7 @@ def cmd_predict_rate(args) -> int:
 
 
 def _load_rate_and_quality(args) -> tuple:
-    model = read_model_file(args.model)
-    _require_rate(model, args.model)
-    quality_path = args.quality_model or args.model
-    quality_doc = read_model_file(quality_path)
-    if quality_doc.quality is None:
-        raise StarqError(f"{quality_path}: model document has no quality parameters")
-    return model.rate, quality_doc.quality
+    return _read_part(args.model, "rate"), _read_part(args.quality_model or args.model, "quality")
 
 
 def _result_doc(result, mode: str, budget: float) -> dict:
@@ -200,26 +194,6 @@ def cmd_order(args) -> int:
     return EXIT_OK
 
 
-def _read_features(path) -> FeatureVector:
-    """Feature record from a JSON object or a one-record CSV."""
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        _, rows = _read_csv(path)
-        if not rows:
-            raise StarqError(f"{path}: no feature records")
-        doc = rows[0][1]
-    else:
-        doc = _read_config(path)
-    try:
-        return FeatureVector(
-            mu_dfd=float(doc["mu_dfd"]),
-            sigma_mvm=float(doc["sigma_mvm"]),
-            sigma_mda=float(doc["sigma_mda"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StarqError(f"{path}: malformed feature record: {exc}") from None
-
-
 def cmd_predict_params(args) -> int:
     scenario = args.scenario.upper().replace("#", "")
     if scenario not in BUILTIN_PREDICTORS:
@@ -227,7 +201,7 @@ def cmd_predict_params(args) -> int:
             f"unknown scenario {args.scenario!r}; choose from {sorted(BUILTIN_PREDICTORS)}"
         )
     if args.features:
-        features = _read_features(args.features)
+        features = read_features(args.features)
     else:
         if args.mu_dfd is None or args.sigma_mvm is None or args.sigma_mda is None:
             raise StarqError("need --features or all of --mu-dfd --sigma-mvm --sigma-mda")
@@ -315,15 +289,11 @@ def main(argv=None) -> int:
         # Results are checked and reported as errors, so numpy warnings add nothing.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except InsufficientDataError as exc:
+    except (StarqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (StarqError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, InsufficientDataError):
+            return EXIT_INSUFFICIENT
+        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

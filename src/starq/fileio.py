@@ -1,18 +1,21 @@
 """File formats consumed and produced by the command-line front end.
 
-Encode logs are CSV with a header; model documents and optimizer configs are
-JSON. Frame sizes may be given as pixel counts or as the format names qcif,
-cif and 4cif.
+Encode logs are CSV; model documents and configs are JSON; feature records
+are either. Document keys are the fields of the dataclass filled, and values
+reach its constructor as JSON gave them; only text (CSV cells, frame sizes) is
+converted here. Every reader error starts with the path, for CSV ``line N:``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, StarqError
+from .features import FeatureVector
 from .fitting import EncodeLog, RateSample
 from .models import (
     FRAME_SIZE_NAMES,
@@ -22,35 +25,50 @@ from .models import (
     ResolutionRef,
     Star,
     _check,
+    _check_ladder,
     stepsize_from_qp,
 )
 from .optimizer import FeasibleSets
 
-_REQUIRED_LOG_COLUMNS = ("width", "height", "fps", "rate_kbps")
+# Encode-log columns besides the stepsize, which is a q or a qp column.
+_LOG_COLUMNS = ("width", "height", "fps", "rate_kbps")
+# The optional parameter sections of a model document.
+_SECTIONS = {"rate": RateParams, "quality": QualityParams, "qr": QrModel}
+
+
+def _reader(read):
+    # A file reader whose errors all start with the path.
+    @functools.wraps(read)
+    def wrapper(path):
+        path = Path(path)
+        try:
+            return read(path)
+        except StarqError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+
+    return wrapper
+
+
+def _number(text: str, name: str) -> float:
+    # The one text-to-number conversion; range rules belong to the constructors.
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidParameterError(f"{name} must be a number, got {text!r}") from None
 
 
 def parse_frame_size(value) -> float:
-    """Pixels per frame from a number or a named format (qcif, cif, 4cif)."""
+    """Pixels per frame from a number or from text: a number or a named
+    format (qcif, cif, 4cif)."""
     if isinstance(value, str):
         name = value.strip().lower()
         if name in FRAME_SIZE_NAMES:
             return FRAME_SIZE_NAMES[name]
-        try:
-            value = float(name)
-        except ValueError:
-            raise InvalidParameterError(f"unknown frame size {value!r}") from None
+        value = _number(name, "a frame size other than qcif, cif or 4cif")
     return _check("frame size", value)
 
 
-def _parse_float(row_num: int, column: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(
-            f"line {row_num}: column {column!r} is not numeric: {raw!r}"
-        ) from None
-
-
+@_reader
 def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     """Parse a CSV encode log.
 
@@ -59,41 +77,35 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     present qp wins, with a warning, since qp is what encoders log. Returns
     the log and any warnings.
     """
-    path = Path(path)
-    fieldnames, rows = _read_csv(path)
-    if fieldnames is None:
-        raise InvalidParameterError(f"{path}: empty file, expected a CSV header")
-    columns = [name.strip() for name in fieldnames]
-    missing = [c for c in _REQUIRED_LOG_COLUMNS if c not in columns]
+    columns, rows = _read_csv(path)
+    if columns is None:
+        raise InvalidParameterError("empty file, expected a CSV header")
+    missing = [c for c in _LOG_COLUMNS if c not in columns]
     if missing:
-        raise InvalidParameterError(f"{path}: line 1: missing columns {missing}")
-    has_q = "q" in columns
-    has_qp = "qp" in columns
-    if not has_q and not has_qp:
-        raise InvalidParameterError(f"{path}: line 1: need a 'q' or 'qp' column")
-
-    warnings: list[str] = []
-    if has_q and has_qp:
+        raise InvalidParameterError(f"line 1: missing columns {missing}")
+    q_column = "qp" if "qp" in columns else "q"
+    if q_column not in columns:
+        raise InvalidParameterError("line 1: need a 'q' or 'qp' column")
+    warnings = []
+    if q_column == "qp" and "q" in columns:
         warnings.append("log has both 'q' and 'qp' columns; using 'qp'")
 
     samples: list[RateSample] = []
     for num, row in rows:
-        row = {k.strip(): (v.strip() if isinstance(v, str) else v) for k, v in row.items() if k}
-        if has_qp:
-            q = stepsize_from_qp(_parse_float(num, "qp", row.get("qp")))
-        else:
-            q = _parse_float(num, "q", row.get("q"))
-        width = _parse_float(num, "width", row.get("width"))
-        height = _parse_float(num, "height", row.get("height"))
-        fps = _parse_float(num, "fps", row.get("fps"))
-        rate = _parse_float(num, "rate_kbps", row.get("rate_kbps"))
         try:
+            q = _number(row[q_column], q_column)
+            if q_column == "qp":
+                q = stepsize_from_qp(q)
+            width = _number(row["width"], "width")
+            height = _number(row["height"], "height")
+            fps = _number(row["fps"], "fps")
+            rate = _number(row["rate_kbps"], "rate_kbps")
             star = Star(q=q, s=width * height, t=fps)
-            samples.append(RateSample(star=star, rate=rate, tag=row.get("label", "") or ""))
+            samples.append(RateSample(star=star, rate=rate, tag=row.get("label", "")))
         except InvalidParameterError as exc:
-            raise InvalidParameterError(f"{path}: line {num}: {exc}") from None
+            raise InvalidParameterError(f"line {num}: {exc}") from None
     if not samples:
-        raise InvalidParameterError(f"{path}: no data rows")
+        raise InvalidParameterError("no data rows")
     return EncodeLog.from_samples(samples), warnings
 
 
@@ -109,116 +121,120 @@ class ModelFile:
     qr: QrModel | None = None
 
 
+def _values(obj) -> dict:
+    # The document entries of a dataclass: its fields but the shared ``ref``.
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name != "ref"}
+
+
 def model_to_dict(model: ModelFile) -> dict:
-    doc: dict = {
-        "scenario": model.scenario,
-        "ref": {
-            "q_min": model.ref.q_min,
-            "s_max": model.ref.s_max,
-            "t_max": model.ref.t_max,
-        },
-    }
-    if model.rate is not None:
-        p = model.rate
-        doc["rate"] = {"a": p.a, "b": p.b, "c": p.c, "r_max": p.r_max}
-    if model.quality is not None:
-        p = model.quality
-        doc["quality"] = {
-            "alpha_q": p.alpha_q,
-            "alpha_s_tilde": p.alpha_s_tilde,
-            "alpha_t": p.alpha_t,
-        }
-    if model.qr is not None:
-        doc["qr"] = {"kappa": model.qr.kappa, "r_max": model.qr.r_max}
+    doc = {"scenario": model.scenario, "ref": _values(model.ref)}
+    for key in _SECTIONS:
+        if getattr(model, key) is not None:
+            doc[key] = _values(getattr(model, key))
     return doc
 
 
 def model_from_dict(doc: dict) -> ModelFile:
-    try:
-        ref_doc = doc["ref"]
-        ref = ResolutionRef(
-            q_min=float(ref_doc["q_min"]),
-            s_max=parse_frame_size(ref_doc["s_max"]),
-            t_max=float(ref_doc["t_max"]),
-        )
-        rate = quality = qr = None
-        if "rate" in doc:
-            r = doc["rate"]
-            rate = RateParams(
-                a=float(r["a"]), b=float(r["b"]), c=float(r["c"]),
-                r_max=float(r["r_max"]), ref=ref,
-            )
-        if "quality" in doc:
-            qd = doc["quality"]
-            quality = QualityParams(
-                alpha_q=float(qd["alpha_q"]),
-                alpha_s_tilde=float(qd["alpha_s_tilde"]),
-                alpha_t=float(qd["alpha_t"]),
-                ref=ref,
-            )
-        if "qr" in doc:
-            q = doc["qr"]
-            qr = QrModel(kappa=float(q["kappa"]), r_max=float(q["r_max"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed model document: {exc}") from None
-    return ModelFile(ref=ref, scenario=str(doc.get("scenario", "")), rate=rate, quality=quality, qr=qr)
+    ref = _section(_object(doc), "ref", ResolutionRef)
+    parts = {key: _section(doc, key, cls, ref) for key, cls in _SECTIONS.items() if key in doc}
+    return ModelFile(ref=ref, scenario=str(doc.get("scenario", "")), **parts)
 
 
-def read_model_file(path) -> ModelFile:
-    doc = _read_config(path)
+def _section(doc: dict, key: str, cls, ref=None):
+    # ``cls`` built from the JSON object under ``key``.
     try:
-        return model_from_dict(doc)
+        return _build(cls, _object(doc.get(key)), ref)
     except InvalidParameterError as exc:
-        raise InvalidParameterError(f"{path}: {exc}") from None
+        raise InvalidParameterError(f"{key}: {exc}") from None
+
+
+def _build(cls, doc: dict, ref=None):
+    # ``cls`` from the values of a JSON object under its field names; a
+    # ``ref`` field takes ``ref``.
+    return cls(**{f.name: ref if f.name == "ref" else _field(doc, f.name) for f in fields(cls)})
+
+
+def _field(doc: dict, key: str):
+    # The value under ``key`` as JSON gave it, but frame sizes parsed.
+    if key not in doc:
+        raise InvalidParameterError(f"missing key {key!r}")
+    value = doc[key]
+    if key == "s_max":
+        return parse_frame_size(value)
+    if key == "s_values":
+        if not isinstance(value, list):
+            raise InvalidParameterError(f"{key} must be a JSON list, got {value!r}")
+        return [parse_frame_size(v) for v in value]
+    return value
+
+
+@_reader
+def read_model_file(path) -> ModelFile:
+    return model_from_dict(_read_json(path))
 
 
 def write_model_file(path, model: ModelFile) -> None:
     Path(path).write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
 
 
+@_reader
 def read_sets_config(path) -> FeasibleSets:
     """Feasible-set config: keys s_values, t_values and q_range."""
-    doc = _read_config(path)
-    try:
-        s_values = tuple(parse_frame_size(v) for v in doc["s_values"])
-        t_values = tuple(float(v) for v in doc["t_values"])
-        lo, hi = doc["q_range"]
-        q_range = (float(lo), float(hi))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{path}: malformed sets config: {exc}") from None
-    return FeasibleSets(s_values=s_values, t_values=t_values, q_range=q_range)
+    return _build(FeasibleSets, _read_json(path))
 
 
+@_reader
 def read_levels_config(path) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """Layer-level config: keys s_values, t_values (increasing) and q_levels
-    (decreasing). Ordering is the caller's contract and is not repaired here.
-    """
-    doc = _read_config(path)
+    """Layer-level config: keys s_values and t_values (strictly increasing)
+    and q_levels (strictly decreasing), each checked as a ladder."""
+    doc = _read_json(path)
+    ladders = (("s_values", True), ("t_values", True), ("q_levels", False))
+    return tuple(_check_ladder(key, _field(doc, key), increasing) for key, increasing in ladders)
+
+
+@_reader
+def read_features(path) -> FeatureVector:
+    """Content features from a JSON object or from the first record of a CSV
+    file, under the keys mu_dfd, sigma_mvm and sigma_mda."""
+    if path.suffix.lower() != ".csv":
+        return _build(FeatureVector, _read_json(path))
+    _, rows = _read_csv(path)
+    if not rows:
+        raise InvalidParameterError("no feature records")
+    num, row = rows[0]
+    names = [f.name for f in fields(FeatureVector)]
     try:
-        s_levels = tuple(parse_frame_size(v) for v in doc["s_values"])
-        t_levels = tuple(float(v) for v in doc["t_values"])
-        q_levels = tuple(float(v) for v in doc["q_levels"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{path}: malformed levels config: {exc}") from None
-    return s_levels, t_levels, q_levels
+        return _build(FeatureVector, {k: _number(row[k], k) for k in names if k in row})
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"line {num}: {exc}") from None
 
 
-def _read_csv(path) -> tuple[list[str] | None, list[tuple[int, dict]]]:
-    """Header and rows of a CSV file, each row with the line number it ends on."""
-    with Path(path).open(newline="") as handle:
-        reader = csv.DictReader(handle)
+def _read_csv(path: Path) -> tuple[list[str] | None, list[tuple[int, dict]]]:
+    # Header and rows of a CSV file, names and cells stripped, each row with
+    # the line number it ends on; a short row's missing cells are empty.
+    with path.open(newline="") as handle:
+        reader = csv.DictReader(handle, restval="")
         try:
-            return reader.fieldnames, [(reader.line_num, row) for row in reader]
+            columns = reader.fieldnames and [name.strip() for name in reader.fieldnames]
+            rows = []
+            for row in reader:
+                cells = {k.strip(): v.strip() for k, v in row.items() if k}
+                rows.append((reader.line_num, cells))
         except (csv.Error, UnicodeDecodeError) as exc:
-            raise InvalidParameterError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise InvalidParameterError(f"line {reader.line_num}: {exc}") from None
+    return columns, rows
 
 
-def _read_config(path) -> dict:
-    path = Path(path)
+def _read_json(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InvalidParameterError(f"{path}: invalid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise InvalidParameterError(f"invalid JSON: {exc}") from None
+    return _object(doc)
+
+
+def _object(doc) -> dict:
+    # ``doc`` if it is a JSON object.
     if not isinstance(doc, dict):
-        raise InvalidParameterError(f"{path}: expected a JSON object")
+        raise InvalidParameterError(f"expected a JSON object, got {type(doc).__name__}")
     return doc

@@ -44,14 +44,22 @@ def _check(name, value, low=0.0, strict=True, *, array=False, error=InvalidParam
     finite and ``> low`` (``>= low`` unless ``strict``); else raises ``error``.
     Every numeric input rule of the package goes through here."""
     if array:
-        arr = np.asarray(value)
-        if arr.dtype.kind in "biuf":
+        try:
+            arr = np.asarray(value)
+        except (TypeError, ValueError):  # a ragged sequence
+            arr = np.asarray(None)
+        # numpy turns a bool among numbers into 0 or 1, so lists are scanned.
+        has_bool = type(value) in (list, tuple) and bool in map(type, value)
+        if arr.dtype.kind in "iuf" and not has_bool:
             arr = arr.astype(float, copy=False)
             ok = np.isfinite(arr) & ((arr > low) if strict else (arr >= low))
             if np.count_nonzero(ok) == ok.size:  # cheaper than ok.all() on small arrays
                 return arr
-    elif type(value) is float or isinstance(value, Real):
-        v = float(value)
+    elif type(value) is float or (isinstance(value, Real) and type(value) is not bool):
+        try:
+            v = float(value)
+        except OverflowError:  # an int beyond the float range
+            v = math.inf
         if math.isfinite(v) and (v > low if strict else v >= low):
             return v
     bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"

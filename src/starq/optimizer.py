@@ -56,10 +56,10 @@ class FeasibleSets:
     def __post_init__(self) -> None:
         for name in ("s_values", "t_values"):
             object.__setattr__(self, name, _check_ladder(name, getattr(self, name)))
-        lo, hi = (_check("q_range", v) for v in self.q_range)
-        if lo > hi:
-            raise InvalidParameterError(f"q_range must satisfy lo <= hi, got {self.q_range}")
-        object.__setattr__(self, "q_range", (lo, hi))
+        q_range = _check("q_range", self.q_range, array=True)
+        if q_range.shape != (2,) or q_range[0] > q_range[1]:
+            raise InvalidParameterError(f"q_range must be a pair lo <= hi, got {self.q_range!r}")
+        object.__setattr__(self, "q_range", tuple(q_range.tolist()))
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,10 @@ class OrderedPath:
     def __post_init__(self) -> None:
         if not self.steps:
             raise InvalidParameterError("ordered path has no steps")
+        if self.direction not in _MOVES:
+            raise InvalidParameterError(f"unknown path direction {self.direction!r}")
+        _check("rate", np.array([step.rate for step in self.steps]), array=True)
+        _check("quality", np.array([step.quality for step in self.steps]), -np.inf, array=True)
         for prev, cur in zip(self.steps, self.steps[1:]):
             deltas = (cur.l - prev.l, cur.m - prev.m, cur.n - prev.n)
             if sorted(deltas) != [0, 0, 1]:
@@ -124,7 +128,7 @@ def build_layer_grid(
 ) -> LayerGrid:
     """Populate a layer lattice from the analytic rate and quality surfaces."""
     _check_shared_ref(rp, qp)
-    levels = [tuple(float(v) for v in x) for x in (s_levels, t_levels, q_levels)]
+    levels = (s_levels, t_levels, q_levels)
     s, t, q = (np.reshape(v, k) for v, k in zip(levels, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))))
     return LayerGrid(*levels, rate=rate_surface(rp, q, s, t), quality=quality_surface(qp, q, s, t))
 

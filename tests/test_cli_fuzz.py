@@ -48,6 +48,24 @@ def files(tmp_path_factory):
     (d / "levels.json").write_text(
         json.dumps({"s_values": list(LAYER_S), "t_values": list(LAYER_T), "q_levels": list(LAYER_Q)})
     )
+    model = json.loads((d / "model.json").read_text())
+    model["rate"].update(a="1.5", b=True)
+    (d / "strmodel.json").write_text(json.dumps(model))
+    model["rate"].update(a=10**400, b=0.5)
+    (d / "hugeint.json").write_text(json.dumps(model))
+    (d / "deep.json").write_text("[" * 100_000)
+    (d / "strsets.json").write_text(
+        json.dumps({"s_values": "4", "t_values": list(LAYER_T), "q_range": "19"})
+    )
+    (d / "strlevels.json").write_text(
+        json.dumps({"s_values": list(LAYER_S), "t_values": "15", "q_levels": list(LAYER_Q)})
+    )
+    (d / "raggedsets.json").write_text(
+        json.dumps({"s_values": list(LAYER_S), "t_values": [15, [30, 60]], "q_range": [16, [20]]})
+    )
+    (d / "raggedlevels.json").write_text(
+        json.dumps({"s_values": list(LAYER_S), "t_values": list(LAYER_T), "q_levels": [64, [16]]})
+    )
     (d / "features.json").write_text(json.dumps({"mu_dfd": 8, "sigma_mvm": 4, "sigma_mda": 2}))
     (d / "features.csv").write_text("mu_dfd,sigma_mvm,sigma_mda\n8,4,2\n")
     binary = bytes(range(256)) * 4
@@ -89,6 +107,13 @@ BAD_FILE_CASES = [
     ["order", "model.json", "--levels", "binary.json"],
     ["fit", "longfield.csv"],
     ["predict-params", "--scenario", "SL2", "--features", "longfield.csv"],
+    ["predict-rate", "strmodel.json", "--q", "16", "--s", "cif", "--t", "30"],
+    ["predict-rate", "hugeint.json", "--q", "16", "--s", "cif", "--t", "30"],
+    ["predict-rate", "deep.json", "--q", "16", "--s", "cif", "--t", "30"],
+    ["optimize", "model.json", "--budget", "500", "--mode", "dyadic", "--sets", "strsets.json"],
+    ["order", "model.json", "--levels", "strlevels.json"],
+    ["optimize", "model.json", "--budget", "500", "--mode", "dyadic", "--sets", "raggedsets.json"],
+    ["order", "model.json", "--levels", "raggedlevels.json"],
 ]
 
 
@@ -104,7 +129,7 @@ def test_unreadable_file_is_input_error(files, template):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith(f"error: {files}")
     assert proc.stdout == ""
 
 
@@ -116,7 +141,8 @@ SMALL_INTS = st.integers(min_value=-3, max_value=40).map(str)
 FILE_NAMES = (
     "model.json", "log.csv", "sets.json", "levels.json", "features.json", "features.csv",
     "binary.csv", "binary.json", "empty.csv", "empty.json", "list.json", "broken.json",
-    "longfield.csv", "nul.csv", "dir", "missing.json",
+    "longfield.csv", "nul.csv", "dir", "missing.json", "strmodel.json", "hugeint.json",
+    "deep.json", "strsets.json", "strlevels.json", "raggedsets.json", "raggedlevels.json",
 )
 FILES = st.sampled_from(FILE_NAMES)
 

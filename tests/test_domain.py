@@ -77,7 +77,10 @@ class TestCheckerGaps:
         assert x == Star(16.0, float(CIF), 30.0)
         assert evaluate_rate(CITY, x) == evaluate_rate(CITY, Star(16.0, float(CIF), 30.0))
 
-    @pytest.mark.parametrize("value", ["16", None, 1j, np.array([16.0])])
+    @pytest.mark.parametrize(
+        "value",
+        ["16", None, 1j, np.array([16.0]), True, np.True_, pytest.param(10**400, id="huge-int")],
+    )
     def test_non_real_scalars_are_rejected(self, value):
         with pytest.raises(InvalidParameterError):
             Star(value, 1.0, 1.0)
@@ -85,6 +88,11 @@ class TestCheckerGaps:
     def test_surfaces_reject_non_real_arrays(self):
         with pytest.raises(InvalidParameterError):
             rate_surface(CITY, np.array(["16"]), REF.s_max, REF.t_max)
+
+    @pytest.mark.parametrize("q", [np.array([True]), [True, 16.0]], ids=["bool-array", "bool-in-list"])
+    def test_surfaces_reject_booleans(self, q):
+        with pytest.raises(InvalidParameterError):
+            rate_surface(CITY, q, REF.s_max, REF.t_max)
 
     def test_frame_size_parsing_uses_the_rule(self):
         assert parse_frame_size(np.int64(CIF)) == float(CIF)
@@ -98,8 +106,9 @@ class TestCheckerGaps:
 
     @pytest.mark.parametrize(
         "s_values",
-        [(), (NAN, 1.0), (2.0, 1.0), (1.0, 1.0), ((1.0, 2.0),)],
-        ids=["empty", "nan", "decreasing", "repeated", "nested"],
+        [(), (NAN, 1.0), (2.0, 1.0), (1.0, 1.0), ((1.0, 2.0),), (True, 2.0), ("1", "2"),
+         (1.0, (2.0, 3.0))],
+        ids=["empty", "nan", "decreasing", "repeated", "nested", "bool", "strings", "ragged"],
     )
     def test_ladder_rule(self, s_values):
         with pytest.raises(InvalidParameterError):

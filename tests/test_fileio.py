@@ -2,22 +2,37 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from sequences import REF, rate_params
-from starq import CIF4, QCIF, InvalidParameterError, QrModel, QualityParams, RateParams
+from sequences import REF, quality_params, rate_params
+from starq import (
+    CIF4,
+    QCIF,
+    FeatureVector,
+    InvalidParameterError,
+    QrModel,
+    QualityParams,
+    RateParams,
+)
 from starq.fileio import (
     ModelFile,
     model_from_dict,
     model_to_dict,
     parse_frame_size,
     read_encode_log,
+    read_features,
     read_levels_config,
     read_model_file,
     read_sets_config,
     write_model_file,
 )
+
+
+MISSING = object()
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write(tmp_path, name, text):
@@ -76,6 +91,18 @@ class TestEncodeLogCsv:
         )
         with pytest.raises(InvalidParameterError, match="line 3"):
             read_encode_log(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["64,x,576,30,344", "64,704,576", "1e10,704,576,30,344"],
+        ids=["non-numeric", "short-row", "huge-qp"],
+    )
+    def test_row_errors_start_with_path_and_line(self, tmp_path, row):
+        text = f"qp,width,height,fps,rate_kbps\n28,704,576,30,2379\n{row}\n"
+        path = write(tmp_path, "log.csv", text)
+        with pytest.raises(InvalidParameterError) as err:
+            read_encode_log(path)
+        assert str(err.value).startswith(f"{path}: line 3: ")
 
     def test_label_column_kept(self, tmp_path):
         path = write(
@@ -137,6 +164,33 @@ class TestModelFiles:
         with pytest.raises(InvalidParameterError):
             read_model_file(write(tmp_path, "model.json", "{not json"))
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("rate", "a", "1.5"),
+            ("rate", "b", True),
+            ("rate", "r_max", 10**400),
+            ("quality", "alpha_q", None),
+            ("qr", "kappa", [5.0]),
+            ("ref", "t_max", "30"),
+            ("ref", "s_max", False),
+        ],
+        ids=["string", "bool", "huge-int", "null", "list", "ref-string", "frame-size-bool"],
+    )
+    def test_values_must_be_json_numbers(self, tmp_path, section, key, value):
+        qr = QrModel(5.0, 2379.0)
+        doc = model_to_dict(ModelFile(REF, rate=rate_params("city"), quality=quality_params("city"), qr=qr))
+        doc[section][key] = value
+        path = write(tmp_path, "model.json", json.dumps(doc))
+        with pytest.raises(InvalidParameterError) as err:
+            read_model_file(path)
+        assert str(err.value).startswith(f"{path}: {section}: ")
+
+    @pytest.mark.parametrize("doc", [[1, 2], None, "model"], ids=["list", "null", "string"])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(InvalidParameterError, match="expected a JSON object"):
+            model_from_dict(doc)
+
     def test_missing_fields(self, tmp_path):
         with pytest.raises(InvalidParameterError):
             read_model_file(write(tmp_path, "model.json", json.dumps({"rate": {"a": 1.0}})))
@@ -169,3 +223,92 @@ class TestConfigs:
     def test_malformed_config(self, tmp_path):
         with pytest.raises(InvalidParameterError):
             read_sets_config(write(tmp_path, "sets.json", json.dumps({"s_values": [1]})))
+
+    @pytest.mark.parametrize(
+        "reader,key,value",
+        [
+            (read_sets_config, "s_values", "4"),
+            (read_sets_config, "q_range", "19"),
+            (read_sets_config, "q_range", [1, 2, 3]),
+            (read_sets_config, "t_values", [True, 30]),
+            (read_sets_config, "t_values", [15, [30, 60]]),
+            (read_sets_config, "q_range", [16, [20]]),
+            (read_levels_config, "t_values", "15"),
+            (read_levels_config, "t_values", [30, 15]),
+            (read_levels_config, "t_values", [15, "30"]),
+            (read_levels_config, "q_levels", MISSING),
+            (read_levels_config, "q_levels", [64, [16]]),
+        ],
+        ids=["sets-string-ladder", "sets-string-range", "sets-long-range", "sets-bool",
+             "sets-ragged-ladder", "sets-ragged-range", "levels-string-ladder", "levels-unordered",
+             "levels-string-element", "levels-missing", "levels-ragged"],
+    )
+    def test_errors_start_with_path_and_name_the_key(self, tmp_path, reader, key, value):
+        doc = {"s_values": [1, 2], "t_values": [15, 30], "q_range": [16, 104], "q_levels": [64, 16]}
+        doc[key] = value
+        doc = {k: v for k, v in doc.items() if v is not MISSING}
+        path = write(tmp_path, "config.json", json.dumps(doc))
+        with pytest.raises(InvalidParameterError) as err:
+            reader(path)
+        assert str(err.value).startswith(f"{path}: ") and key in str(err.value)
+
+
+class TestFeatures:
+    def test_json_and_csv_records_agree(self, tmp_path):
+        record = {"mu_dfd": 8, "sigma_mvm": 4, "sigma_mda": 2.5}
+        json_path = write(tmp_path, "f.json", json.dumps(record))
+        csv_path = write(tmp_path, "f.csv", "name,mu_dfd,sigma_mvm,sigma_mda\ncity,8,4,2.5\n")
+        assert read_features(json_path) == read_features(csv_path) == FeatureVector(8.0, 4.0, 2.5)
+
+    @pytest.mark.parametrize(
+        "name,text,prefix",
+        [
+            ("f.json", json.dumps({"mu_dfd": "8", "sigma_mvm": 4, "sigma_mda": 2}), ""),
+            ("f.json", json.dumps({"mu_dfd": 8, "sigma_mvm": 4}), ""),
+            ("f.csv", "mu_dfd,sigma_mvm,sigma_mda\n8,x,2\n", "line 2: "),
+            ("f.csv", "mu_dfd,sigma_mvm\n8,4\n", "line 2: "),
+        ],
+        ids=["json-string", "json-missing", "csv-non-numeric", "csv-missing"],
+    )
+    def test_errors_start_with_path(self, tmp_path, name, text, prefix):
+        path = write(tmp_path, name, text)
+        with pytest.raises(InvalidParameterError) as err:
+            read_features(path)
+        assert str(err.value).startswith(f"{path}: {prefix}")
+
+
+def readme_example(label: str) -> str:
+    """The first JSON block after the README paragraph that starts with **label**."""
+    match = re.search(rf"\*\*{label}\*\*.*?```json\n(.*?)```", README.read_text(), re.S)
+    assert match, f"README has no {label} example"
+    return match.group(1)
+
+
+class TestReadmeFormats:
+    """The README's File formats section against the readers and the writer."""
+
+    def test_examples_read(self, tmp_path):
+        sets = read_sets_config(write(tmp_path, "sets.json", readme_example("Feasible sets")))
+        assert sets.s_values == (float(QCIF), 352.0 * 288.0, float(CIF4))
+        s_levels, t_levels, q_levels = read_levels_config(
+            write(tmp_path, "levels.json", readme_example("Layer levels"))
+        )
+        assert s_levels == sets.s_values and q_levels == (64.0, 40.0, 26.0, 16.0)
+        read_features(write(tmp_path, "features.json", readme_example("Feature record")))
+        model = read_model_file(write(tmp_path, "model.json", readme_example("Model document")))
+        assert None not in (model.rate, model.quality, model.qr)
+
+    def test_model_example_has_the_written_keys(self, tmp_path):
+        full = ModelFile(
+            ref=REF, scenario="city", rate=rate_params("city"),
+            quality=quality_params("city"), qr=QrModel(kappa=5.058, r_max=2379.0),
+        )
+        path = tmp_path / "model.json"
+        write_model_file(path, full)
+        assert read_model_file(path) == full
+
+        def keys(doc):
+            return {k: sorted(v) if isinstance(v, dict) else None for k, v in doc.items()}
+
+        example = json.loads(readme_example("Model document"))
+        assert keys(json.loads(path.read_text())) == keys(example)

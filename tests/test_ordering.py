@@ -82,6 +82,10 @@ class TestBuildLayerGrid:
         with pytest.raises(InvalidParameterError):
             build_layer_grid(CITY, CITY_Q, LAYER_S, LAYER_T, [16.0, 26.0, 40.0, 64.0])
 
+    def test_levels_must_be_numbers(self):
+        with pytest.raises(InvalidParameterError):
+            build_layer_grid(CITY, CITY_Q, ["101376", "405504"], ["15", "30"], ["32", "16"])
+
 
 class TestForward:
     def test_single_axis_path_is_unique(self):
@@ -169,6 +173,23 @@ class TestOrderedPathInvariants:
         b = PathStep(0, 0, 1, 1.0, 1.0, 2.0, 10.0, 0.3)
         with pytest.raises(InvalidParameterError):
             OrderedPath(steps=(a, b), direction="forward")
+
+    @pytest.mark.parametrize(
+        "rates,qualities,direction",
+        [
+            ((float("nan"), float("nan")), (0.2, 0.3), "forward"),
+            ((10.0, 20.0), (0.2, float("inf")), "forward"),
+            ((10.0, 20.0), (0.2, 0.3), "sideways"),
+        ],
+        ids=["nan-rate", "inf-quality", "unknown-direction"],
+    )
+    def test_bad_steps_rejected(self, rates, qualities, direction):
+        steps = tuple(
+            PathStep(0, 0, n, 1.0, 1.0, 4.0 - n, rate, quality)
+            for n, (rate, quality) in enumerate(zip(rates, qualities))
+        )
+        with pytest.raises(InvalidParameterError):
+            OrderedPath(steps=steps, direction=direction)
 
     def test_single_coordinate_steps_required(self):
         a = PathStep(0, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2)
