@@ -22,6 +22,8 @@ _SQRT_EPS = math.sqrt(_EPS)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # Evaluation cap of the bounded search; scipy's default ``maxfun``.
 _MAX_EVALUATIONS = 500
+# Absolute tolerance of the bounded search (scipy's ``xatol``) in every fit.
+_XATOL = 1e-10
 # Iteration cap and relative step/gradient tolerance of the least-squares loop.
 _MAX_ITERATIONS = 100
 _TOL = 1e-13
@@ -46,14 +48,14 @@ def minimize_bounded(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    xatol: float,
 ) -> BoundedMinimum:
     """Minimize a scalar function of one variable on ``[lo, hi]``.
 
     The bounds must be finite with ``lo < hi``.
 
     Stops once the bracket around the best point is within
-    ``2 * (sqrt_eps * |x| + xatol / 3)`` of it on both sides.
+    ``2 * (sqrt_eps * |x| + xatol / 3)`` of it on both sides, with scipy's
+    absolute tolerance ``xatol`` fixed at 1e-10.
     """
     a, b = lo, hi
     v = w = x = a + _GOLDEN * (b - a)
@@ -62,7 +64,7 @@ def minimize_bounded(
     fu = math.inf
     d = e = 0.0
     xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+    tol1 = _SQRT_EPS * abs(x) + _XATOL / 3.0
     tol2 = 2.0 * tol1
     status = "converged"
 
@@ -115,7 +117,7 @@ def minimize_bounded(
                 v, fv = u, fu
 
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
+        tol1 = _SQRT_EPS * abs(x) + _XATOL / 3.0
         tol2 = 2.0 * tol1
         if nfev >= _MAX_EVALUATIONS:
             status = "max_evaluations"

@@ -56,23 +56,19 @@ class EncodeLog:
             seen[key] = sample.rate
 
     @classmethod
-    def from_samples(
-        cls, samples, ref: ResolutionRef | None = None
-    ) -> "EncodeLog":
-        """Build a log, deriving the reference resolutions when not supplied.
-
-        The derived reference is the smallest stepsize and the largest frame
-        size and frame rate present in the samples.
+    def from_samples(cls, samples) -> "EncodeLog":
+        """Build a log whose reference resolutions are the smallest stepsize
+        and the largest frame size and frame rate present in the samples.
+        Pass ``ref`` to the constructor to give a reference explicitly.
         """
         samples = tuple(samples)
-        if ref is None:
-            if not samples:
-                raise InvalidParameterError("cannot derive a reference from an empty log")
-            ref = ResolutionRef(
-                q_min=min(s.star.q for s in samples),
-                s_max=max(s.star.s for s in samples),
-                t_max=max(s.star.t for s in samples),
-            )
+        if not samples:
+            raise InvalidParameterError("cannot derive a reference from an empty log")
+        ref = ResolutionRef(
+            q_min=min(s.star.q for s in samples),
+            s_max=max(s.star.s for s in samples),
+            t_max=max(s.star.t for s in samples),
+        )
         return cls(samples=samples, ref=ref)
 
 
@@ -187,7 +183,7 @@ def _fit_exponent(points, direction: str) -> tuple[float, bool]:
     def sse(x: float) -> float:
         return float(np.sum((ratios ** (sign * x) - values) ** 2))
 
-    result = minimize_bounded(sse, 0.0, _EXPONENT_MAX, xatol=1e-10)
+    result = minimize_bounded(sse, 0.0, _EXPONENT_MAX)
     if sse(init) < result.fun:
         return init, init == _EXPONENT_MAX
     return result.x, result.at_bound == _EXPONENT_MAX

@@ -48,9 +48,7 @@ def _check(name, value, low=0.0, strict=True, *, array=False, error=InvalidParam
             arr = np.asarray(value)
         except (TypeError, ValueError):  # a ragged sequence
             arr = np.asarray(None)
-        # numpy turns a bool among numbers into 0 or 1, so lists are scanned.
-        has_bool = type(value) in (list, tuple) and bool in map(type, value)
-        if arr.dtype.kind in "iuf" and not has_bool:
+        if arr.dtype.kind in "iuf" and (arr is value or not _holds_bool(value)):
             arr = arr.astype(float, copy=False)
             ok = np.isfinite(arr) & ((arr > low) if strict else (arr >= low))
             if np.count_nonzero(ok) == ok.size:  # cheaper than ok.all() on small arrays
@@ -66,6 +64,15 @@ def _check(name, value, low=0.0, strict=True, *, array=False, error=InvalidParam
     if array:
         raise error(f"{name} must hold finite reals{bound}")
     raise error(f"{name} must be a finite real{bound}, got {value!r}")
+
+
+def _holds_bool(value) -> bool:
+    # numpy turns a bool among numbers into 0 or 1, so lists and tuples are
+    # scanned at every depth for Python and numpy booleans; a flat list of
+    # Python floats and ints takes one pass over its element types.
+    if type(value) in (list, tuple):
+        return not set(map(type, value)) <= {float, int} and any(map(_holds_bool, value))
+    return type(value) in (bool, np.bool_) or isinstance(value, np.ndarray) and value.dtype == bool
 
 
 def _check_fields(obj, names, strict=True) -> None:

@@ -11,6 +11,7 @@ optimal quality-versus-rate curve.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,6 @@ from .models import (
     _quality,
     _rate,
 )
-
-# Cells of (budget x frame size x frame rate) scored in one batch of a
-# budget sweep; bounds the sweep's memory at a few megabytes.
-_BATCH_CELLS = 1 << 16
-
 
 @dataclass(frozen=True)
 class FeasibleSets:
@@ -89,21 +85,29 @@ def feasible_q(p: RateParams, s, t, budget):
     return _budget_q(p, *_positive_arrays(s=s, t=t, budget=budget))
 
 
-def _grid_shape(grid, span) -> tuple[int, int]:
-    shape = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
-    if shape[0] < 2 or shape[1] < 2:
-        raise InvalidParameterError("grid needs at least 2 points per axis")
-    for factor in span:
-        _check("span factor", factor, 1.0)
-    return shape
+def _grid_size(grid) -> int:
+    try:
+        n = operator.index(grid)
+    except TypeError:
+        n = 0
+    if n < 2:
+        raise InvalidParameterError(f"grid must be an integer >= 2, got {grid!r}")
+    return n
+
+
+def _axes(ref, n_s: int, n_t: int):
+    # Geometric frame-size and frame-rate axes over the top 16x of each range:
+    # QCIF..4CIF and 1.875..30 Hz at the usual reference.
+    return (np.geomspace(ref.s_max / 16.0, ref.s_max, n_s),
+            np.geomspace(ref.t_max / 16.0, ref.t_max, n_t))
 
 
 def _best_cells(rp: RateParams, qp: QualityParams, budget, s, t):
-    # Per budget (shape (B, 1, 1)), the best cell of the grid s (B or 1, n_s) x
-    # t (B or 1, n_t): its quality, clamped stepsize and s and t indices. Cells
-    # at stepsizes >= q_limit score <= 0 and all others > 0, so the best cell
+    # Per budget (shape (B, 1, 1)), the best cell of the grid s x t (1-d
+    # axes): its quality, clamped stepsize and s and t indices. Cells at
+    # stepsizes >= q_limit score <= 0 and all others > 0, so the best cell
     # lies at or above q_limit only when every cell does; callers check it.
-    s, t = s[:, :, None], t[:, None, :]
+    s, t = s[:, None], t[None, :]
     q = np.maximum(_budget_q(rp, s, t, budget), rp.ref.q_min)
     quality = _quality(qp, q, s, t)
     best = np.argmax(quality.reshape(len(budget), -1), axis=1)
@@ -112,51 +116,37 @@ def _best_cells(rp: RateParams, qp: QualityParams, budget, s, t):
     return quality[rows, i, j], q[rows, i, j], i, j
 
 
-def _grid_search(rp, qp, budgets: np.ndarray, n_s: int, n_t: int, span, refine: bool):
-    # The search of optimize_continuous for every budget at once, on validated
-    # arguments. Returns (quality, q, s, t) arrays shaped like budgets.
-    ref = rp.ref
-    budget = budgets[:, None, None]
-    s_axis = np.geomspace(ref.s_max / span[0], ref.s_max, n_s)
-    t_axis = np.geomspace(ref.t_max / span[1], ref.t_max, n_t)
-    quality, q, i, j = _best_cells(rp, qp, budget, s_axis[None], t_axis[None])
-    s, t = s_axis[i], t_axis[j]
-    if refine:
-        # One grid-halving pass: 5 x 5 points spanning the best cell's neighbours.
-        lo = (s_axis[np.maximum(i - 1, 0)], t_axis[np.maximum(j - 1, 0)])
-        hi = (s_axis[np.minimum(i + 1, n_s - 1)], t_axis[np.minimum(j + 1, n_t - 1)])
-        s_fine, t_fine = np.geomspace(lo, hi, 5, axis=-1)
-        fine_quality, fine_q, fi, fj = _best_cells(rp, qp, budget, s_fine, t_fine)
-        better = fine_quality > quality
-        rows = np.arange(len(budgets))
-        quality, q = np.where(better, fine_quality, quality), np.where(better, fine_q, q)
-        s, t = np.where(better, s_fine[rows, fi], s), np.where(better, t_fine[rows, fj], t)
-    return quality, q, s, t
-
-
 def optimize_continuous(
     rp: RateParams,
     qp: QualityParams,
     budget: float,
-    grid: int | tuple[int, int] = 64,
-    span: tuple[float, float] = (16.0, 16.0),
-    refine: bool = True,
+    grid: int = 64,
 ) -> OptimizationResult:
     """Best operating point over a geometric (frame size, frame rate) grid.
 
-    The grid covers ``[s_max/span[0], s_max] x [t_max/span[1], t_max]`` with
-    ``grid`` log-spaced points per axis (an int applies to both axes). For
-    each cell the stepsize comes from :func:`feasible_q`, clamped below at
-    ``q_min``; leftover budget from the clamp is simply unspent. With
-    ``refine`` enabled, one grid-halving pass around the best cell tightens
-    the result toward the continuous optimum. Raises :class:`InfeasibleError`
+    The grid covers ``[s_max/16, s_max] x [t_max/16, t_max]`` with ``grid``
+    log-spaced points per axis; ``grid`` is an integer >= 2 (numpy integers
+    included). For each cell the stepsize comes from :func:`feasible_q`,
+    clamped below at ``q_min``; leftover budget from the clamp is simply
+    unspent. One grid-halving pass around the best cell then tightens the
+    result toward the continuous optimum. Raises :class:`InfeasibleError`
     when even the best cell needs a stepsize at or above ``qp.q_limit``.
     """
     _check_shared_ref(rp, qp)
     budget = _check("budget", budget)
-    n_s, n_t = _grid_shape(grid, span)
-    best = _grid_search(rp, qp, np.array([budget]), n_s, n_t, span, refine)
-    quality, q, s, t = (float(v[0]) for v in best)
+    n = _grid_size(grid)
+    budgets = np.full((1, 1, 1), budget)
+    s_axis, t_axis = _axes(rp.ref, n, n)
+    quality, q, i, j = (v[0] for v in _best_cells(rp, qp, budgets, s_axis, t_axis))
+    s, t = s_axis[i], t_axis[j]
+    # One grid-halving pass: 5 x 5 points spanning the best cell's neighbours.
+    lo = (s_axis[max(i - 1, 0)], t_axis[max(j - 1, 0)])
+    hi = (s_axis[min(i + 1, n - 1)], t_axis[min(j + 1, n - 1)])
+    s_fine, t_fine = np.geomspace(lo, hi, 5, axis=-1)
+    fine_quality, fine_q, fi, fj = (v[0] for v in _best_cells(rp, qp, budgets, s_fine, t_fine))
+    if fine_quality > quality:
+        quality, q, s, t = fine_quality, fine_q, s_fine[fi], t_fine[fj]
+    quality, q, s, t = float(quality), float(q), float(s), float(t)
     _check_q_limit(q, budget)
     return OptimizationResult(
         star=Star(q=q, s=s, t=t), quality=quality, rate=float(_rate(rp, q, s, t))
@@ -234,39 +224,22 @@ def fit_qr(curve, r_max: float) -> QrFit:
     def rmse(kappa: float) -> float:
         return float(np.sqrt(np.mean((_qr(kappa, ratio) - qualities) ** 2)))
 
-    result = minimize_bounded(rmse, 1e-6, 50.0, xatol=1e-10)
+    result = minimize_bounded(rmse, 1e-6, 50.0)
     return QrFit(model=QrModel(kappa=result.x, r_max=r_max), rmse=result.fun)
 
 
-def optimal_quality_curve(
-    rp: RateParams,
-    qp: QualityParams,
-    n_points: int = 50,
-    lo_frac: float = 0.1,
-    grid: int | tuple[int, int] = (3, 64),
-    span: tuple[float, float] = (16.0, 16.0),
-    refine: bool = False,
-) -> list[tuple[float, float]]:
-    """Optimal quality at log-spaced budgets in ``[lo_frac * r_max, r_max]``.
+def optimal_quality_curve(rp: RateParams, qp: QualityParams) -> list[tuple[float, float]]:
+    """Optimal quality at 50 log-spaced budgets in ``[0.1 * r_max, r_max]``.
 
-    The defaults reproduce the published summary-fit setup: frame sizes
-    restricted to the three coded formats (a 3-point geometric axis over a
-    16x span), a fine frame-rate axis, no local refinement, and budgets over
+    This is the published summary-fit setup: frame sizes restricted to the
+    three coded formats (a 3-point geometric axis over a 16x span), 64
+    frame rates over the same span, no local refinement, and budgets over
     the top decade of the rate range. Returns ``(budget, quality)`` pairs
     suitable for :func:`fit_qr`.
     """
-    if n_points < 2:
-        raise InvalidParameterError("need at least two budgets")
-    if not 0 < lo_frac < 1:
-        raise InvalidParameterError("lo_frac must lie in (0, 1)")
     _check_shared_ref(rp, qp)
-    n_s, n_t = _grid_shape(grid, span)
-    budgets = np.geomspace(lo_frac * rp.r_max, rp.r_max, n_points)
-    batches = -(-n_points * n_s * n_t // _BATCH_CELLS)
-    quality, q = (np.concatenate(v) for v in zip(*(
-        _grid_search(rp, qp, part, n_s, n_t, span, refine)[:2]
-        for part in np.array_split(budgets, batches)
-    )))
+    budgets = np.geomspace(0.1 * rp.r_max, rp.r_max, 50)
+    quality, q, _, _ = _best_cells(rp, qp, budgets[:, None, None], *_axes(rp.ref, 3, 64))
     k = q.argmax()
     _check_q_limit(float(q[k]), float(budgets[k]))
     return [(float(b), float(v)) for b, v in zip(budgets, quality)]

@@ -89,7 +89,13 @@ class TestCheckerGaps:
         with pytest.raises(InvalidParameterError):
             rate_surface(CITY, np.array(["16"]), REF.s_max, REF.t_max)
 
-    @pytest.mark.parametrize("q", [np.array([True]), [True, 16.0]], ids=["bool-array", "bool-in-list"])
+    @pytest.mark.parametrize(
+        "q",
+        [np.array([True]), [True, 16.0], [[True, 16.0]], [np.True_, 16.0],
+         [np.array([True, True]), (1.0, 2.0)]],
+        ids=["bool-array", "bool-in-list", "bool-in-nested-list", "numpy-bool-in-list",
+             "bool-array-in-list"],
+    )
     def test_surfaces_reject_booleans(self, q):
         with pytest.raises(InvalidParameterError):
             rate_surface(CITY, q, REF.s_max, REF.t_max)
@@ -106,9 +112,10 @@ class TestCheckerGaps:
 
     @pytest.mark.parametrize(
         "s_values",
-        [(), (NAN, 1.0), (2.0, 1.0), (1.0, 1.0), ((1.0, 2.0),), (True, 2.0), ("1", "2"),
-         (1.0, (2.0, 3.0))],
-        ids=["empty", "nan", "decreasing", "repeated", "nested", "bool", "strings", "ragged"],
+        [(), (NAN, 1.0), (2.0, 1.0), (1.0, 1.0), ((1.0, 2.0),), (True, 2.0), (np.True_, 4.0),
+         ("1", "2"), (1.0, (2.0, 3.0))],
+        ids=["empty", "nan", "decreasing", "repeated", "nested", "bool", "numpy-bool", "strings",
+             "ragged"],
     )
     def test_ladder_rule(self, s_values):
         with pytest.raises(InvalidParameterError):
@@ -153,8 +160,10 @@ class TestQualityLimit:
     def test_continuous_optimizers_report_infeasible(self):
         with pytest.raises(InfeasibleError):
             optimize_continuous(CITY, CITY_Q, 0.05)
+        # Rate falls so slowly with the stepsize that 0.1 * r_max needs q >= q_limit.
+        slow = RateParams(a=0.3, b=0.1, c=0.1, r_max=1000.0, ref=REF)
         with pytest.raises(InfeasibleError):
-            optimal_quality_curve(CITY, CITY_Q, lo_frac=1e-6)
+            optimal_quality_curve(slow, CITY_Q)
 
     def test_discrete_optimizer_reports_infeasible(self):
         sets = FeasibleSets(LAYER_S, LAYER_T, (16.0, 1e6))
@@ -239,12 +248,13 @@ budget_fracs = st.floats(min_value=-4.0, max_value=0.0).map(lambda e: 10.0 ** e)
 
 
 @settings(max_examples=100, deadline=None)
-@given(model=models(), frac=budget_fracs, grid=st.integers(2, 40), refine=st.booleans())
-def test_continuous_optimizer_keeps_the_budget(model, frac, grid, refine):
+@given(model=models(), frac=budget_fracs,
+       grid=st.integers(2, 40) | st.integers(2, 40).map(np.int64))
+def test_continuous_optimizer_keeps_the_budget(model, frac, grid):
     rp, qp = model
     budget = frac * rp.r_max
     try:
-        result = optimize_continuous(rp, qp, budget, grid=grid, refine=refine)
+        result = optimize_continuous(rp, qp, budget, grid=grid)
     except InfeasibleError:
         return
     assert result.rate <= budget * (1.0 + 1e-9)

@@ -31,8 +31,8 @@ CITY = rate_params("city")
 
 
 def small_log(entries):
-    return EncodeLog.from_samples(
-        [RateSample(star=Star(q, s, t), rate=r) for (q, s, t, r) in entries], ref=REF
+    return EncodeLog(
+        samples=tuple(RateSample(star=Star(q, s, t), rate=r) for (q, s, t, r) in entries), ref=REF
     )
 
 

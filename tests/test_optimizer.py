@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -161,6 +164,13 @@ class TestContinuous:
         with pytest.raises(InvalidParameterError):
             optimize_continuous(CITY, mismatched, 500.0)
 
+    def test_grid_is_an_integer_of_at_least_two(self):
+        for bad in ("64", (3, 64.9), (3, 64), (3,), 64.0, None):
+            with pytest.raises(InvalidParameterError):
+                optimize_continuous(CITY, CITY_Q, 500.0, grid=bad)
+        default = optimize_continuous(CITY, CITY_Q, 500.0)
+        assert optimize_continuous(CITY, CITY_Q, 500.0, grid=np.int64(64)) == default
+
 
 def enumerate_discrete(rp, qp, sets, budget):
     """Independent brute-force enumerator with the documented tie-breaking."""
@@ -244,3 +254,13 @@ class TestFitQr:
     def test_flat_curve_degenerate(self):
         with pytest.raises(DegenerateDataError):
             fit_qr([(100.0, 0.5), (200.0, 0.5), (300.0, 0.5)], 1000.0)
+
+
+def test_readme_library_example_runs():
+    """The README's Library example runs as written, so API drift fails here."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    example = re.search(r"```python\n(.*?)```", readme.read_text(), re.S).group(1)
+    names: dict = {}
+    exec(example, names)
+    assert names["best"].rate <= 500.0 * (1 + 1e-9)
+    assert names["summary"].model.r_max == names["rate"].r_max

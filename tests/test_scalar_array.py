@@ -18,7 +18,6 @@ from starq import (
     evaluate_rate,
     feasible_q,
     optimal_quality_curve,
-    optimize_continuous,
     qp_from_stepsize,
     quality_surface,
     rate_surface,
@@ -63,12 +62,17 @@ def test_feasible_q_scalar_matches_broadcast(sequence):
     assert grid[4, 2] == feasible_q(rp, float(s[4]), float(t[2]), rp.r_max / 3)
 
 
-@pytest.mark.parametrize("refine", [False, True])
 @pytest.mark.parametrize("sequence", SEQUENCES)
-def test_quality_curve_matches_single_budget_search(sequence, refine):
+def test_quality_curve_matches_single_budget_search(sequence):
     rp, qp = rate_params(sequence), quality_params(sequence)
-    curve = optimal_quality_curve(rp, qp, refine=refine)
+    curve = optimal_quality_curve(rp, qp)
     budgets = np.geomspace(0.1 * rp.r_max, rp.r_max, 50).tolist()
     assert [b for b, _ in curve] == budgets
-    single = [optimize_continuous(rp, qp, b, grid=(3, 64), refine=refine).quality for b in budgets]
+    # The published grid: the three coded frame sizes by 64 frame rates.
+    s = np.geomspace(REF.s_max / 16.0, REF.s_max, 3)[:, None]
+    t = np.geomspace(REF.t_max / 16.0, REF.t_max, 64)[None, :]
+    single = [
+        quality_surface(qp, np.maximum(feasible_q(rp, s, t, b), REF.q_min), s, t).max()
+        for b in budgets
+    ]
     assert [quality for _, quality in curve] == single

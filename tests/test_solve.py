@@ -16,30 +16,30 @@ from starq._solve import least_squares_box, minimize_bounded
 
 class TestMinimizeBounded:
     def test_parabola_minimum(self):
-        result = minimize_bounded(lambda x: (x - 1.234) ** 2 + 3.0, 0.0, 4.0, xatol=1e-10)
+        result = minimize_bounded(lambda x: (x - 1.234) ** 2 + 3.0, 0.0, 4.0)
         assert abs(result.x - 1.234) <= 1e-9
         assert result.fun == pytest.approx(3.0, abs=1e-15)
         assert result.status == "converged"
         assert result.at_bound is None
 
     def test_decreasing_function_reports_upper_bound(self):
-        result = minimize_bounded(lambda x: -x, 0.0, 4.0, xatol=1e-10)
+        result = minimize_bounded(lambda x: -x, 0.0, 4.0)
         assert result.at_bound == 4.0
         assert 4.0 - result.x <= 1e-6
 
     def test_increasing_function_reports_lower_bound(self):
-        result = minimize_bounded(lambda x: math.exp(x), 0.0, 4.0, xatol=1e-10)
+        result = minimize_bounded(lambda x: math.exp(x), 0.0, 4.0)
         assert result.at_bound == 0.0
         assert result.x <= 1e-6
 
     def test_evaluation_cap(self, monkeypatch):
         monkeypatch.setattr(_solve, "_MAX_EVALUATIONS", 3)
-        result = minimize_bounded(lambda x: math.cos(3.0 * x), 0.0, 4.0, xatol=1e-10)
+        result = minimize_bounded(lambda x: math.cos(3.0 * x), 0.0, 4.0)
         assert result.status == "max_evaluations"
         assert result.nfev == 3
 
     def test_nan_status(self):
-        assert minimize_bounded(lambda x: math.nan, 0.0, 1.0, xatol=1e-10).status == "nan"
+        assert minimize_bounded(lambda x: math.nan, 0.0, 1.0).status == "nan"
 
     @pytest.mark.parametrize(
         "f, lo, hi",
@@ -54,7 +54,7 @@ class TestMinimizeBounded:
     def test_matches_scipy_bounded_brent(self, f, lo, hi):
         optimize = pytest.importorskip("scipy.optimize")
         ref = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-        got = minimize_bounded(f, lo, hi, xatol=1e-10)
+        got = minimize_bounded(f, lo, hi)
         assert got.x == float(ref.x)
         assert got.fun == float(ref.fun)
         assert got.nfev == ref.nfev
