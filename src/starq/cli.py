@@ -39,6 +39,10 @@ EXIT_INPUT = 2
 EXIT_INSUFFICIENT = 3
 EXIT_INFEASIBLE = 4
 
+# Most rows a sweep (--points, --budget-sweep) may print: every row is
+# computed before the first is printed.
+MAX_SWEEP = 100_000
+
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -94,8 +98,8 @@ def cmd_predict_rate(args) -> int:
         for axis, value in fixed.items():
             if axis != args.sweep and value is None:
                 raise StarqError(f"sweeping {args.sweep} requires a fixed --{axis}")
-        if args.points < 1:
-            raise StarqError(f"--points must be at least 1, got {args.points}")
+        if not 1 <= args.points <= MAX_SWEEP:
+            raise StarqError(f"--points must be in [1, {MAX_SWEEP}], got {args.points}")
         stars = (Star(**{**fixed, args.sweep: float(v)}) for v in np.geomspace(lo, hi, args.points))
         _print_csv("q,s,t,rate_kbps", ((x.q, x.s, x.t, evaluate_rate(rp, x)) for x in stars))
         return EXIT_OK
@@ -143,8 +147,8 @@ def cmd_optimize(args) -> int:
         solve = lambda budget: optimize_continuous(rp, qp, budget, grid=args.grid)
 
     if args.budget_sweep is not None:
-        if args.budget_sweep < 1:
-            raise StarqError(f"--budget-sweep must be at least 1, got {args.budget_sweep}")
+        if not 1 <= args.budget_sweep <= MAX_SWEEP:
+            raise StarqError(f"--budget-sweep must be in [1, {MAX_SWEEP}], got {args.budget_sweep}")
         budgets = np.geomspace(0.01 * rp.r_max, rp.r_max, args.budget_sweep)
         results = ((b, solve(float(b))) for b in budgets)
         _print_csv("budget_kbps,q,s,t,rate_kbps,quality",

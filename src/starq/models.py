@@ -178,6 +178,14 @@ class QualityParams:
 
     def __post_init__(self) -> None:
         _check_fields(self, ("alpha_q", "alpha_s_tilde", "alpha_t"))
+        # The three normalizing denominators of the quality surface, computed
+        # once. A plain attribute, not a field: files, ==, repr and hash ignore
+        # it. Parameters the surface cannot use stay constructible silently.
+        with np.errstate(all="ignore"):
+            denominators = tuple(
+                np.expm1(-a) for a in (self.alpha_q, self.alpha_s(self.ref.q_min), self.alpha_t)
+            )
+        object.__setattr__(self, "_denominators", denominators)
 
     def alpha_s(self, q):
         """Stepsize-coupled spatial falloff coefficient, flat below the QP clamp."""
@@ -250,10 +258,10 @@ def evaluate_rate(p: RateParams, x: Star) -> float:
 
 def _quality(p: QualityParams, q, s, t):
     ref = p.ref
-    f_q = np.expm1(-p.alpha_q * np.power(ref.q_min / q, p.beta_q)) / np.expm1(-p.alpha_q)
-    a_s_ref = p.alpha_s(ref.q_min)
-    f_s = np.expm1(-p.alpha_s(q) * np.power(s / ref.s_max, p.beta_s)) / np.expm1(-a_s_ref)
-    f_t = np.expm1(-p.alpha_t * np.power(t / ref.t_max, p.beta_t)) / np.expm1(-p.alpha_t)
+    d_q, d_s, d_t = p._denominators
+    f_q = np.expm1(-p.alpha_q * np.power(ref.q_min / q, p.beta_q)) / d_q
+    f_s = np.expm1(-p.alpha_s(q) * np.power(s / ref.s_max, p.beta_s)) / d_s
+    f_t = np.expm1(-p.alpha_t * np.power(t / ref.t_max, p.beta_t)) / d_t
     return f_q * f_s * f_t
 
 

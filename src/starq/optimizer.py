@@ -85,21 +85,42 @@ def feasible_q(p: RateParams, s, t, budget):
     return _budget_q(p, *_positive_arrays(s=s, t=t, budget=budget))
 
 
+# Largest grid per axis: the search scores grid**2 cells at once, and the
+# largest grid in use is 128.
+_MAX_GRID = 4096
+
+
 def _grid_size(grid) -> int:
     try:
         n = operator.index(grid)
     except TypeError:
         n = 0
-    if n < 2:
-        raise InvalidParameterError(f"grid must be an integer >= 2, got {grid!r}")
+    if not 2 <= n <= _MAX_GRID:
+        raise InvalidParameterError(f"grid must be an integer in [2, {_MAX_GRID}], got {grid!r}")
     return n
+
+
+def _geomspace(lo, hi, n: int):
+    # np.geomspace(lo, hi, n, axis=-1) for 1-d arrays of positive floats: the
+    # same float operations in the same order, so the same bits and the same
+    # floating-point errors, without numpy's generic dispatch, which costs
+    # more than the arithmetic here.
+    log_lo, log_hi = np.log10(lo)[:, None], np.log10(hi)[:, None]
+    ramp = np.arange(n, dtype=float) * ((log_hi - log_lo) / (n - 1)) + log_lo
+    ramp[:, -1:] = log_hi
+    out = np.power(10.0, ramp)
+    out[:, 0], out[:, -1] = lo, hi
+    return out
 
 
 def _axes(ref, n_s: int, n_t: int):
     # Geometric frame-size and frame-rate axes over the top 16x of each range:
-    # QCIF..4CIF and 1.875..30 Hz at the usual reference.
-    return (np.geomspace(ref.s_max / 16.0, ref.s_max, n_s),
-            np.geomspace(ref.t_max / 16.0, ref.t_max, n_t))
+    # QCIF..4CIF and 1.875..30 Hz at the usual reference. Axes of one size
+    # come from one call.
+    lo, hi = np.array([ref.s_max / 16.0, ref.t_max / 16.0]), np.array([ref.s_max, ref.t_max])
+    if n_s == n_t:
+        return _geomspace(lo, hi, n_s)
+    return _geomspace(lo[:1], hi[:1], n_s)[0], _geomspace(lo[1:], hi[1:], n_t)[0]
 
 
 def _best_cells(rp: RateParams, qp: QualityParams, budget, s, t):
@@ -110,8 +131,7 @@ def _best_cells(rp: RateParams, qp: QualityParams, budget, s, t):
     s, t = s[:, None], t[None, :]
     q = np.maximum(_budget_q(rp, s, t, budget), rp.ref.q_min)
     quality = _quality(qp, q, s, t)
-    best = np.argmax(quality.reshape(len(budget), -1), axis=1)
-    i, j = np.unravel_index(best, quality.shape[1:])
+    i, j = divmod(np.argmax(quality.reshape(len(budget), -1), axis=1), t.size)
     rows = np.arange(len(budget))
     return quality[rows, i, j], q[rows, i, j], i, j
 
@@ -125,24 +145,24 @@ def optimize_continuous(
     """Best operating point over a geometric (frame size, frame rate) grid.
 
     The grid covers ``[s_max/16, s_max] x [t_max/16, t_max]`` with ``grid``
-    log-spaced points per axis; ``grid`` is an integer >= 2 (numpy integers
-    included). For each cell the stepsize comes from :func:`feasible_q`,
-    clamped below at ``q_min``; leftover budget from the clamp is simply
-    unspent. One grid-halving pass around the best cell then tightens the
+    log-spaced points per axis; ``grid`` is an integer in ``[2, 4096]``
+    (numpy integers included). For each cell the stepsize comes from
+    :func:`feasible_q`, clamped below at ``q_min``; leftover budget from the
+    clamp is simply unspent. One grid-halving pass around the best cell then tightens the
     result toward the continuous optimum. Raises :class:`InfeasibleError`
     when even the best cell needs a stepsize at or above ``qp.q_limit``.
     """
     _check_shared_ref(rp, qp)
     budget = _check("budget", budget)
     n = _grid_size(grid)
-    budgets = np.full((1, 1, 1), budget)
+    budgets = np.array(budget).reshape(1, 1, 1)
     s_axis, t_axis = _axes(rp.ref, n, n)
     quality, q, i, j = (v[0] for v in _best_cells(rp, qp, budgets, s_axis, t_axis))
     s, t = s_axis[i], t_axis[j]
     # One grid-halving pass: 5 x 5 points spanning the best cell's neighbours.
-    lo = (s_axis[max(i - 1, 0)], t_axis[max(j - 1, 0)])
-    hi = (s_axis[min(i + 1, n - 1)], t_axis[min(j + 1, n - 1)])
-    s_fine, t_fine = np.geomspace(lo, hi, 5, axis=-1)
+    lo = np.array([s_axis[max(i - 1, 0)], t_axis[max(j - 1, 0)]])
+    hi = np.array([s_axis[min(i + 1, n - 1)], t_axis[min(j + 1, n - 1)]])
+    s_fine, t_fine = _geomspace(lo, hi, 5)
     fine_quality, fine_q, fi, fj = (v[0] for v in _best_cells(rp, qp, budgets, s_fine, t_fine))
     if fine_quality > quality:
         quality, q, s, t = fine_quality, fine_q, s_fine[fi], t_fine[fj]
@@ -178,7 +198,9 @@ def optimize_discrete(
     if not _close(sets.t_values[-1], ref.t_max):
         raise InvalidParameterError("largest frame rate must equal the reference frame rate")
 
-    s, t = (v.ravel() for v in np.meshgrid(sets.s_values, sets.t_values, indexing="ij"))
+    # Every (frame size, frame rate) pair, frame size varying slowest.
+    s = np.repeat(sets.s_values, len(sets.t_values))
+    t = np.array(sets.t_values * len(sets.s_values))
     q = np.maximum(_budget_q(rp, s, t, budget), q_lo)
     feasible = q <= q_hi * (1.0 + _REL_TOL)
     if not feasible.any():
@@ -238,7 +260,7 @@ def optimal_quality_curve(rp: RateParams, qp: QualityParams) -> list[tuple[float
     suitable for :func:`fit_qr`.
     """
     _check_shared_ref(rp, qp)
-    budgets = np.geomspace(0.1 * rp.r_max, rp.r_max, 50)
+    budgets = _geomspace(np.array([0.1 * rp.r_max]), np.array([rp.r_max]), 50)[0]
     quality, q, _, _ = _best_cells(rp, qp, budgets[:, None, None], *_axes(rp.ref, 3, 64))
     k = q.argmax()
     _check_q_limit(float(q[k]), float(budgets[k]))

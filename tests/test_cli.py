@@ -172,8 +172,14 @@ SWEEP_T = ["--q", "16", "--s", "4cif", "--sweep", "t", "--sweep-to", "30"]
         (["predict-rate", *SWEEP_T, "--sweep-from", "-2"], "--sweep-from and --sweep-to must"),
         (["predict-rate", *SWEEP_T, "--sweep-from", "1.875", "--points", "0"], "--points must"),
         (["optimize", "--budget-sweep", "0"], "--budget-sweep must"),
+        # Just above each cap: rejected before anything is allocated.
+        (["predict-rate", *SWEEP_T, "--sweep-from", "1.875", "--points", "100001"],
+         "--points must"),
+        (["optimize", "--budget-sweep", "100001"], "--budget-sweep must"),
+        (["optimize", "--budget", "500", "--grid", "4097"], "grid must"),
     ],
-    ids=["sweep-from-zero", "sweep-from-negative", "zero-points", "zero-budget-sweep"],
+    ids=["sweep-from-zero", "sweep-from-negative", "zero-points", "zero-budget-sweep",
+         "points-above-cap", "budget-sweep-above-cap", "grid-above-cap"],
 )
 def test_bad_sweep_arguments_are_input_errors(city_model_json, capsys, extra, message):
     argv = [extra[0], str(city_model_json), *extra[1:]]

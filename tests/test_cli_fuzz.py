@@ -2,8 +2,9 @@
 
 Every run ends with 0 (success), 2 (input error), 3 (insufficient data) or
 4 (infeasible), never with an uncaught exception. Integer options that size
-an allocation (--grid, --points, --budget-sweep) are drawn from a small range:
-large values are valid requests that take memory in proportion.
+an allocation (--grid, --points, --budget-sweep) are drawn from a small range
+or from above their caps, which the commands reject before allocating
+anything; values just below a cap are valid requests for a large allocation.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from sequences import LAYER_Q, LAYER_S, LAYER_T, REF, quality_params, rate_params, synthetic_log
 import starq
-from starq.cli import main
+from starq.cli import MAX_SWEEP, main
 from starq.fileio import ModelFile, write_model_file
 
 CONTRACT = {0, 2, 3, 4}
@@ -137,7 +138,13 @@ NUMBERS = st.sampled_from(
     ["0", "-1", "1", "1.875", "16", "30", "500", "2379", "1e-300", "1e300",
      "nan", "inf", "-inf", "abc", "", "qcif", "cif", "4cif"]
 ) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
-SMALL_INTS = st.integers(min_value=-3, max_value=40).map(str)
+
+
+def sizes(cap: int):
+    # Integer option values: small ones, or ones above the option's cap.
+    return (st.integers(min_value=-3, max_value=40) | st.integers(min_value=cap + 1)).map(str)
+
+
 FILE_NAMES = (
     "model.json", "log.csv", "sets.json", "levels.json", "features.json", "features.csv",
     "binary.csv", "binary.json", "empty.csv", "empty.json", "list.json", "broken.json",
@@ -151,12 +158,13 @@ OPTIONS = {
     "predict-rate": {
         "--q": NUMBERS, "--s": NUMBERS, "--t": NUMBERS,
         "--sweep": st.sampled_from(["q", "s", "t", "x"]),
-        "--sweep-from": NUMBERS, "--sweep-to": NUMBERS, "--points": SMALL_INTS, "--log": FILES,
+        "--sweep-from": NUMBERS, "--sweep-to": NUMBERS, "--log": FILES,
+        "--points": sizes(MAX_SWEEP),
     },
     "optimize": {
-        "--quality-model": FILES, "--budget": NUMBERS, "--budget-sweep": SMALL_INTS,
+        "--quality-model": FILES, "--budget": NUMBERS, "--budget-sweep": sizes(MAX_SWEEP),
         "--mode": st.sampled_from(["continuous", "dyadic", "x"]), "--sets": FILES,
-        "--grid": SMALL_INTS,
+        "--grid": sizes(4096),  # optimize_continuous's grid cap
     },
     "order": {
         "--quality-model": FILES, "--levels": FILES,

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from starq import (
     qp_from_stepsize,
     stepsize_from_qp,
 )
+from starq.fileio import ModelFile, model_to_dict
 
 CITY = rate_params("city")
 CITY_Q = quality_params("city")
@@ -154,6 +157,46 @@ class TestQuality:
         # Stepsizes below the clamp share the clamped coefficient.
         assert CITY_Q.alpha_s(16.0) == CITY_Q.alpha_s(4.0)
         assert CITY_Q.alpha_s(64.0) < CITY_Q.alpha_s(16.0)
+
+
+class TestStoredDenominators:
+    """QualityParams computes the quality surface's three normalizing
+    denominators once and keeps them out of its fields."""
+
+    def test_invisible_to_fields_repr_eq_hash_and_documents(self):
+        qp = quality_params("city")
+        names = [f.name for f in dataclasses.fields(QualityParams)]
+        assert names == ["alpha_q", "alpha_s_tilde", "alpha_t", "ref"]
+        assert repr(qp) == (
+            "QualityParams(alpha_q=7.25, alpha_s_tilde=3.52, alpha_t=4.1, "
+            "ref=ResolutionRef(q_min=16.0, s_max=405504.0, t_max=30.0))"
+        )
+        twin = QualityParams(7.25, 3.52, 4.1, REF)
+        assert twin == qp and hash(twin) == hash(qp) == hash((7.25, 3.52, 4.1, REF))
+        assert model_to_dict(ModelFile(REF, quality=qp)) == {
+            "scenario": "",
+            "ref": {"q_min": 16.0, "s_max": 405504.0, "t_max": 30.0},
+            "quality": {"alpha_q": 7.25, "alpha_s_tilde": 3.52, "alpha_t": 4.1},
+        }
+
+    @pytest.mark.parametrize("field", ["alpha_q", "alpha_s_tilde", "alpha_t", "ref"])
+    def test_replace_recomputes_them(self, field):
+        qp = quality_params("city")
+        # A reference stepsize of 64 (QP 40) moves the spatial denominator too.
+        value = ResolutionRef(64.0, REF.s_max, REF.t_max) if field == "ref" else 2.0
+        changed = dataclasses.replace(qp, **{field: value})
+        fields = {f.name: getattr(qp, f.name) for f in dataclasses.fields(qp)}
+        fresh = QualityParams(**{**fields, field: value})
+        ref = changed.ref
+        assert evaluate_quality(changed, Star(ref.q_min, ref.s_max, ref.t_max)) == 1.0
+        x = Star(40.0, float(QCIF), 7.5)
+        assert evaluate_quality(changed, x) == evaluate_quality(fresh, x)
+        assert evaluate_quality(changed, x) != evaluate_quality(qp, x)
+
+    def test_extreme_parameters_construct_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            QualityParams(1.0, 1e308, 1.0, ref=ResolutionRef(1e300, 405504.0, 30.0))
 
 
 class TestQpMapping:

@@ -165,7 +165,7 @@ class TestContinuous:
             optimize_continuous(CITY, mismatched, 500.0)
 
     def test_grid_is_an_integer_of_at_least_two(self):
-        for bad in ("64", (3, 64.9), (3, 64), (3,), 64.0, None):
+        for bad in ("64", (3, 64.9), (3, 64), (3,), 64.0, None, 4097, np.int64(10**9)):
             with pytest.raises(InvalidParameterError):
                 optimize_continuous(CITY, CITY_Q, 500.0, grid=bad)
         default = optimize_continuous(CITY, CITY_Q, 500.0)

@@ -1,0 +1,184 @@
+"""The decision path returns the bits of its plain numpy form.
+
+``optimize_continuous``, ``optimize_discrete``, ``optimal_quality_curve``,
+``build_layer_grid`` and ``evaluate_quality`` build their axes without
+``np.geomspace``, their ladder pairs without ``np.meshgrid`` and their best
+cell without ``np.unravel_index``, and read the quality surface's normalizing
+denominators from ``QualityParams`` instead of computing them per call. The
+reference functions below are that plain form. Results must be equal with
+``==``, not to a tolerance.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from sequences import LAYER_Q, LAYER_S, LAYER_T, SEQUENCES, quality_params, rate_params
+from starq import (
+    FeasibleSets,
+    InfeasibleError,
+    OptimizationResult,
+    Star,
+    StarqError,
+    build_layer_grid,
+    evaluate_quality,
+    optimal_quality_curve,
+    optimize_continuous,
+    optimize_discrete,
+    rate_surface,
+)
+from starq.models import _REL_TOL, _check_q_limit, _rate
+from starq.optimizer import _budget_q, _geomspace
+
+GRIDS = (2, 3, 5, 64, 128)
+DYADIC = FeasibleSets(s_values=LAYER_S, t_values=LAYER_T, q_range=(16.0, 104.0))
+
+
+def reference_quality(p, q, s, t):
+    ref = p.ref
+    f_q = np.expm1(-p.alpha_q * np.power(ref.q_min / q, p.beta_q)) / np.expm1(-p.alpha_q)
+    a_s_ref = p.alpha_s(ref.q_min)
+    f_s = np.expm1(-p.alpha_s(q) * np.power(s / ref.s_max, p.beta_s)) / np.expm1(-a_s_ref)
+    f_t = np.expm1(-p.alpha_t * np.power(t / ref.t_max, p.beta_t)) / np.expm1(-p.alpha_t)
+    return f_q * f_s * f_t
+
+
+def reference_best_cells(rp, qp, budget, s, t):
+    s, t = s[:, None], t[None, :]
+    q = np.maximum(_budget_q(rp, s, t, budget), rp.ref.q_min)
+    quality = reference_quality(qp, q, s, t)
+    best = np.argmax(quality.reshape(len(budget), -1), axis=1)
+    i, j = np.unravel_index(best, quality.shape[1:])
+    rows = np.arange(len(budget))
+    return quality[rows, i, j], q[rows, i, j], i, j
+
+
+def reference_axes(ref, n_s, n_t):
+    return (np.geomspace(ref.s_max / 16.0, ref.s_max, n_s),
+            np.geomspace(ref.t_max / 16.0, ref.t_max, n_t))
+
+
+def reference_continuous(rp, qp, budget, n):
+    budgets = np.full((1, 1, 1), budget)
+    s_axis, t_axis = reference_axes(rp.ref, n, n)
+    quality, q, i, j = (v[0] for v in reference_best_cells(rp, qp, budgets, s_axis, t_axis))
+    s, t = s_axis[i], t_axis[j]
+    lo = (s_axis[max(i - 1, 0)], t_axis[max(j - 1, 0)])
+    hi = (s_axis[min(i + 1, n - 1)], t_axis[min(j + 1, n - 1)])
+    s_fine, t_fine = np.geomspace(lo, hi, 5, axis=-1)
+    fine = (v[0] for v in reference_best_cells(rp, qp, budgets, s_fine, t_fine))
+    fine_quality, fine_q, fi, fj = fine
+    if fine_quality > quality:
+        quality, q, s, t = fine_quality, fine_q, s_fine[fi], t_fine[fj]
+    quality, q, s, t = float(quality), float(q), float(s), float(t)
+    _check_q_limit(q, budget)
+    return OptimizationResult(Star(q, s, t), quality, float(_rate(rp, q, s, t)))
+
+
+def reference_discrete(rp, qp, sets, budget):
+    q_lo, q_hi = sets.q_range
+    s, t = (v.ravel() for v in np.meshgrid(sets.s_values, sets.t_values, indexing="ij"))
+    q = np.maximum(_budget_q(rp, s, t, budget), q_lo)
+    feasible = q <= q_hi * (1.0 + _REL_TOL)
+    if not feasible.any():
+        raise InfeasibleError(f"budget {budget} kbps is unreachable even at the coarsest stepsize")
+    q, s, t = q[feasible], s[feasible], t[feasible]
+    quality = reference_quality(qp, q, s, t)
+    k = np.lexsort((s, t, -q, quality))[-1]
+    _check_q_limit(float(q[k]), budget)
+    return OptimizationResult(
+        Star(float(q[k]), float(s[k]), float(t[k])),
+        float(quality[k]),
+        float(_rate(rp, q[k], s[k], t[k])),
+    )
+
+
+def reference_curve(rp, qp):
+    budgets = np.geomspace(0.1 * rp.r_max, rp.r_max, 50)
+    axes = reference_axes(rp.ref, 3, 64)
+    quality, q, _, _ = reference_best_cells(rp, qp, budgets[:, None, None], *axes)
+    k = q.argmax()
+    _check_q_limit(float(q[k]), float(budgets[k]))
+    return [(float(b), float(v)) for b, v in zip(budgets, quality)]
+
+
+def outcome(f, *args):
+    # The result, or the type and message of the package error raised instead.
+    try:
+        return f(*args)
+    except StarqError as exc:
+        return type(exc), str(exc)
+
+
+def budgets(rp):
+    # 40 budgets from infeasible through clamped at q_min.
+    return np.geomspace(0.005 * rp.r_max, 1.5 * rp.r_max, 40).tolist()
+
+
+@pytest.mark.parametrize("sequence", SEQUENCES)
+@pytest.mark.parametrize("grid", GRIDS)
+def test_continuous_matches_reference(sequence, grid):
+    rp, qp = rate_params(sequence), quality_params(sequence)
+    for budget in budgets(rp):
+        got = outcome(optimize_continuous, rp, qp, budget, grid)
+        assert got == outcome(reference_continuous, rp, qp, budget, grid), budget
+
+
+@pytest.mark.parametrize("sequence", SEQUENCES)
+def test_discrete_and_evaluate_quality_match_reference(sequence):
+    rp, qp = rate_params(sequence), quality_params(sequence)
+    for budget in budgets(rp):
+        got = outcome(optimize_discrete, rp, qp, DYADIC, budget)
+        assert got == outcome(reference_discrete, rp, qp, DYADIC, budget), budget
+        if isinstance(got, OptimizationResult):
+            x = got.star
+            assert evaluate_quality(qp, x) == float(reference_quality(qp, x.q, x.s, x.t))
+
+
+@pytest.mark.parametrize("sequence", SEQUENCES)
+def test_curve_matches_reference(sequence):
+    rp, qp = rate_params(sequence), quality_params(sequence)
+    assert outcome(optimal_quality_curve, rp, qp) == outcome(reference_curve, rp, qp)
+
+
+@pytest.mark.parametrize("sequence", SEQUENCES)
+def test_layer_grid_and_evaluate_quality_match_reference(sequence):
+    rp, qp = rate_params(sequence), quality_params(sequence)
+    q_levels = tuple(np.geomspace(700.0, 16.0, 40).tolist())
+    for levels in ((LAYER_S, LAYER_T, LAYER_Q), (LAYER_S, LAYER_T, q_levels)):
+        s, t, q = (np.reshape(v, k) for v, k in zip(levels, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))))
+        grid = build_layer_grid(rp, qp, *levels)
+        assert grid.rate.tobytes() == rate_surface(rp, q, s, t).tobytes()
+        assert grid.quality.tobytes() == reference_quality(qp, q, s, t).tobytes()
+    rng = np.random.default_rng(SEQUENCES.index(sequence))
+    for x in zip(*(rng.uniform(lo, hi, 40).tolist() for lo, hi in
+                   ((16.0, 700.0), (LAYER_S[0] / 4, LAYER_S[-1]), (1.0, 30.0)))):
+        assert evaluate_quality(qp, Star(*x)) == float(reference_quality(qp, *x))
+
+
+def numpy_outcome(f):
+    # The array, or numpy's message where an operation over- or underflows.
+    with np.errstate(all="raise"):
+        try:
+            return f()
+        except FloatingPointError as exc:
+            return str(exc)
+
+
+positive = st.floats(min_value=0.0, max_value=np.finfo(float).max, exclude_min=True)
+endpoints = st.lists(st.tuples(positive, positive).map(sorted).filter(lambda p: p[0] < p[1]),
+                     min_size=1, max_size=3)
+
+
+@given(pairs=endpoints, n=st.integers(2, 300))
+def test_geomspace_is_numpy_geomspace(pairs, n):
+    lo, hi = np.array(pairs).T.copy()
+    got = numpy_outcome(lambda: _geomspace(lo, hi, n))
+    want = numpy_outcome(lambda: np.geomspace(lo, hi, n, axis=-1))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
