@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .models import RateParams, ResolutionRef, _check_fields
+from .models import RateParams, ResolutionRef, _check, _check_fields
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,10 @@ class PredictorMatrix:
     rows: tuple[tuple[float, float, float, float], ...]
 
     def __post_init__(self) -> None:
-        if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
+        rows = _check("predictor matrix rows", self.rows, -np.inf, array=True)
+        if rows.shape != (4, 4):
             raise InvalidParameterError("predictor matrix must be 4x4")
+        object.__setattr__(self, "rows", tuple(map(tuple, rows.tolist())))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.rows, dtype=float)

@@ -166,10 +166,10 @@ def _fit_exponent(points, direction: str) -> tuple[float, bool]:
     # its upper bound.
     if direction not in ("decreasing", "increasing"):
         raise InvalidParameterError(f"unknown direction {direction!r}")
-    ratios = _check("ratios", [p[0] for p in points], array=True)
-    values = _check("normalized rates", [p[1] for p in points], array=True)
-    if ratios.size < 2:
-        raise InvalidParameterError("need at least two normalized points")
+    pairs = _check("normalized points", list(points), array=True)
+    if len(pairs) < 2 or pairs.shape[1:] != (2,):
+        raise InvalidParameterError("need at least two (ratio, normalized rate) pairs")
+    ratios, values = pairs.T.copy()
     if all(math.isclose(r, 1.0, rel_tol=1e-12) for r in ratios):
         raise DegenerateDataError("all ratios equal 1; exponent is unidentifiable")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -69,9 +70,13 @@ def _check(name, value, low=0.0, strict=True, *, array=False, error=InvalidParam
 def _holds_bool(value) -> bool:
     # numpy turns a bool among numbers into 0 or 1, so lists and tuples are
     # scanned at every depth for Python and numpy booleans; a flat list of
-    # Python floats and ints takes one pass over its element types.
+    # Python floats and ints, or a list of tuples of them (points, table
+    # rows), takes one pass over its element types.
     if type(value) in (list, tuple):
-        return not set(map(type, value)) <= {float, int} and any(map(_holds_bool, value))
+        types = set(map(type, value))
+        if types == {tuple}:
+            types = set(map(type, chain.from_iterable(value)))
+        return not types <= {float, int} and any(map(_holds_bool, value))
     return type(value) in (bool, np.bool_) or isinstance(value, np.ndarray) and value.dtype == bool
 
 
@@ -302,12 +307,20 @@ def _qr(kappa: float, ratio):
     return np.expm1(-kappa * np.power(ratio, QrModel.exponent)) / np.expm1(-kappa)
 
 
+def _qr_ratio(r_max, r, name="rate"):
+    # r / r_max clamped at 1, for rates > 0 up to r_max within the reference
+    # tolerance: the ceiling rule of qr_surface, fit_qr and path_quality_loss.
+    r_max = _check("r_max", r_max)
+    rates = _check(name, r, array=True, error=OutOfRangeError)
+    if np.any(rates > r_max * (1.0 + _REL_TOL)):
+        raise OutOfRangeError(f"{name} must not exceed the model ceiling {r_max}")
+    return np.minimum(rates / r_max, 1.0)
+
+
 def qr_surface(m: QrModel, r):
-    """Summary quality at rate ``r`` kbps, for ``0 < r <= m.r_max``."""
-    arr = _check("rate", r, array=True, error=OutOfRangeError)
-    if np.any(arr > m.r_max):
-        raise OutOfRangeError(f"rate exceeds the model ceiling {m.r_max}")
-    return _qr(m.kappa, arr / m.r_max)
+    """Summary quality at rate ``r`` kbps, for ``0 < r <= m.r_max``; a rate
+    above ``m.r_max`` by at most the reference tolerance counts as ``r_max``."""
+    return _qr(m.kappa, _qr_ratio(m.r_max, r))
 
 
 def evaluate_qr(m: QrModel, r: float) -> float:

@@ -22,7 +22,6 @@ from .errors import (
     InfeasibleError,
     InsufficientDataError,
     InvalidParameterError,
-    OutOfRangeError,
 )
 from .models import (
     QrModel,
@@ -37,6 +36,7 @@ from .models import (
     _close,
     _positive_arrays,
     _qr,
+    _qr_ratio,
     _quality,
     _rate,
 )
@@ -234,14 +234,10 @@ def fit_qr(curve, r_max: float) -> QrFit:
     points = list(curve)
     if len(points) < 3:
         raise InsufficientDataError("need at least three curve points")
-    rates = _check("curve rates", [p[0] for p in points], array=True, error=OutOfRangeError)
+    ratio = _qr_ratio(r_max, [p[0] for p in points], "curve rates")
     qualities = _check("curve qualities", [p[1] for p in points], -np.inf, array=True)
-    if np.any(rates > r_max * (1.0 + _REL_TOL)):
-        raise OutOfRangeError("curve rates must lie in (0, r_max]")
     if np.all(qualities == qualities[0]):
         raise DegenerateDataError("curve is flat; no summary parameter fits it")
-
-    ratio = np.minimum(rates / r_max, 1.0)
 
     def rmse(kappa: float) -> float:
         return float(np.sqrt(np.mean((_qr(kappa, ratio) - qualities) ** 2)))

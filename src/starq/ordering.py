@@ -12,31 +12,23 @@ drop and tends to spread the achievable rates more evenly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, OutOfRangeError
+from .errors import InvalidParameterError
 from .models import (
     QrModel,
     QualityParams,
     RateParams,
-    _REL_TOL,
     _check,
     _check_ladder,
     _check_shared_ref,
-    qr_surface,
+    _qr,
+    _qr_ratio,
     quality_surface,
     rate_surface,
 )
-
-# Single-coordinate moves of each walk as (axis, signed index step), in the
-# tie-break order for equal slopes: amplitude, then temporal, then spatial.
-_MOVES = {
-    "forward": ((2, (0, 0, 1)), (1, (0, 1, 0)), (0, (1, 0, 0))),
-    "backward": ((2, (0, 0, -1)), (1, (0, -1, 0)), (0, (-1, 0, 0))),
-}
-
 
 @dataclass(frozen=True)
 class LayerGrid:
@@ -46,7 +38,8 @@ class LayerGrid:
     sizes and frame rates increasing, stepsizes decreasing. The rate table
     must be strictly increasing along every axis; the quality table is
     expected to be non-decreasing, but measured tables that violate that are
-    accepted and surface as flagged steps in the ordered path.
+    accepted and surface as flagged steps in the ordered path. Both tables
+    are stored as the float arrays they were checked as.
     """
 
     s_levels: tuple[float, ...]
@@ -59,9 +52,11 @@ class LayerGrid:
         for name, increasing in (("s_levels", True), ("t_levels", True), ("q_levels", False)):
             object.__setattr__(self, name, _check_ladder(name, getattr(self, name), increasing))
         shape = self.shape
-        for name, table, low in (("rate", self.rate, 0.0), ("quality", self.quality, -np.inf)):
-            if _check(name, table, low, array=True).shape != shape:
+        for name, low in (("rate", 0.0), ("quality", -np.inf)):
+            table = _check(name, getattr(self, name), low, array=True)
+            if table.shape != shape:
                 raise InvalidParameterError(f"{name} table shape must be {shape}")
+            object.__setattr__(self, name, table)
         for axis in range(3):
             if not np.all(np.diff(self.rate, axis=axis) > 0):
                 raise InvalidParameterError("rate must increase strictly along every axis")
@@ -69,9 +64,6 @@ class LayerGrid:
     @property
     def shape(self) -> tuple[int, int, int]:
         return (len(self.s_levels), len(self.t_levels), len(self.q_levels))
-
-    def quality_is_monotone(self) -> bool:
-        return all(np.all(np.diff(self.quality, axis=axis) >= 0) for axis in range(3))
 
 
 @dataclass(frozen=True)
@@ -92,22 +84,30 @@ class PathStep:
 class OrderedPath:
     """A monotone traversal of a layer lattice, in increasing-rate order.
 
-    ``nonpositive_gain_steps`` lists indices of steps that did not improve
-    quality; empty for grids built from the analytic surfaces.
+    Every step is checked: ``l``, ``m``, ``n`` non-negative integers; ``s``,
+    ``t``, ``q`` and ``rate`` finite and > 0; ``quality`` finite.
+    ``nonpositive_gain_steps``, the indices of the steps that did not improve
+    quality, is derived from the steps; a value passed in must equal it. It
+    is empty for grids built from the analytic surfaces.
     """
 
     steps: tuple[PathStep, ...]
     direction: str
-    nonpositive_gain_steps: tuple[int, ...] = field(default=())
+    nonpositive_gain_steps: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.steps:
+        steps = self.steps
+        if not steps:
             raise InvalidParameterError("ordered path has no steps")
-        if self.direction not in _MOVES:
+        if self.direction not in ("forward", "backward"):
             raise InvalidParameterError(f"unknown path direction {self.direction!r}")
-        _check("rate", np.array([step.rate for step in self.steps]), array=True)
-        _check("quality", np.array([step.quality for step in self.steps]), -np.inf, array=True)
-        for prev, cur in zip(self.steps, self.steps[1:]):
+        index = [i for x in steps for i in (x.l, x.m, x.n)]
+        _check("step indices l, m, n", index, 0.0, strict=False, array=True)
+        if np.asarray(index).dtype.kind not in "iu":
+            raise InvalidParameterError("step indices l, m, n must be integers")
+        _check("step s, t, q, rate", [v for x in steps for v in (x.s, x.t, x.q, x.rate)], array=True)
+        _check("step quality", [x.quality for x in steps], -np.inf, array=True)
+        for prev, cur in zip(steps, steps[1:]):
             deltas = (cur.l - prev.l, cur.m - prev.m, cur.n - prev.n)
             if sorted(deltas) != [0, 0, 1]:
                 raise InvalidParameterError(
@@ -117,6 +117,11 @@ class OrderedPath:
                 raise InvalidParameterError("path violates the monotonicity constraint")
             if cur.rate <= prev.rate:
                 raise InvalidParameterError("rate must increase strictly along the path")
+        flags = tuple(i for i in range(1, len(steps)) if steps[i].quality <= steps[i - 1].quality)
+        passed = self.nonpositive_gain_steps
+        if passed is not None and passed != flags:
+            raise InvalidParameterError(f"nonpositive_gain_steps must be {flags}, got {passed!r}")
+        object.__setattr__(self, "nonpositive_gain_steps", flags)
 
 
 def build_layer_grid(
@@ -133,53 +138,38 @@ def build_layer_grid(
     return LayerGrid(*levels, rate=rate_surface(rp, q, s, t), quality=quality_surface(qp, q, s, t))
 
 
-def _step_at(grid: LayerGrid, idx: tuple[int, int, int]) -> PathStep:
-    l, m, n = idx
-    return PathStep(
-        l=l,
-        m=m,
-        n=n,
-        s=grid.s_levels[l],
-        t=grid.t_levels[m],
-        q=grid.q_levels[n],
-        rate=float(grid.rate[l, m, n]),
-        quality=float(grid.quality[l, m, n]),
-    )
-
-
-def _flag_nonpositive(steps: tuple[PathStep, ...]) -> tuple[int, ...]:
-    return tuple(
-        i for i in range(1, len(steps)) if steps[i].quality <= steps[i - 1].quality
-    )
-
-
 def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
     # Both walks score a single-coordinate move by the slope dq/dr between its
     # two lattice points; forward takes the largest, backward the smallest.
+    # ``item`` reads table cells as Python floats, whose arithmetic is the
+    # same IEEE double arithmetic as numpy's scalars, at less cost per step.
     forward = direction == "forward"
-    moves = _MOVES[direction]
-    L, M, N = grid.shape
-    top = (L - 1, M - 1, N - 1)
+    step = 1 if forward else -1
+    rate, quality = grid.rate.item, grid.quality.item
+    top = tuple(k - 1 for k in grid.shape)
     pos, end = ((0, 0, 0), top) if forward else (top, (0, 0, 0))
-    visited = [_step_at(grid, pos)]
+    visited = [pos]
     while pos != end:
-        rate0 = grid.rate[pos]
-        quality0 = grid.quality[pos]
+        rate0, quality0 = rate(pos), quality(pos)
         best_slope = best_pos = None
-        for axis, (dl, dm, dn) in moves:
+        # Single-coordinate moves in the tie-break order for equal slopes:
+        # amplitude, then temporal, then spatial.
+        for axis in (2, 1, 0):
             if pos[axis] == end[axis]:
                 continue
-            nxt = (pos[0] + dl, pos[1] + dm, pos[2] + dn)
-            slope = (grid.quality[nxt] - quality0) / (grid.rate[nxt] - rate0)
+            nxt = pos[:axis] + (pos[axis] + step,) + pos[axis + 1:]
+            slope = (quality(nxt) - quality0) / (rate(nxt) - rate0)
             if best_pos is None or (slope > best_slope if forward else slope < best_slope):
                 best_slope = slope
                 best_pos = nxt
         pos = best_pos
-        visited.append(_step_at(grid, pos))
-    steps = tuple(visited if forward else reversed(visited))
-    return OrderedPath(
-        steps=steps, direction=direction, nonpositive_gain_steps=_flag_nonpositive(steps)
+        visited.append(pos)
+    s, t, q = grid.s_levels, grid.t_levels, grid.q_levels
+    steps = tuple(
+        PathStep(l, m, n, s[l], t[m], q[n], rate(l, m, n), quality(l, m, n))
+        for l, m, n in (visited if forward else reversed(visited))
     )
+    return OrderedPath(steps=steps, direction=direction)
 
 
 def order_forward(grid: LayerGrid) -> OrderedPath:
@@ -198,11 +188,9 @@ def order_backward(grid: LayerGrid) -> OrderedPath:
 def path_quality_loss(path: OrderedPath, qr: QrModel) -> float:
     """Largest shortfall of the path's quality below the continuous
     rate-quality summary, evaluated at the path's own rates."""
-    rates = np.array([step.rate for step in path.steps])
+    ratio = _qr_ratio(qr.r_max, [step.rate for step in path.steps])
     qualities = np.array([step.quality for step in path.steps])
-    if rates.max() > qr.r_max * (1.0 + _REL_TOL):
-        raise OutOfRangeError("path reaches rates above the summary model ceiling")
-    return float(np.max(qr_surface(qr, np.minimum(rates, qr.r_max)) - qualities))
+    return float(np.max(_qr(qr.kappa, ratio) - qualities))
 
 
 def max_rate_gap(path: OrderedPath) -> float:

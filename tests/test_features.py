@@ -89,6 +89,25 @@ def test_feature_vector_validation():
         FeatureVector(float("inf"), 0.0, 0.0)
 
 
-def test_predictor_matrix_shape_enforced():
+def with_weight(value):
+    # SVC1's rows with the first weight replaced.
+    return ((value,) + SVC1_ROWS[0][1:],) + SVC1_ROWS[1:]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((1.0, 2.0),), SVC1_ROWS[:3], with_weight("0.1"), with_weight(True), with_weight(np.True_),
+     with_weight(float("inf")), with_weight(float("nan")), with_weight(None),
+     SVC1_ROWS[:3] + ((1.0, 2.0),)],
+    ids=["1x2", "3x4", "string", "bool", "numpy-bool", "inf", "nan", "none", "ragged"],
+)
+def test_predictor_matrix_shape_enforced(rows):
     with pytest.raises(InvalidParameterError):
-        PredictorMatrix(scenario="bad", rows=((1.0, 2.0),))
+        PredictorMatrix(scenario="bad", rows=rows)
+
+
+def test_predictor_matrix_rows_stored_as_floats():
+    rows = tuple(tuple(int(v) for v in row) for row in SVC1_ROWS)
+    h = PredictorMatrix(scenario="ints", rows=rows)
+    assert h.rows == tuple(tuple(float(int(v)) for v in row) for row in SVC1_ROWS)
+    assert all(type(v) is float for row in h.rows for v in row)

@@ -102,6 +102,20 @@ class TestPowerExponent:
         with pytest.raises(InvalidParameterError):
             fit_power_exponent([(1.0, 1.0)], "decreasing")
 
+    def test_points_read_once(self):
+        points = ((r, r**-1.0) for r in (1.0, 2.0, 4.0))
+        assert fit_power_exponent(points, "decreasing") == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "points",
+        [[(1.0, 1.0), (2.0, 0.5, 9.0)], [(1.0, 1.0, 0.0), (2.0, 0.5, 0.0), (4.0, 0.25, 0.0)],
+         [1.0, 2.0, 4.0], [(1.0,), (2.0,)]],
+        ids=["ragged", "triples", "scalars", "singles"],
+    )
+    def test_points_must_be_pairs(self, points):
+        with pytest.raises(InvalidParameterError):
+            fit_power_exponent(points, "decreasing")
+
     def test_unknown_direction(self):
         with pytest.raises(InvalidParameterError):
             fit_power_exponent([(1.0, 1.0), (2.0, 0.5)], "sideways")

@@ -24,6 +24,7 @@ from starq import (
     evaluate_quality,
     evaluate_rate,
     qp_from_stepsize,
+    qr_surface,
     stepsize_from_qp,
 )
 from starq.fileio import ModelFile, model_to_dict
@@ -242,6 +243,11 @@ class TestQrModel:
         m = QrModel(kappa=kappa, r_max=1000.0)
         hi = min(lo + step, 1.0)
         assert evaluate_qr(m, lo * 1000.0) < evaluate_qr(m, hi * 1000.0)
+
+    def test_rate_within_tolerance_of_ceiling_gives_one(self):
+        m = QrModel(kappa=5.058, r_max=2379.0)
+        assert evaluate_qr(m, m.r_max * (1 + 1e-10)) == 1.0
+        assert qr_surface(m, [m.r_max / 2, m.r_max * (1 + 1e-10)])[1] == 1.0
 
     def test_out_of_range(self):
         m = QrModel(kappa=5.0, r_max=1000.0)

@@ -251,6 +251,16 @@ class TestFitQr:
         with pytest.raises(OutOfRangeError):
             fit_qr([(100.0, 0.5), (200.0, 0.7), (1100.0, 1.0)], 1000.0)
 
+    def test_rates_within_tolerance_of_r_max_count_as_r_max(self):
+        curve = [(100.0, 0.5), (500.0, 0.8), (1000.0, 1.0)]
+        nudged = curve[:2] + [(1000.0 * (1 + 1e-10), 1.0)]
+        assert fit_qr(nudged, 1000.0) == fit_qr(curve, 1000.0)
+
+    @pytest.mark.parametrize("r_max", [-5, 0.0, True, float("nan"), "1000"])
+    def test_r_max_checked(self, r_max):
+        with pytest.raises(InvalidParameterError, match="r_max"):
+            fit_qr([(100.0, 0.5), (200.0, 0.7), (300.0, 0.9)], r_max)
+
     def test_flat_curve_degenerate(self):
         with pytest.raises(DegenerateDataError):
             fit_qr([(100.0, 0.5), (200.0, 0.5), (300.0, 0.5)], 1000.0)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -54,6 +56,14 @@ def hand_grid():
     )
 
 
+# A path whose quality stays flat on step 1 and falls on step 2.
+FLAT_THEN_FALLING = (
+    PathStep(0, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.5),
+    PathStep(0, 0, 1, 1.0, 1.0, 2.0, 20.0, 0.5),
+    PathStep(0, 1, 1, 1.0, 2.0, 2.0, 30.0, 0.4),
+)
+
+
 class TestBuildLayerGrid:
     def test_single_cell_matches_model(self):
         grid = build_layer_grid(CITY, CITY_Q, [float(REF.s_max)], [30.0], [26.0])
@@ -74,7 +84,6 @@ class TestBuildLayerGrid:
         for axis in range(3):
             assert np.all(np.diff(grid.rate, axis=axis) > 0)
             assert np.all(np.diff(grid.quality, axis=axis) >= 0)
-        assert grid.quality_is_monotone()
 
     def test_level_ordering_enforced(self):
         with pytest.raises(InvalidParameterError):
@@ -191,6 +200,29 @@ class TestOrderedPathInvariants:
         with pytest.raises(InvalidParameterError):
             OrderedPath(steps=steps, direction=direction)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("s", float("nan")), ("t", 0.0), ("q", -4.0), ("l", 0.5), ("m", -1), ("n", True),
+         ("s", "1.0")],
+        ids=["nan-s", "zero-t", "negative-q", "half-index", "negative-index", "bool-index",
+             "string-s"],
+    )
+    def test_every_step_field_checked(self, field, value):
+        step = dataclasses.replace(PathStep(0, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2), **{field: value})
+        with pytest.raises(InvalidParameterError, match=field):
+            OrderedPath(steps=(step,), direction="forward")
+
+    def test_flags_derived_from_steps(self):
+        path = OrderedPath(steps=FLAT_THEN_FALLING, direction="forward")
+        assert path.nonpositive_gain_steps == (1, 2)
+        same = OrderedPath(FLAT_THEN_FALLING, "forward", nonpositive_gain_steps=(1, 2))
+        assert same.nonpositive_gain_steps == (1, 2)
+
+    @pytest.mark.parametrize("flags", [(7,), (), (1,), (2, 1)])
+    def test_passed_flags_must_match_steps(self, flags):
+        with pytest.raises(InvalidParameterError, match="nonpositive_gain_steps"):
+            OrderedPath(FLAT_THEN_FALLING, "forward", nonpositive_gain_steps=flags)
+
     def test_single_coordinate_steps_required(self):
         a = PathStep(0, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2)
         b = PathStep(1, 1, 0, 2.0, 2.0, 4.0, 30.0, 0.5)
@@ -220,6 +252,16 @@ class TestOrderedPathInvariants:
         path = order_forward(grid)
         assert path.nonpositive_gain_steps == (1,)
 
+    def test_grid_from_list_tables(self):
+        rate = [[[10.0, 20.0, 40.0]]]
+        quality = [[[0.5, 0.5, 0.9]]]
+        grid = LayerGrid((1.0,), (1.0,), (4.0, 3.0, 2.0), rate, quality)
+        assert isinstance(grid.rate, np.ndarray) and grid.rate.dtype == float
+        assert isinstance(grid.quality, np.ndarray) and grid.quality.dtype == float
+        for path in (order_forward(grid), order_backward(grid)):
+            assert [step.rate for step in path.steps] == [10.0, 20.0, 40.0]
+            assert path.nonpositive_gain_steps == (1,)
+
     def test_model_grids_never_flag(self):
         assert order_forward(city_grid()).nonpositive_gain_steps == ()
         assert order_backward(city_grid()).nonpositive_gain_steps == ()
@@ -240,6 +282,12 @@ class TestPathQualityLoss:
         path = order_forward(city_grid())
         qr = QrModel(kappa=5.058, r_max=CITY.r_max)
         assert path_quality_loss(path, qr) <= 0.05
+
+    def test_rates_within_tolerance_of_ceiling_count_as_ceiling(self):
+        qr = QrModel(kappa=5.058, r_max=100.0)
+        path = OrderedPath(steps=(PathStep(0, 0, 0, 1.0, 1.0, 4.0, 100.0 * (1 + 1e-10), 0.9),),
+                           direction="forward")
+        assert path_quality_loss(path, qr) == 1.0 - 0.9
 
     def test_rates_above_ceiling_rejected(self):
         path = order_forward(city_grid())

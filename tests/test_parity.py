@@ -1,12 +1,16 @@
-"""The decision path returns the bits of its plain numpy form.
+"""The decision path returns the bits of its plain numpy form, and the layer
+walk the steps of its first form.
 
 ``optimize_continuous``, ``optimize_discrete``, ``optimal_quality_curve``,
 ``build_layer_grid`` and ``evaluate_quality`` build their axes without
 ``np.geomspace``, their ladder pairs without ``np.meshgrid`` and their best
 cell without ``np.unravel_index``, and read the quality surface's normalizing
 denominators from ``QualityParams`` instead of computing them per call. The
-reference functions below are that plain form. Results must be equal with
-``==``, not to a tolerance.
+reference functions below are that plain form. ``order_forward`` and
+``order_backward`` walk lattice positions and let ``OrderedPath`` derive the
+flagged steps; the reference walk builds a ``PathStep`` per move from a move
+table and flags the steps itself. Results must be equal with ``==``, not to
+a tolerance.
 """
 
 from __future__ import annotations
@@ -16,11 +20,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sequences import LAYER_Q, LAYER_S, LAYER_T, SEQUENCES, quality_params, rate_params
+from sequences import LAYER_Q, LAYER_S, LAYER_T, REF, SEQUENCES, quality_params, rate_params
 from starq import (
     FeasibleSets,
     InfeasibleError,
+    LayerGrid,
     OptimizationResult,
+    PathStep,
     Star,
     StarqError,
     build_layer_grid,
@@ -28,6 +34,8 @@ from starq import (
     optimal_quality_curve,
     optimize_continuous,
     optimize_discrete,
+    order_backward,
+    order_forward,
     rate_surface,
 )
 from starq.models import _REL_TOL, _check_q_limit, _rate
@@ -182,3 +190,94 @@ def test_geomspace_is_numpy_geomspace(pairs, n):
         assert got == want
     else:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# The layer walk as it was written first: a move table per direction, one
+# PathStep built per visited point, flags computed beside the path.
+MOVES = {
+    "forward": ((2, (0, 0, 1)), (1, (0, 1, 0)), (0, (1, 0, 0))),
+    "backward": ((2, (0, 0, -1)), (1, (0, -1, 0)), (0, (-1, 0, 0))),
+}
+
+
+def reference_step_at(grid, idx):
+    l, m, n = idx
+    return PathStep(
+        l=l, m=m, n=n, s=grid.s_levels[l], t=grid.t_levels[m], q=grid.q_levels[n],
+        rate=float(grid.rate[l, m, n]), quality=float(grid.quality[l, m, n]),
+    )
+
+
+def reference_flag_nonpositive(steps):
+    return tuple(i for i in range(1, len(steps)) if steps[i].quality <= steps[i - 1].quality)
+
+
+def reference_walk(grid, direction):
+    # (steps, flagged step indices) of the greedy walk.
+    forward = direction == "forward"
+    L, M, N = grid.shape
+    top = (L - 1, M - 1, N - 1)
+    pos, end = ((0, 0, 0), top) if forward else (top, (0, 0, 0))
+    visited = [reference_step_at(grid, pos)]
+    while pos != end:
+        rate0 = grid.rate[pos]
+        quality0 = grid.quality[pos]
+        best_slope = best_pos = None
+        for axis, (dl, dm, dn) in MOVES[direction]:
+            if pos[axis] == end[axis]:
+                continue
+            nxt = (pos[0] + dl, pos[1] + dm, pos[2] + dn)
+            slope = (grid.quality[nxt] - quality0) / (grid.rate[nxt] - rate0)
+            if best_pos is None or (slope > best_slope if forward else slope < best_slope):
+                best_slope = slope
+                best_pos = nxt
+        pos = best_pos
+        visited.append(reference_step_at(grid, pos))
+    steps = tuple(visited if forward else reversed(visited))
+    return steps, reference_flag_nonpositive(steps)
+
+
+def assert_walks_match(grid):
+    for order, direction in ((order_forward, "forward"), (order_backward, "backward")):
+        path = order(grid)
+        assert path.direction == direction
+        assert (path.steps, path.nonpositive_gain_steps) == reference_walk(grid, direction)
+
+
+def fine_levels(shape):
+    # Geometric ladders over a 16x span of frame size and frame rate, and
+    # stepsizes from 104 down to q_min.
+    n_s, n_t, n_q = shape
+    return (np.geomspace(REF.s_max / 16.0, REF.s_max, n_s).tolist(),
+            np.geomspace(REF.t_max / 16.0, REF.t_max, n_t).tolist(),
+            np.geomspace(104.0, REF.q_min, n_q).tolist())
+
+
+@pytest.mark.parametrize("sequence", SEQUENCES)
+def test_layer_walk_matches_reference(sequence):
+    rp, qp = rate_params(sequence), quality_params(sequence)
+    assert_walks_match(build_layer_grid(rp, qp, LAYER_S, LAYER_T, LAYER_Q))
+    for shape in ((8, 8, 8), (24, 24, 24), (12, 20, 9), (1, 1, 1), (1, 5, 1)):
+        assert_walks_match(build_layer_grid(rp, qp, *fine_levels(shape)))
+
+
+@st.composite
+def lattices(draw):
+    # Rate tables strictly increasing along every axis (cumulative sums of
+    # positive increments); quality tables of any finite values, with ties
+    # drawn often so that flat steps and equal slopes occur.
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    size = int(np.prod(shape))
+    cells = dict(min_size=size, max_size=size)
+    rate = np.reshape(draw(st.lists(st.floats(0.01, 100.0), **cells)), shape)
+    for axis in range(3):
+        rate = np.cumsum(rate, axis=axis)
+    qualities = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-1e3, 1e3))
+    quality = np.reshape(draw(st.lists(qualities, **cells)), shape)
+    s, t, q = (tuple(float(k) for k in range(1, n + 1)) for n in shape)
+    return LayerGrid(s, t, q[::-1], rate, quality)
+
+
+@given(grid=lattices())
+def test_layer_walk_matches_reference_on_any_lattice(grid):
+    assert_walks_match(grid)
