@@ -77,31 +77,34 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     present qp wins, with a warning, since qp is what encoders log. Returns
     the log and any warnings.
     """
-    columns, rows = _read_csv(path)
-    if columns is None:
+    index, rows = _read_csv(path)
+    if index is None:
         raise InvalidParameterError("empty file, expected a CSV header")
-    missing = [c for c in _LOG_COLUMNS if c not in columns]
+    missing = [c for c in _LOG_COLUMNS if c not in index]
     if missing:
         raise InvalidParameterError(f"line 1: missing columns {missing}")
-    q_column = "qp" if "qp" in columns else "q"
-    if q_column not in columns:
+    q_column = "qp" if "qp" in index else "q"
+    if q_column not in index:
         raise InvalidParameterError("line 1: need a 'q' or 'qp' column")
     warnings = []
-    if q_column == "qp" and "q" in columns:
+    if q_column == "qp" and "q" in index:
         warnings.append("log has both 'q' and 'qp' columns; using 'qp'")
 
+    at_q, at_width, at_height, at_fps, at_rate = (index[c] for c in (q_column, *_LOG_COLUMNS))
+    at_label = index.get("label")
     samples: list[RateSample] = []
     for num, row in rows:
         try:
-            q = _number(row[q_column], q_column)
+            q = _number(row[at_q], q_column)
             if q_column == "qp":
                 q = stepsize_from_qp(q)
-            width = _number(row["width"], "width")
-            height = _number(row["height"], "height")
-            fps = _number(row["fps"], "fps")
-            rate = _number(row["rate_kbps"], "rate_kbps")
+            width = _number(row[at_width], "width")
+            height = _number(row[at_height], "height")
+            fps = _number(row[at_fps], "fps")
+            rate = _number(row[at_rate], "rate_kbps")
             star = Star(q=q, s=width * height, t=fps)
-            samples.append(RateSample(star=star, rate=rate, tag=row.get("label", "")))
+            tag = "" if at_label is None else row[at_label]
+            samples.append(RateSample(star=star, rate=rate, tag=tag))
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"line {num}: {exc}") from None
     if not samples:
@@ -198,31 +201,51 @@ def read_features(path) -> FeatureVector:
     file, under the keys mu_dfd, sigma_mvm and sigma_mda."""
     if path.suffix.lower() != ".csv":
         return _build(FeatureVector, _read_json(path))
-    _, rows = _read_csv(path)
+    index, rows = _read_csv(path)
     if not rows:
         raise InvalidParameterError("no feature records")
     num, row = rows[0]
     names = [f.name for f in fields(FeatureVector)]
     try:
-        return _build(FeatureVector, {k: _number(row[k], k) for k in names if k in row})
+        return _build(FeatureVector, {k: _number(row[index[k]], k) for k in names if k in index})
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"line {num}: {exc}") from None
 
 
-def _read_csv(path: Path) -> tuple[list[str] | None, list[tuple[int, dict]]]:
-    # Header and rows of a CSV file, names and cells stripped, each row with
-    # the line number it ends on; a short row's missing cells are empty.
+def _read_csv(path: Path) -> tuple[dict[str, int] | None, list[tuple[int, list[str]]]]:
+    # The column of each header name (None for an empty file) and the rows,
+    # names and cells stripped and short rows padded with empty cells, each
+    # row with the line it ends on; blank rows are skipped. A name reads what
+    # csv.DictReader would give it: a repeated name its last column; of
+    # spellings that strip alike, the one that first appears last; nameless
+    # columns nothing. An error names DictReader's line too: that of the last
+    # row read or, after blank rows, of the first of them. (DictReader counts
+    # the first blank, skips the rest, and counts again as it names a row's
+    # cells, so a row after blanks has its own line.)
     with path.open(newline="") as handle:
-        reader = csv.DictReader(handle, restval="")
+        reader = csv.reader(handle)
+        num = 0
         try:
-            columns = reader.fieldnames and [name.strip() for name in reader.fieldnames]
+            header = next(reader, None)
+            if header is None:
+                return None, []
+            num = reader.line_num
+            last = {name: i for i, name in enumerate(header)}
+            index = {name.strip(): i for name, i in last.items() if name}
+            pad = [""] * len(header)
             rows = []
+            in_blanks = False
             for row in reader:
-                cells = {k.strip(): v.strip() for k, v in row.items() if k}
-                rows.append((reader.line_num, cells))
+                if row or not in_blanks:
+                    num = reader.line_num
+                in_blanks = not row
+                if row:
+                    cells = list(map(str.strip, row))
+                    cells += pad[len(cells):]
+                    rows.append((num, cells))
         except (csv.Error, UnicodeDecodeError) as exc:
-            raise InvalidParameterError(f"line {reader.line_num}: {exc}") from None
-    return columns, rows
+            raise InvalidParameterError(f"line {num}: {exc}") from None
+    return index, rows
 
 
 def _read_json(path: Path) -> dict:

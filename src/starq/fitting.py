@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from ._solve import least_squares_box, minimize_bounded
 from .errors import DegenerateDataError, InsufficientDataError, InvalidParameterError
-from .models import RateParams, ResolutionRef, Star, _check, _check_fields, _close, _rate
+from .models import RateParams, ResolutionRef, Star, _check, _check_fields, _close, _mean, _rate
 
 _EXPONENT_MAX = 4.0
 # Lower bounds of (a, b, c, r_max) in the joint refinement.
@@ -32,7 +33,21 @@ class RateSample:
     tag: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.star, Star):
+            raise InvalidParameterError(f"star must be a Star, got {self.star!r}")
         _check_fields(self, ("rate",))
+
+
+def _samples(samples) -> tuple[RateSample, ...]:
+    # The samples as a tuple, each checked to be a RateSample.
+    try:
+        samples = tuple(samples)
+    except TypeError:
+        raise InvalidParameterError(f"samples must be an iterable, got {samples!r}") from None
+    for sample in samples:
+        if not isinstance(sample, RateSample):
+            raise InvalidParameterError(f"samples must be RateSample objects, got {sample!r}")
+    return samples
 
 
 @dataclass(frozen=True)
@@ -43,10 +58,14 @@ class EncodeLog:
     ref: ResolutionRef
 
     def __post_init__(self) -> None:
-        if not self.samples:
+        samples = _samples(self.samples)
+        object.__setattr__(self, "samples", samples)
+        if not isinstance(self.ref, ResolutionRef):
+            raise InvalidParameterError(f"ref must be a ResolutionRef, got {self.ref!r}")
+        if not samples:
             raise InvalidParameterError("encode log is empty")
         seen: dict[tuple[float, float, float], float] = {}
-        for sample in self.samples:
+        for sample in samples:
             key = (sample.star.q, sample.star.s, sample.star.t)
             if key in seen and seen[key] != sample.rate:
                 raise InvalidParameterError(
@@ -61,7 +80,7 @@ class EncodeLog:
         and the largest frame size and frame rate present in the samples.
         Pass ``ref`` to the constructor to give a reference explicitly.
         """
-        samples = tuple(samples)
+        samples = _samples(samples)
         if not samples:
             raise InvalidParameterError("cannot derive a reference from an empty log")
         ref = ResolutionRef(
@@ -90,16 +109,16 @@ def _normalize(samples, group, axis: str, anchor: float, missing: str):
     # ``axis``. Groups without an anchor measurement are skipped.
     groups: dict = {}
     for sample in samples:
-        groups.setdefault(group(sample.star), []).append(sample)
+        x = sample.star
+        groups.setdefault(group(x), []).append((getattr(x, axis), sample.rate))
     points: list[tuple[float, float]] = []
     for key in sorted(groups):
         members = groups[key]
-        anchors = [m for m in members if _close(getattr(m.star, axis), anchor)]
-        if anchors:
-            points += [
-                (getattr(m.star, axis) / anchor, m.rate / anchors[0].rate)
-                for m in sorted(members, key=lambda m: getattr(m.star, axis))
-            ]
+        for candidate, base in members:
+            if _close(candidate, anchor):
+                members.sort(key=itemgetter(0))  # stable: ties keep the log's order
+                points += [(value / anchor, rate / base) for value, rate in members]
+                break
     if not points:
         raise InsufficientDataError(missing)
     return points
@@ -158,35 +177,45 @@ def fit_power_exponent(points, direction: str) -> float:
     scalar minimization on ``[0, 4]``; a log-log regression slope seeds the
     search and is kept if it happens to score better.
     """
-    return _fit_exponent(points, direction)[0]
-
-
-def _fit_exponent(points, direction: str) -> tuple[float, bool]:
-    # The exponent of fit_power_exponent, and whether the search stopped at
-    # its upper bound.
     if direction not in ("decreasing", "increasing"):
         raise InvalidParameterError(f"unknown direction {direction!r}")
+    return _fit_exponent(points, -1.0 if direction == "decreasing" else 1.0)[0]
+
+
+def _fit_exponent(points, sign: float) -> tuple[float, bool]:
+    # The exponent of fit_power_exponent, with ``sign`` -1 for a decreasing
+    # curve, and whether the search stopped at its upper bound.
     pairs = _check("normalized points", list(points), array=True)
     if len(pairs) < 2 or pairs.shape[1:] != (2,):
         raise InvalidParameterError("need at least two (ratio, normalized rate) pairs")
     ratios, values = pairs.T.copy()
-    if all(math.isclose(r, 1.0, rel_tol=1e-12) for r in ratios):
+    if all(math.isclose(r, 1.0, rel_tol=1e-12) for r in ratios.tolist()):
         raise DegenerateDataError("all ratios equal 1; exponent is unidentifiable")
-
-    sign = -1.0 if direction == "decreasing" else 1.0
     log_r = np.log(ratios)
     log_v = np.log(values)
-    dr = log_r - log_r.mean()
-    slope = float(np.dot(dr, log_v - log_v.mean()) / np.dot(dr, dr))
+    dr = log_r - _mean(log_r)
+    slope = float(np.dot(dr, log_v - _mean(log_v)) / np.dot(dr, dr))
     init = min(max(sign * slope, 0.0), _EXPONENT_MAX)
-
-    def sse(x: float) -> float:
-        return float(np.sum((ratios ** (sign * x) - values) ** 2))
-
+    sse = _exponent_sse(ratios, values, sign)
     result = minimize_bounded(sse, 0.0, _EXPONENT_MAX)
     if sse(init) < result.fun:
         return init, init == _EXPONENT_MAX
     return result.x, result.at_bound == _EXPONENT_MAX
+
+
+def _exponent_sse(ratios, values, sign: float):
+    # The exponent search's objective: the squared error of
+    # ratios ** (sign * x) against values, as a function of x.
+    def sse(x: float) -> float:
+        # ``**``, not np.power: the operator has its own fast paths for
+        # exponents such as 0.5 and 2, which numpy does not promise to match
+        # np.power bit for bit.
+        d = ratios ** (sign * x)
+        d -= values
+        d *= d
+        return float(np.add.reduce(d))
+
+    return sse
 
 
 def pearson(x, y) -> float:
@@ -197,8 +226,8 @@ def pearson(x, y) -> float:
         raise InvalidParameterError("inputs must be 1-d vectors of equal length")
     if xv.size < 2:
         raise InvalidParameterError("need at least two points")
-    xm = xv - xv.mean()
-    ym = yv - yv.mean()
+    xm = xv - _mean(xv)
+    ym = yv - _mean(yv)
     sxx = float(np.dot(xm, xm))
     syy = float(np.dot(ym, ym))
     if sxx == 0.0 or syy == 0.0:
@@ -228,12 +257,12 @@ def _protocol_fit(log: EncodeLog, warnings: list[str]) -> RateParams:
     anchor = _find_anchor(log)
     exponents = []
     bound_hits = []
-    for curve, axis, direction, name in (
-        (normalize_nrq, "stepsize", "decreasing", "a"),
-        (normalize_nrt, "frame-rate", "increasing", "b"),
-        (normalize_nrs, "frame-size", "increasing", "c"),
+    for curve, axis, sign, name in (
+        (normalize_nrq, "stepsize", -1.0, "a"),
+        (normalize_nrt, "frame-rate", 1.0, "b"),
+        (normalize_nrs, "frame-size", 1.0, "c"),
     ):
-        value, at_bound = _fit_exponent(_informative(curve(log), axis), direction)
+        value, at_bound = _fit_exponent(_informative(curve(log), axis), sign)
         exponents.append(value)
         if at_bound:
             bound_hits.append(
@@ -247,13 +276,15 @@ def _protocol_fit(log: EncodeLog, warnings: list[str]) -> RateParams:
     return RateParams(a=a, b=b, c=c, r_max=anchor.rate, ref=log.ref)
 
 
-def _log_ratios(log: EncodeLog):
-    # Per sample: log of q, t and s over their reference values, and the rate.
-    ref = log.ref
-    lq = np.log([s.star.q / ref.q_min for s in log.samples])
-    lt = np.log([s.star.t / ref.t_max for s in log.samples])
-    ls = np.log([s.star.s / ref.s_max for s in log.samples])
-    return lq, lt, ls, np.asarray([s.rate for s in log.samples])
+def _columns(samples):
+    # The q, s, t and rate arrays of the samples, built once per fit; four
+    # comprehensions cost less than one pass and a transpose.
+    return (
+        np.array([x.star.q for x in samples]),
+        np.array([x.star.s for x in samples]),
+        np.array([x.star.t for x in samples]),
+        np.array([x.rate for x in samples]),
+    )
 
 
 def _loglinear_init(ref: ResolutionRef, lq, lt, ls, rate) -> RateParams:
@@ -293,10 +324,13 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
         raise InsufficientDataError("cannot fit a rate model to fewer than two samples")
 
     warnings: list[str] = []
+    q, s, t, measured = _columns(log.samples)
     if mode == "protocol":
         params = _protocol_fit(log, warnings)
     else:
-        ratios = _log_ratios(log)
+        ref = log.ref
+        # Per sample: log of q, t and s over their reference values, and the rate.
+        ratios = (np.log(q / ref.q_min), np.log(t / ref.t_max), np.log(s / ref.s_max), measured)
         try:
             init = _protocol_fit(log, warnings)
         except (InsufficientDataError, DegenerateDataError):
@@ -304,16 +338,13 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
             warnings.append("anchor samples missing; joint fit seeded by log-domain regression")
         params = _joint_refine(ratios, init, warnings)
 
-    qs = np.asarray([s.star.q for s in log.samples])
-    ss = np.asarray([s.star.s for s in log.samples])
-    ts = np.asarray([s.star.t for s in log.samples])
-    measured = np.asarray([s.rate for s in log.samples])
-    predicted = _rate(params, qs, ss, ts)
-
-    rmse = float(np.sqrt(np.mean((measured - predicted) ** 2)))
+    predicted = _rate(params, q, s, t)
+    d = measured - predicted
+    d *= d
+    rmse = math.sqrt(_mean(d))
     residuals = tuple(
-        (sample.star, float(m), float(p))
-        for sample, m, p in zip(log.samples, measured, predicted)
+        (sample.star, m, p)
+        for sample, m, p in zip(log.samples, measured.tolist(), predicted.tolist())
     )
     return FitReport(
         params=params,

@@ -99,6 +99,12 @@ def _check_ladder(name: str, values, increasing: bool = True) -> tuple[float, ..
     return ladder
 
 
+def _mean(x) -> float:
+    # x.mean() of a 1-d float array, bit for bit: the same pairwise sum over
+    # the same count, without numpy's Python-level wrapper.
+    return float(np.add.reduce(x)) / x.size
+
+
 def _positive_arrays(**values) -> list[np.ndarray]:
     return [_check(name, v, array=True) for name, v in values.items()]
 
@@ -302,25 +308,26 @@ def _check_q_limit(q: float, budget: float | None = None) -> None:
         raise InfeasibleError(f"budget {budget:.6g} kbps: best {limit}")
 
 
-def _qr(kappa: float, ratio):
-    # Summary quality at rate ratio r / r_max.
-    return np.expm1(-kappa * np.power(ratio, QrModel.exponent)) / np.expm1(-kappa)
+def _qr(kappa: float, powered):
+    # Summary quality at the powered rate ratio (r / r_max) ** exponent.
+    return np.expm1(-kappa * powered) / np.expm1(-kappa)
 
 
-def _qr_ratio(r_max, r, name="rate"):
-    # r / r_max clamped at 1, for rates > 0 up to r_max within the reference
-    # tolerance: the ceiling rule of qr_surface, fit_qr and path_quality_loss.
+def _qr_powered(r_max, r, name="rate"):
+    # (r / r_max) ** QrModel.exponent with the ratio clamped at 1, for rates
+    # > 0 up to r_max within the reference tolerance: the ceiling rule of
+    # qr_surface, fit_qr and path_quality_loss. A fit powers its rates once.
     r_max = _check("r_max", r_max)
     rates = _check(name, r, array=True, error=OutOfRangeError)
     if np.any(rates > r_max * (1.0 + _REL_TOL)):
         raise OutOfRangeError(f"{name} must not exceed the model ceiling {r_max}")
-    return np.minimum(rates / r_max, 1.0)
+    return np.power(np.minimum(rates / r_max, 1.0), QrModel.exponent)
 
 
 def qr_surface(m: QrModel, r):
     """Summary quality at rate ``r`` kbps, for ``0 < r <= m.r_max``; a rate
     above ``m.r_max`` by at most the reference tolerance counts as ``r_max``."""
-    return _qr(m.kappa, _qr_ratio(m.r_max, r))
+    return _qr(m.kappa, _qr_powered(m.r_max, r))
 
 
 def evaluate_qr(m: QrModel, r: float) -> float:

@@ -11,6 +11,7 @@ optimal quality-versus-rate curve.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -34,9 +35,10 @@ from .models import (
     _check_q_limit,
     _check_shared_ref,
     _close,
+    _mean,
     _positive_arrays,
     _qr,
-    _qr_ratio,
+    _qr_powered,
     _quality,
     _rate,
 )
@@ -230,20 +232,39 @@ class QrFit:
 def fit_qr(curve, r_max: float) -> QrFit:
     """Fit the one-parameter quality-versus-rate summary to a curve of
     ``(rate, quality)`` points by bracketed scalar minimization of the RMSE.
+
+    ``curve`` is any iterable of at least three pairs; a point that is not a
+    pair raises :class:`InvalidParameterError`.
     """
     points = list(curve)
-    if len(points) < 3:
+    n = len(points)
+    if n < 3:
         raise InsufficientDataError("need at least three curve points")
-    ratio = _qr_ratio(r_max, [p[0] for p in points], "curve rates")
-    qualities = _check("curve qualities", [p[1] for p in points], -np.inf, array=True)
+    try:
+        shape = np.shape(points)
+    except ValueError:  # ragged points
+        shape = ()
+    if shape != (n, 2):
+        raise InvalidParameterError("curve points must be (rate, quality) pairs")
+    rates, qualities = zip(*points)
+    powered = _qr_powered(r_max, rates, "curve rates")
+    qualities = _check("curve qualities", qualities, -np.inf, array=True)
     if np.all(qualities == qualities[0]):
         raise DegenerateDataError("curve is flat; no summary parameter fits it")
-
-    def rmse(kappa: float) -> float:
-        return float(np.sqrt(np.mean((_qr(kappa, ratio) - qualities) ** 2)))
-
-    result = minimize_bounded(rmse, 1e-6, 50.0)
+    result = minimize_bounded(_qr_rmse(powered, qualities), 1e-6, 50.0)
     return QrFit(model=QrModel(kappa=result.x, r_max=r_max), rmse=result.fun)
+
+
+def _qr_rmse(powered, qualities):
+    # fit_qr's objective: the RMSE of the Q(R) summary at the powered rate
+    # ratios against the qualities, as a function of kappa.
+    def rmse(kappa: float) -> float:
+        d = _qr(kappa, powered)
+        d -= qualities
+        d *= d
+        return math.sqrt(_mean(d))
+
+    return rmse
 
 
 def optimal_quality_curve(rp: RateParams, qp: QualityParams) -> list[tuple[float, float]]:

@@ -25,7 +25,7 @@ from .models import (
     _check_ladder,
     _check_shared_ref,
     _qr,
-    _qr_ratio,
+    _qr_powered,
     quality_surface,
     rate_surface,
 )
@@ -39,7 +39,8 @@ class LayerGrid:
     must be strictly increasing along every axis; the quality table is
     expected to be non-decreasing, but measured tables that violate that are
     accepted and surface as flagged steps in the ordered path. Both tables
-    are stored as the float arrays they were checked as.
+    are stored as read-only float copies, so later writes to the arrays
+    passed in leave the checked grid as it was.
     """
 
     s_levels: tuple[float, ...]
@@ -53,9 +54,10 @@ class LayerGrid:
             object.__setattr__(self, name, _check_ladder(name, getattr(self, name), increasing))
         shape = self.shape
         for name, low in (("rate", 0.0), ("quality", -np.inf)):
-            table = _check(name, getattr(self, name), low, array=True)
+            table = np.array(_check(name, getattr(self, name), low, array=True))
             if table.shape != shape:
                 raise InvalidParameterError(f"{name} table shape must be {shape}")
+            table.flags.writeable = False
             object.__setattr__(self, name, table)
         for axis in range(3):
             if not np.all(np.diff(self.rate, axis=axis) > 0):
@@ -188,9 +190,9 @@ def order_backward(grid: LayerGrid) -> OrderedPath:
 def path_quality_loss(path: OrderedPath, qr: QrModel) -> float:
     """Largest shortfall of the path's quality below the continuous
     rate-quality summary, evaluated at the path's own rates."""
-    ratio = _qr_ratio(qr.r_max, [step.rate for step in path.steps])
+    powered = _qr_powered(qr.r_max, [step.rate for step in path.steps])
     qualities = np.array([step.quality for step in path.steps])
-    return float(np.max(_qr(qr.kappa, ratio) - qualities))
+    return float(np.max(_qr(qr.kappa, powered) - qualities))
 
 
 def max_rate_gap(path: OrderedPath) -> float:

@@ -92,6 +92,11 @@ class TestEncodeLogCsv:
         with pytest.raises(InvalidParameterError, match="line 3"):
             read_encode_log(path)
 
+    def test_bad_value_after_blank_rows_names_its_own_line(self, tmp_path):
+        path = write(tmp_path, "log.csv", "q,width,height,fps,rate_kbps\n\n\n16,704,576,x,1\n")
+        with pytest.raises(InvalidParameterError, match="^.*: line 4: fps must be a number"):
+            read_encode_log(path)
+
     @pytest.mark.parametrize(
         "row",
         ["64,x,576,30,344", "64,704,576", "1e10,704,576,30,344"],

@@ -265,6 +265,31 @@ class TestEncodeLog:
         with pytest.raises(InvalidParameterError):
             RateSample(star=Star(16.0, 1e5, 30.0), rate=0.0)
 
+    def test_samples_stored_as_a_tuple(self):
+        sample = RateSample(star=Star(16.0, REF.s_max, 30.0), rate=1000.0)
+        log = EncodeLog(samples=[sample], ref=REF)
+        assert log.samples == (sample,)
+        assert hash(log) == hash(EncodeLog(samples=(sample,), ref=REF))
+        assert EncodeLog(samples=iter([sample]), ref=REF) == log
+
+    @pytest.mark.parametrize("samples", [[(1, 2)], [None], "ab", 5], ids=["pair", "none", "str", "int"])
+    def test_samples_must_be_rate_samples(self, samples):
+        with pytest.raises(InvalidParameterError, match="samples"):
+            EncodeLog(samples=samples, ref=REF)
+        with pytest.raises(InvalidParameterError, match="samples"):
+            EncodeLog.from_samples(samples)
+
+    @pytest.mark.parametrize("ref", [None, (16.0, REF.s_max, 30.0)], ids=["none", "tuple"])
+    def test_ref_must_be_a_resolution_ref(self, ref):
+        sample = RateSample(star=Star(16.0, REF.s_max, 30.0), rate=1000.0)
+        with pytest.raises(InvalidParameterError, match="ref"):
+            EncodeLog(samples=(sample,), ref=ref)
+
+    @pytest.mark.parametrize("star", [None, (16.0, REF.s_max, 30.0)], ids=["none", "tuple"])
+    def test_sample_star_must_be_a_star(self, star):
+        with pytest.raises(InvalidParameterError, match="star"):
+            RateSample(star=star, rate=1000.0)
+
 
 class TestPearson:
     def test_perfect_positive(self):

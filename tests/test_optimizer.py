@@ -261,6 +261,28 @@ class TestFitQr:
         with pytest.raises(InvalidParameterError, match="r_max"):
             fit_qr([(100.0, 0.5), (200.0, 0.7), (300.0, 0.9)], r_max)
 
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            [(100.0, 0.5, 99), (500.0, 0.8, "x"), (1000.0, 1.0, None)],
+            [(100.0, 0.5), (500.0, 0.8, 1.0), (1000.0, 1.0)],
+            [(100.0, 0.5), (500.0,), (1000.0, 1.0)],
+            [100.0, 500.0, 1000.0],
+            [(100.0, 0.5), 500.0, (1000.0, 1.0)],
+            [(100.0, 0.5), "ab", (1000.0, 1.0)],
+        ],
+        ids=["triples", "one-triple", "one-single", "scalars", "one-scalar", "string"],
+    )
+    def test_points_must_be_pairs(self, curve):
+        with pytest.raises(InvalidParameterError, match="pairs"):
+            fit_qr(curve, 1000.0)
+
+    def test_curve_may_be_a_generator_or_an_array(self):
+        curve = [(100.0, 0.5), (500.0, 0.8), (1000.0, 1.0)]
+        fit = fit_qr(curve, 1000.0)
+        assert fit_qr((p for p in curve), 1000.0) == fit
+        assert fit_qr(np.array(curve), 1000.0) == fit
+
     def test_flat_curve_degenerate(self):
         with pytest.raises(DegenerateDataError):
             fit_qr([(100.0, 0.5), (200.0, 0.5), (300.0, 0.5)], 1000.0)

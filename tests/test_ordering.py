@@ -262,6 +262,19 @@ class TestOrderedPathInvariants:
             assert [step.rate for step in path.steps] == [10.0, 20.0, 40.0]
             assert path.nonpositive_gain_steps == (1,)
 
+    def test_grid_keeps_read_only_copies(self):
+        rate = np.array([[[10.0, 20.0, 40.0]]])
+        quality = np.array([[[0.5, 0.6, 0.9]]])
+        grid = LayerGrid((1.0,), (1.0,), (4.0, 3.0, 2.0), rate, quality)
+        rate[0, 0, 1] = 5.0
+        quality[0, 0, 1] = np.nan
+        assert grid.rate.tolist() == [[[10.0, 20.0, 40.0]]]
+        assert grid.quality.tolist() == [[[0.5, 0.6, 0.9]]]
+        assert order_forward(grid).nonpositive_gain_steps == ()
+        for table in (grid.rate, grid.quality):
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1.0
+
     def test_model_grids_never_flag(self):
         assert order_forward(city_grid()).nonpositive_gain_steps == ()
         assert order_backward(city_grid()).nonpositive_gain_steps == ()

@@ -9,28 +9,39 @@ denominators from ``QualityParams`` instead of computing them per call. The
 reference functions below are that plain form. ``order_forward`` and
 ``order_backward`` walk lattice positions and let ``OrderedPath`` derive the
 flagged steps; the reference walk builds a ``PathStep`` per move from a move
-table and flags the steps itself. Results must be equal with ``==``, not to
-a tolerance.
+table and flags the steps itself. The fit path's scalar-search objectives
+(the exponent fit's squared error, the Q(R) fit's RMSE) reduce in place
+without numpy's Python-level wrappers, and the CSV reader indexes
+``csv.reader`` rows instead of building a dict per row; the references are
+their first forms. Results must be equal with ``==``, not to a tolerance.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sequences import LAYER_Q, LAYER_S, LAYER_T, REF, SEQUENCES, quality_params, rate_params
 from starq import (
+    DegenerateDataError,
     FeasibleSets,
     InfeasibleError,
     LayerGrid,
     OptimizationResult,
     PathStep,
+    InvalidParameterError,
+    QrModel,
     Star,
     StarqError,
     build_layer_grid,
     evaluate_quality,
+    fit_power_exponent,
+    fit_qr,
     optimal_quality_curve,
     optimize_continuous,
     optimize_discrete,
@@ -38,8 +49,12 @@ from starq import (
     order_forward,
     rate_surface,
 )
-from starq.models import _REL_TOL, _check_q_limit, _rate
-from starq.optimizer import _budget_q, _geomspace
+from starq import fileio
+from starq.fileio import _number, _read_csv, _reader, read_encode_log
+from starq.fitting import EncodeLog, RateSample, _exponent_sse
+from starq._solve import minimize_bounded
+from starq.models import _REL_TOL, _check, _check_q_limit, _rate, stepsize_from_qp
+from starq.optimizer import QrFit, _budget_q, _geomspace, _qr_rmse
 
 GRIDS = (2, 3, 5, 64, 128)
 DYADIC = FeasibleSets(s_values=LAYER_S, t_values=LAYER_T, q_range=(16.0, 104.0))
@@ -281,3 +296,237 @@ def lattices(draw):
 @given(grid=lattices())
 def test_layer_walk_matches_reference_on_any_lattice(grid):
     assert_walks_match(grid)
+
+
+# The fit path's scalar objectives as first written, and the objectives the
+# fits now search, called with the same arguments.
+def reference_sse(ratios, values, sign, x):
+    return float(np.sum((ratios ** (sign * x) - values) ** 2))
+
+
+def lean_sse(ratios, values, sign, x):
+    return _exponent_sse(ratios, values, sign)(x)
+
+
+def reference_rmse(kappa, ratio, qualities):
+    qr = np.expm1(-kappa * np.power(ratio, QrModel.exponent)) / np.expm1(-kappa)
+    return float(np.sqrt(np.mean((qr - qualities) ** 2)))
+
+
+def lean_rmse(kappa, ratio, qualities):
+    # fit_qr powers the clamped rate ratios once, before its search.
+    return _qr_rmse(np.power(ratio, QrModel.exponent), qualities)(kappa)
+
+
+def outcome_bits(f, *args):
+    # The value (repr, so that NaN equals NaN) and the kind of the first
+    # floating-point error on the way to it, if any. The lean forms multiply
+    # where the references square, so numpy's messages name other ufuncs.
+    with np.errstate(all="ignore"):
+        value = repr(f(*args))
+    got = numpy_outcome(lambda: f(*args))
+    return value, got.split(" encountered")[0] if isinstance(got, str) else None
+
+
+finite_positive = st.floats(min_value=1e-300, max_value=1e300)
+exponents = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]), st.floats(0.0, 4.0))
+
+
+@given(
+    pairs=st.lists(st.tuples(finite_positive, finite_positive), min_size=1, max_size=40),
+    x=exponents,
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+@example(pairs=[(2.0, 0.5), (4.0, 0.25)], x=0.5, sign=-1.0)
+def test_exponent_objective_matches_reference(pairs, x, sign):
+    ratios, values = np.array(pairs).T.copy()
+    assert outcome_bits(lean_sse, ratios, values, sign, x) == outcome_bits(
+        reference_sse, ratios, values, sign, x
+    )
+
+
+@given(
+    points=st.lists(st.tuples(st.floats(1e-12, 1.0), st.floats(-2.0, 2.0)), min_size=1, max_size=60),
+    kappa=st.one_of(st.sampled_from([1e-6, 0.5, 1.0, 2.0, 4.0, 50.0]), st.floats(1e-6, 50.0)),
+)
+def test_qr_objective_matches_reference(points, kappa):
+    ratio, qualities = np.array(points).T.copy()
+    assert outcome_bits(lean_rmse, kappa, ratio, qualities) == outcome_bits(
+        reference_rmse, kappa, ratio, qualities
+    )
+
+
+# The exponent fit and the Q(R) fit as first written, around the reference
+# objectives above.
+def reference_fit_power_exponent(points, direction):
+    pairs = _check("normalized points", list(points), array=True)
+    ratios, values = pairs.T.copy()
+    if all(math.isclose(r, 1.0, rel_tol=1e-12) for r in ratios):
+        raise DegenerateDataError("all ratios equal 1; exponent is unidentifiable")
+    sign = -1.0 if direction == "decreasing" else 1.0
+    log_r = np.log(ratios)
+    log_v = np.log(values)
+    dr = log_r - log_r.mean()
+    slope = float(np.dot(dr, log_v - log_v.mean()) / np.dot(dr, dr))
+    init = min(max(sign * slope, 0.0), 4.0)
+    result = minimize_bounded(lambda x: reference_sse(ratios, values, sign, x), 0.0, 4.0)
+    if reference_sse(ratios, values, sign, init) < result.fun:
+        return init
+    return result.x
+
+
+def reference_fit_qr(curve, r_max):
+    points = list(curve)
+    r_max = _check("r_max", r_max)
+    ratio = np.minimum(_check("curve rates", [p[0] for p in points], array=True) / r_max, 1.0)
+    qualities = _check("curve qualities", [p[1] for p in points], -np.inf, array=True)
+    result = minimize_bounded(lambda kappa: reference_rmse(kappa, ratio, qualities), 1e-6, 50.0)
+    return QrFit(model=QrModel(kappa=result.x, r_max=r_max), rmse=result.fun)
+
+
+@given(
+    points=st.lists(st.tuples(st.floats(0.01, 100.0), st.floats(1e-3, 1e3)), min_size=2, max_size=30),
+    direction=st.sampled_from(["decreasing", "increasing"]),
+)
+def test_fit_power_exponent_matches_reference(points, direction):
+    assert warned_outcome(fit_power_exponent, points, direction) == warned_outcome(
+        reference_fit_power_exponent, points, direction
+    )
+
+
+def warned_outcome(f, *args):
+    # outcome(), with a RuntimeWarning raised as an error (the test setting)
+    # also reported: equal ratios other than 1 make the log-log seed 0 / 0.
+    try:
+        return outcome(f, *args)
+    except RuntimeWarning as warning:
+        return RuntimeWarning, str(warning)
+
+
+@given(curve=st.lists(st.tuples(st.floats(1e-3, 1000.0), st.floats(-1.0, 2.0)), min_size=3,
+                      max_size=60, unique_by=lambda p: p[1]))
+def test_fit_qr_matches_reference(curve):
+    assert fit_qr(curve, 1000.0) == reference_fit_qr(curve, 1000.0)
+
+
+# The CSV reader and encode-log reader as first written: a dict per row.
+def reference_read_csv(path):
+    with path.open(newline="") as handle:
+        reader = csv.DictReader(handle, restval="")
+        try:
+            columns = reader.fieldnames and [name.strip() for name in reader.fieldnames]
+            rows = []
+            for row in reader:
+                cells = {k.strip(): v.strip() for k, v in row.items() if k}
+                rows.append((reader.line_num, cells))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise InvalidParameterError(f"line {reader.line_num}: {exc}") from None
+    return columns, rows
+
+
+@_reader
+def reference_read_encode_log(path):
+    columns, rows = reference_read_csv(path)
+    if columns is None:
+        raise InvalidParameterError("empty file, expected a CSV header")
+    missing = [c for c in fileio._LOG_COLUMNS if c not in columns]
+    if missing:
+        raise InvalidParameterError(f"line 1: missing columns {missing}")
+    q_column = "qp" if "qp" in columns else "q"
+    if q_column not in columns:
+        raise InvalidParameterError("line 1: need a 'q' or 'qp' column")
+    warnings = []
+    if q_column == "qp" and "q" in columns:
+        warnings.append("log has both 'q' and 'qp' columns; using 'qp'")
+    samples = []
+    for num, row in rows:
+        try:
+            q = _number(row[q_column], q_column)
+            if q_column == "qp":
+                q = stepsize_from_qp(q)
+            width = _number(row["width"], "width")
+            height = _number(row["height"], "height")
+            fps = _number(row["fps"], "fps")
+            rate = _number(row["rate_kbps"], "rate_kbps")
+            star = Star(q=q, s=width * height, t=fps)
+            samples.append(RateSample(star=star, rate=rate, tag=row.get("label", "")))
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"line {num}: {exc}") from None
+    if not samples:
+        raise InvalidParameterError("no data rows")
+    return EncodeLog.from_samples(samples), warnings
+
+
+def csv_outcome(read, path):
+    try:
+        return read(path)
+    except StarqError as exc:
+        return type(exc), str(exc)
+
+
+def csv_view(read, path, reference):
+    # What a caller can read from either CSV reader: the non-empty column
+    # names (None for an empty file) and each row's line number and cells by
+    # name; or the type and message of the error raised.
+    try:
+        names, rows = read(path)
+    except StarqError as exc:
+        return type(exc), str(exc)
+    if names is None:
+        return None, rows
+    if not reference:
+        rows = [(num, {k: cells[i] for k, i in names.items()}) for num, cells in rows]
+    return sorted(k for k in set(names) if k), rows
+
+
+def assert_readers_match(path):
+    assert csv_view(_read_csv, path, False) == csv_view(reference_read_csv, path, True)
+    assert csv_outcome(read_encode_log, path) == csv_outcome(reference_read_encode_log, path)
+
+
+NAMES = ["q", "qp", "width", "height", "fps", "rate_kbps", "label", " q", "width ", " fps ",
+         "", " ", "x", "mu_dfd"]
+CELLS = ["16", "26.5", " 704 ", "576", "1", "30", "2379.5", "x", "", " ", "nan", "-3", "1e400",
+         "40", "64", "7.5", '"1,5"', '"a\nb"', "\t12\t", "\u00a030"]
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(st.lists(st.sampled_from(NAMES), max_size=8))
+    if draw(st.booleans()):
+        header = ["q", "width", "height", "fps", "rate_kbps"] + header
+    lines = [",".join(header)] if draw(st.integers(0, 9)) else []
+    for _ in range(draw(st.integers(0, 6))):
+        cells = draw(st.lists(st.sampled_from(CELLS), max_size=9))
+        lines.append(",".join(cells))
+    ending = draw(st.sampled_from(["\n", "\r\n", ""]))
+    return ending.join(lines) + (ending if draw(st.booleans()) else "")
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "log.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+@example(text="q,width,height,fps,rate_kbps\n\n\n16,704,576,x,1\n")
+@example(text="q, q,q,width,height,fps,rate_kbps,width \n16,17,18,1,2,3,4\n")
+@example(text="qp,q,width,height,fps,rate_kbps,label\n26,16,704,576,30,99, city \n")
+@example(text="\nq,width\n1,2\n")
+@example(text="")
+def test_csv_reader_matches_reference(csv_path, text):
+    csv_path.write_text(text, newline="")
+    assert_readers_match(csv_path)
+
+
+@pytest.mark.parametrize("blanks", [0, 2])
+def test_csv_reader_errors_match_reference(csv_path, blanks):
+    # A field over csv's size limit, on a row after blank ones, and bytes
+    # that are not UTF-8.
+    head = "q,width,height,fps,rate_kbps\n16,704,576,30,2379\n" + "\n" * blanks
+    csv_path.write_text(head + "16," + "7" * (csv.field_size_limit() + 1) + ",1,30,1\n")
+    assert_readers_match(csv_path)
+    assert "field larger than field limit" in csv_outcome(read_encode_log, csv_path)[1]
+    csv_path.write_bytes(head.encode() + b"16,\xff,1,30,1\n")
+    assert_readers_match(csv_path)
