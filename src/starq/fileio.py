@@ -3,7 +3,7 @@
 Encode logs are CSV; model documents and configs are JSON; feature records
 are either. Document keys are the fields of the dataclass filled, and values
 reach its constructor as JSON gave them; only text (CSV cells, frame sizes) is
-converted here. Every reader error starts with the path, for CSV ``line N:``.
+converted here. Errors start with the path, for a CSV record ``line N:``.
 """
 
 from __future__ import annotations
@@ -213,47 +213,47 @@ def read_features(path) -> FeatureVector:
 
 
 def _read_csv(path: Path) -> tuple[dict[str, int] | None, list[tuple[int, list[str]]]]:
-    # The column of each header name (None for an empty file) and the rows,
-    # names and cells stripped and short rows padded with empty cells, each
-    # row with the line it ends on; blank rows are skipped. A name reads what
-    # csv.DictReader would give it: a repeated name its last column; of
-    # spellings that strip alike, the one that first appears last; nameless
-    # columns nothing. An error names DictReader's line too: that of the last
-    # row read or, after blank rows, of the first of them. (DictReader counts
-    # the first blank, skips the rest, and counts again as it names a row's
-    # cells, so a row after blanks has its own line.)
-    with path.open(newline="") as handle:
+    # The column of each header name (None for an empty file) and the data
+    # rows, each with the line it ends on. The first line is the header. Names
+    # and cells are stripped, nameless columns are not read, blank rows are
+    # skipped and short rows padded; a cell past the header must be empty.
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        num = 0
         try:
             header = next(reader, None)
             if header is None:
                 return None, []
-            num = reader.line_num
-            last = {name: i for i, name in enumerate(header)}
-            index = {name.strip(): i for name, i in last.items() if name}
-            pad = [""] * len(header)
+            index = _named_once((name, i) for i, name in enumerate(map(str.strip, header)) if name)
             rows = []
-            in_blanks = False
             for row in reader:
-                if row or not in_blanks:
-                    num = reader.line_num
-                in_blanks = not row
                 if row:
                     cells = list(map(str.strip, row))
-                    cells += pad[len(cells):]
-                    rows.append((num, cells))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise InvalidParameterError(f"line {num}: {exc}") from None
+                    if any(cells[len(header):]):
+                        raise InvalidParameterError(f"non-empty cell past column {len(header)}")
+                    rows.append((reader.line_num, cells + [""] * (len(header) - len(cells))))
+        except (csv.Error, InvalidParameterError) as exc:
+            raise InvalidParameterError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InvalidParameterError(f"not UTF-8: {exc}") from None
     return index, rows
 
 
 def _read_json(path: Path) -> dict:
     try:
-        doc = json.loads(path.read_text())
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_named_once)
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, or a name given twice
         raise InvalidParameterError(f"invalid JSON: {exc}") from None
     return _object(doc)
+
+
+def _named_once(pairs) -> dict:
+    # The (name, value) pairs of a JSON object or a CSV header, each name once.
+    doc = {}
+    for name, value in pairs:
+        if name in doc:
+            raise InvalidParameterError(f"{name!r} is named twice")
+        doc[name] = value
+    return doc
 
 
 def _object(doc) -> dict:

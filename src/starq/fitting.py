@@ -194,12 +194,12 @@ def _fit_exponent(points, sign: float) -> tuple[float, bool]:
     log_r = np.log(ratios)
     log_v = np.log(values)
     dr = log_r - _mean(log_r)
-    slope = float(np.dot(dr, log_v - _mean(log_v)) / np.dot(dr, dr))
-    init = min(max(sign * slope, 0.0), _EXPONENT_MAX)
     sse = _exponent_sse(ratios, values, sign)
     result = minimize_bounded(sse, 0.0, _EXPONENT_MAX)
-    if sse(init) < result.fun:
-        return init, init == _EXPONENT_MAX
+    if dd := np.dot(dr, dr):  # equal ratios give no log-log slope to seed with
+        init = min(max(sign * float(np.dot(dr, log_v - _mean(log_v)) / dd), 0.0), _EXPONENT_MAX)
+        if sse(init) < result.fun:
+            return init, init == _EXPONENT_MAX
     return result.x, result.at_bound == _EXPONENT_MAX
 
 

@@ -110,6 +110,14 @@ class TestPredictRate:
         bad.write_text("{broken")
         assert main(["predict-rate", str(bad), "--q", "16", "--s", "4cif", "--t", "30"]) == 2
 
+    def test_parameter_given_twice_is_input_error(self, city_model_json, capsys):
+        text = city_model_json.read_text()
+        city_model_json.write_text(text.replace('"r_max": 2379.0', '"r_max": 2379.0, "r_max": 5'))
+        assert main(["predict-rate", str(city_model_json), "--q", "16", "--s", "4cif", "--t", "30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {city_model_json}: invalid JSON: 'r_max' is named twice\n"
+
 
 class TestOptimize:
     def test_full_budget_returns_corner(self, city_model_json, capsys):
@@ -177,9 +185,11 @@ SWEEP_T = ["--q", "16", "--s", "4cif", "--sweep", "t", "--sweep-to", "30"]
          "--points must"),
         (["optimize", "--budget-sweep", "100001"], "--budget-sweep must"),
         (["optimize", "--budget", "500", "--grid", "4097"], "grid must"),
+        (["predict-rate", "--t", "30", "--sweep", "q", "--sweep-from", "16", "--sweep-to", "64"],
+         "sweeping q requires a fixed --s"),
     ],
     ids=["sweep-from-zero", "sweep-from-negative", "zero-points", "zero-budget-sweep",
-         "points-above-cap", "budget-sweep-above-cap", "grid-above-cap"],
+         "points-above-cap", "budget-sweep-above-cap", "grid-above-cap", "sweep-without-s"],
 )
 def test_bad_sweep_arguments_are_input_errors(city_model_json, capsys, extra, message):
     argv = [extra[0], str(city_model_json), *extra[1:]]
@@ -324,6 +334,33 @@ def test_rate_outside_float_range_is_input_error(city_model_json, capsys, extra)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: rate must be a finite real > 0")
+
+
+def test_optimize_needs_quality_parameters(tmp_path, capsys):
+    path = tmp_path / "rate-only.json"
+    write_model_file(path, ModelFile(ref=REF, rate=CITY))
+    assert main(["optimize", str(path), "--budget", "500"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: model document has no quality parameters\n"
+
+
+@pytest.mark.parametrize("command", [["fit"], ["predict-rate", "MODEL", "--log"]],
+                         ids=["fit", "predict-rate"])
+def test_log_with_q_and_qp_warns(city_model_json, tmp_path, capsys, command):
+    # qp wins over q; stdout reads the same as from the qp column alone.
+    rows = ["16,28,704,576,30,2379", "64,40,704,576,30,344.4", "16,28,352,288,30,900",
+            "16,28,704,576,15,1400"]
+    log = tmp_path / "log.csv"
+    argv = [str(city_model_json) if arg == "MODEL" else arg for arg in command] + [str(log)]
+    log.write_text("qp,width,height,fps,rate_kbps\n" + "\n".join(r[3:] for r in rows) + "\n")
+    assert main(argv) == 0
+    alone = capsys.readouterr()
+    log.write_text("q,qp,width,height,fps,rate_kbps\n" + "\n".join(rows) + "\n")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == alone.out
+    assert captured.err == "warning: log has both 'q' and 'qp' columns; using 'qp'\n" + alone.err
 
 
 def test_huge_qp_in_log_is_input_error(tmp_path, capsys):

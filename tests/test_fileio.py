@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -117,6 +118,53 @@ class TestEncodeLogCsv:
         )
         log, _ = read_encode_log(path)
         assert log.samples[0].tag == "city"
+
+    def test_needs_a_stepsize_column(self, tmp_path):
+        path = write(tmp_path, "log.csv", "width,height,fps,rate_kbps\n704,576,30,2379\n")
+        with pytest.raises(InvalidParameterError, match="^.*: line 1: need a 'q' or 'qp' column$"):
+            read_encode_log(path)
+
+    @pytest.mark.parametrize(
+        "header,name",
+        [("q,width,height,fps,rate_kbps,rate_kbps", "rate_kbps"),
+         (" q,q,width,height,fps,rate_kbps", "q"),
+         ("label,q,width,height,fps,rate_kbps,label ", "label")],
+        ids=["repeated", "strips-alike", "optional-column"],
+    )
+    def test_name_given_twice(self, tmp_path, header, name):
+        path = write(tmp_path, "log.csv", f"{header}\n16,704,576,30,100,5\n")
+        with pytest.raises(InvalidParameterError) as err:
+            read_encode_log(path)
+        assert str(err.value) == f"{path}: line 1: {name!r} is named twice"
+
+    def test_non_empty_cell_past_the_header(self, tmp_path):
+        text = "q,width,height,fps,rate_kbps\n16,704,576,30,2379\n16,704,576,30,2,383.1\n"
+        path = write(tmp_path, "log.csv", text)
+        with pytest.raises(InvalidParameterError) as err:
+            read_encode_log(path)
+        assert str(err.value) == f"{path}: line 3: non-empty cell past column 5"
+
+    def test_empty_cells_past_the_header_allowed(self, tmp_path):
+        text = "q,width,height,fps,rate_kbps\n16,704,576,30,2379,\n64,704,576,30,344.4, ,\n"
+        log, _ = read_encode_log(write(tmp_path, "log.csv", text))
+        assert [sample.rate for sample in log.samples] == [2379.0, 344.4]
+
+    @pytest.mark.parametrize("blanks", [0, 2])
+    def test_csv_error_names_the_line_the_reader_stopped_on(self, tmp_path, blanks):
+        # A field over csv's size limit on line 3, after any blank lines.
+        limit = csv.field_size_limit()
+        head = "q,width,height,fps,rate_kbps\n16,704,576,30,2379\n" + "\n" * blanks
+        path = write(tmp_path, "log.csv", head + "16," + "7" * (limit + 1) + ",1,30,1\n")
+        with pytest.raises(InvalidParameterError) as err:
+            read_encode_log(path)
+        assert str(err.value) == f"{path}: line {3 + blanks}: field larger than field limit ({limit})"
+
+    def test_bytes_not_utf8_name_no_line(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"q,width,height,fps,rate_kbps\n16,\xff,1,30,1\n")
+        with pytest.raises(InvalidParameterError) as err:
+            read_encode_log(path)
+        assert str(err.value).startswith(f"{path}: not UTF-8: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestFrameSizes:
@@ -272,14 +320,43 @@ class TestFeatures:
             ("f.json", json.dumps({"mu_dfd": 8, "sigma_mvm": 4}), ""),
             ("f.csv", "mu_dfd,sigma_mvm,sigma_mda\n8,x,2\n", "line 2: "),
             ("f.csv", "mu_dfd,sigma_mvm\n8,4\n", "line 2: "),
+            ("f.csv", "mu_dfd,sigma_mvm,sigma_mda\n", "no feature records"),
         ],
-        ids=["json-string", "json-missing", "csv-non-numeric", "csv-missing"],
+        ids=["json-string", "json-missing", "csv-non-numeric", "csv-missing", "csv-header-only"],
     )
     def test_errors_start_with_path(self, tmp_path, name, text, prefix):
         path = write(tmp_path, name, text)
         with pytest.raises(InvalidParameterError) as err:
             read_features(path)
         assert str(err.value).startswith(f"{path}: {prefix}")
+
+
+MODEL_TEXT = json.dumps(model_to_dict(ModelFile(REF, scenario="city", rate=rate_params("city"))))
+
+
+@pytest.mark.parametrize(
+    "reader,name,text,key",
+    [
+        (read_model_file, "model.json", MODEL_TEXT[:-1] + ', "scenario": "crew"}', "scenario"),
+        (read_model_file, "model.json",
+         MODEL_TEXT.replace('"r_max": 2379.0', '"r_max": 2379.0, "r_max": 5'), "r_max"),
+        (read_sets_config, "sets.json",
+         '{"s_values": [1, 2], "t_values": [15, 30], "q_range": [16, 104], "t_values": [30]}',
+         "t_values"),
+        (read_levels_config, "levels.json",
+         '{"s_values": [1, 2], "t_values": [15, 30], "q_levels": [64, 16], "q_levels": [16]}',
+         "q_levels"),
+        (read_features, "f.json", '{"mu_dfd": 8, "sigma_mvm": 4, "sigma_mda": 2, "mu_dfd": 9}',
+         "mu_dfd"),
+    ],
+    ids=["model", "model-section", "sets", "levels", "features"],
+)
+def test_json_name_given_twice(tmp_path, reader, name, text, key):
+    # json.loads alone keeps the last value of a repeated name.
+    path = write(tmp_path, name, text)
+    with pytest.raises(InvalidParameterError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}: invalid JSON: {key!r} is named twice"
 
 
 def readme_example(label: str) -> str:

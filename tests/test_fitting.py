@@ -26,6 +26,8 @@ from starq import (
     normalize_nrt,
     pearson,
 )
+from starq._solve import minimize_bounded
+from starq.fitting import _exponent_sse
 
 CITY = rate_params("city")
 
@@ -120,6 +122,12 @@ class TestPowerExponent:
         with pytest.raises(InvalidParameterError):
             fit_power_exponent([(1.0, 1.0), (2.0, 0.5)], "sideways")
 
+    def test_equal_ratios_skip_the_log_log_seed(self):
+        # Equal ratios other than 1 have no log-log slope (0 / 0); the search
+        # alone decides, with no RuntimeWarning.
+        search = minimize_bounded(_exponent_sse(np.array([0.5, 0.5]), np.ones(2), 1.0), 0.0, 4.0)
+        assert fit_power_exponent([(0.5, 1.0), (0.5, 1.0)], "increasing") == search.x
+
 
 @pytest.mark.parametrize("scenario", sorted(RATE_TABLES))
 @pytest.mark.parametrize("sequence", SEQUENCES)
@@ -186,6 +194,26 @@ class TestFitRateParams:
         log = synthetic_log(CITY)
         report = fit_rate_params(log)
         assert len(report.per_sample_residuals) == len(log.samples)
+
+    def test_single_stepsize_insufficient(self):
+        samples = [(16.0, REF.s_max, 30.0, 1000.0), (16.0, REF.s_max, 15.0, 600.0),
+                   (16.0, float(QCIF), 30.0, 90.0)]
+        with pytest.raises(InsufficientDataError, match="not enough distinct stepsize"):
+            fit_rate_params(small_log(samples))
+
+    def test_joint_without_anchor_needs_four_samples(self):
+        samples = [(16.0, float(QCIF), 30.0, 90.0), (26.0, REF.s_max, 30.0, 800.0),
+                   (26.0, REF.s_max, 15.0, 550.0)]
+        log = EncodeLog.from_samples([RateSample(Star(q, s, t), r) for q, s, t, r in samples])
+        with pytest.raises(InsufficientDataError, match="at least four samples"):
+            fit_rate_params(log, mode="joint")
+
+    def test_joint_without_anchor_needs_every_axis_to_vary(self):
+        # One frame rate, below the reference one: the regression has rank 3.
+        samples = [(16.0, float(QCIF), 15.0, 45.0), (26.0, float(QCIF), 15.0, 30.0),
+                   (26.0, REF.s_max, 15.0, 400.0), (64.0, REF.s_max, 15.0, 150.0)]
+        with pytest.raises(InsufficientDataError, match="do not vary enough"):
+            fit_rate_params(small_log(samples), mode="joint")
 
     def test_unknown_mode(self):
         with pytest.raises(InvalidParameterError):
@@ -260,6 +288,8 @@ class TestEncodeLog:
     def test_empty_log_rejected(self):
         with pytest.raises(InvalidParameterError):
             EncodeLog(samples=(), ref=REF)
+        with pytest.raises(InvalidParameterError, match="empty log"):
+            EncodeLog.from_samples([])
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -310,6 +340,10 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
             pearson([1, 2], [1, 2, 3])
+
+    def test_needs_two_points(self):
+        with pytest.raises(InvalidParameterError, match="at least two points"):
+            pearson([1.0], [2.0])
 
     @given(
         alpha=st.floats(min_value=1e-2, max_value=1e2),

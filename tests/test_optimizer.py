@@ -232,6 +232,9 @@ class TestDiscrete:
         short_s = FeasibleSets((float(QCIF), float(CIF4) / 4), LAYER_T, (16.0, 104.0))
         with pytest.raises(InvalidParameterError):
             optimize_discrete(CITY, CITY_Q, short_s, 500.0)
+        short_t = FeasibleSets(LAYER_S, LAYER_T[:-1], (16.0, 104.0))
+        with pytest.raises(InvalidParameterError, match="largest frame rate"):
+            optimize_discrete(CITY, CITY_Q, short_t, 500.0)
 
 
 class TestFitQr:

@@ -95,6 +95,18 @@ class TestBuildLayerGrid:
         with pytest.raises(InvalidParameterError):
             build_layer_grid(CITY, CITY_Q, ["101376", "405504"], ["15", "30"], ["32", "16"])
 
+    def test_tables_must_match_the_levels(self):
+        rate = np.array([[[10.0, 20.0]]])
+        with pytest.raises(InvalidParameterError, match=r"rate table shape must be \(1, 1, 3\)"):
+            LayerGrid((1.0,), (1.0,), (4.0, 3.0, 2.0), rate, np.zeros((1, 1, 3)))
+
+    def test_rate_must_rise_along_every_axis(self):
+        # Rising along the stepsize axis, but falling from 10 to 5 along the
+        # frame-rate axis at the coarsest stepsize.
+        rate = np.array([[[10.0, 20.0], [5.0, 30.0]]])
+        with pytest.raises(InvalidParameterError, match="rate must increase strictly"):
+            LayerGrid((1.0,), (1.0, 2.0), (4.0, 2.0), rate, np.zeros((1, 2, 2)))
+
 
 class TestForward:
     def test_single_axis_path_is_unique(self):
@@ -228,6 +240,17 @@ class TestOrderedPathInvariants:
         b = PathStep(1, 1, 0, 2.0, 2.0, 4.0, 30.0, 0.5)
         with pytest.raises(InvalidParameterError):
             OrderedPath(steps=(a, b), direction="forward")
+
+    def test_levels_must_not_fall_along_the_path(self):
+        # The indices step by +1 in l, but the frame size falls.
+        a = PathStep(0, 0, 0, 2.0, 1.0, 4.0, 10.0, 0.2)
+        b = PathStep(1, 0, 0, 1.0, 1.0, 4.0, 30.0, 0.5)
+        with pytest.raises(InvalidParameterError, match="monotonicity"):
+            OrderedPath(steps=(a, b), direction="forward")
+
+    def test_one_step_path_has_no_rate_gap(self):
+        path = OrderedPath(steps=(PathStep(0, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2),), direction="forward")
+        assert max_rate_gap(path) == 0.0
 
     @given(
         dims=st.tuples(
