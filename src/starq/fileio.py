@@ -77,15 +77,15 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     present qp wins, with a warning, since qp is what encoders log. Returns
     the log and any warnings.
     """
-    index, rows = _read_csv(path)
+    index, line, rows = _read_csv(path)
     if index is None:
         raise InvalidParameterError("empty file, expected a CSV header")
     missing = [c for c in _LOG_COLUMNS if c not in index]
     if missing:
-        raise InvalidParameterError(f"line 1: missing columns {missing}")
+        raise InvalidParameterError(f"line {line}: missing columns {missing}")
     q_column = "qp" if "qp" in index else "q"
     if q_column not in index:
-        raise InvalidParameterError("line 1: need a 'q' or 'qp' column")
+        raise InvalidParameterError(f"line {line}: need a 'q' or 'qp' column")
     warnings = []
     if q_column == "qp" and "q" in index:
         warnings.append("log has both 'q' and 'qp' columns; using 'qp'")
@@ -201,7 +201,7 @@ def read_features(path) -> FeatureVector:
     file, under the keys mu_dfd, sigma_mvm and sigma_mda."""
     if path.suffix.lower() != ".csv":
         return _build(FeatureVector, _read_json(path))
-    index, rows = _read_csv(path)
+    index, _, rows = _read_csv(path)
     if not rows:
         raise InvalidParameterError("no feature records")
     num, row = rows[0]
@@ -212,19 +212,20 @@ def read_features(path) -> FeatureVector:
         raise InvalidParameterError(f"line {num}: {exc}") from None
 
 
-def _read_csv(path: Path) -> tuple[dict[str, int] | None, list[tuple[int, list[str]]]]:
-    # The column of each header name (None for an empty file) and the data
-    # rows, each with the line it ends on. The first line is the header. Names
-    # and cells are stripped, nameless columns are not read, blank rows are
-    # skipped and short rows padded; a cell past the header must be empty.
-    with path.open(newline="", encoding="utf-8") as handle:
+def _read_csv(path: Path) -> tuple[dict[str, int] | None, int, list[tuple[int, list[str]]]]:
+    # The column of each header name (None for a file of blank lines) and the
+    # header's and each data row's last line. The first row is the header; a
+    # leading UTF-8 byte-order mark is dropped. Names and cells are stripped,
+    # nameless columns are not read, blank rows are skipped and short rows
+    # padded; a cell past the header must be empty.
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader, None)
+            header = next(filter(None, reader), None)
             if header is None:
-                return None, []
+                return None, reader.line_num, []
             index = _named_once((name, i) for i, name in enumerate(map(str.strip, header)) if name)
-            rows = []
+            header_line, rows = reader.line_num, []
             for row in reader:
                 if row:
                     cells = list(map(str.strip, row))
@@ -235,12 +236,12 @@ def _read_csv(path: Path) -> tuple[dict[str, int] | None, list[tuple[int, list[s
             raise InvalidParameterError(f"line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise InvalidParameterError(f"not UTF-8: {exc}") from None
-    return index, rows
+    return index, header_line, rows
 
 
 def _read_json(path: Path) -> dict:
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_named_once)
+        doc = json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=_named_once)
     except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too deep, or a name given twice
         raise InvalidParameterError(f"invalid JSON: {exc}") from None
     return _object(doc)

@@ -110,7 +110,22 @@ def _positive_arrays(**values) -> list[np.ndarray]:
 
 
 def _qp(q):
-    return 4.0 + 6.0 * np.log2(q)
+    x = np.log2(q)
+    x *= 6.0
+    x += 4.0
+    return x
+
+
+def _times(x, y):
+    # x * y, written into the larger operand where that is a private temporary
+    # array of the product's shape; else a new array or numpy scalar. Swapped
+    # operands give the same bits, as x is never NaN where they swap.
+    a, b = (x, y) if type(x) is np.ndarray and getattr(y, "size", 1) <= x.size else (y, x)
+    try:
+        a *= b
+        return a
+    except ValueError:  # the product is larger than a
+        return x * y
 
 
 @dataclass(frozen=True)
@@ -200,8 +215,16 @@ class QualityParams:
 
     def alpha_s(self, q):
         """Stepsize-coupled spatial falloff coefficient, flat below the QP clamp."""
-        qp = np.maximum(_qp(q), self.qp_clamp)
-        return self.alpha_s_tilde * (self.nu1 * qp + self.nu2)
+        return -self._minus_alpha_s(q)
+
+    def _minus_alpha_s(self, q):
+        # alpha_s with the sign in the coefficient, bit for bit: -c * x is -(c * x).
+        x = _qp(q)
+        x = np.maximum(x, self.qp_clamp, out=x if type(x) is np.ndarray else None)
+        x *= self.nu1
+        x += self.nu2
+        x *= -self.alpha_s_tilde
+        return x
 
 
 @dataclass(frozen=True)
@@ -218,7 +241,7 @@ class QrModel:
 
 
 def _check_shared_ref(rp: RateParams, qp: QualityParams) -> None:
-    if not rp.ref.matches(qp.ref):
+    if rp.ref is not qp.ref and not rp.ref.matches(qp.ref):
         raise InvalidParameterError("rate and quality parameters use different references")
 
 
@@ -268,12 +291,22 @@ def evaluate_rate(p: RateParams, x: Star) -> float:
 
 
 def _quality(p: QualityParams, q, s, t):
+    # The plain product's ufuncs, operands and order, each temporary written in place once made.
     ref = p.ref
     d_q, d_s, d_t = p._denominators
-    f_q = np.expm1(-p.alpha_q * np.power(ref.q_min / q, p.beta_q)) / d_q
-    f_s = np.expm1(-p.alpha_s(q) * np.power(s / ref.s_max, p.beta_s)) / d_s
-    f_t = np.expm1(-p.alpha_t * np.power(t / ref.t_max, p.beta_t)) / d_t
-    return f_q * f_s * f_t
+    f_q = _factor(-p.alpha_q, ref.q_min / q, p.beta_q, d_q)
+    f_s = _factor(p._minus_alpha_s(q), s / ref.s_max, p.beta_s, d_s)
+    f_t = _factor(-p.alpha_t, t / ref.t_max, p.beta_t, d_t)
+    return _times(_times(f_q, f_s), f_t)
+
+
+def _factor(minus_alpha, ratio, beta, d):
+    # expm1(minus_alpha * ratio ** beta) / d of private temporaries.
+    x = np.power(ratio, beta, out=ratio if type(ratio) is np.ndarray else None)
+    x = _times(minus_alpha, x)
+    x = np.expm1(x, out=x) if type(x) is np.ndarray else np.expm1(x)
+    x /= d
+    return x
 
 
 def quality_surface(p: QualityParams, q, s, t):

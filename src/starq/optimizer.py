@@ -71,10 +71,10 @@ def _budget_q(p: RateParams, s, t, budget):
     if p.a == 0:
         raise InvalidParameterError("stepsize exponent a = 0 leaves the budget equation unsolvable")
     ref = p.ref
-    return ref.q_min * np.power(
-        (p.r_max / budget) * np.power(s / ref.s_max, p.c) * np.power(t / ref.t_max, p.b),
-        1.0 / p.a,
-    )
+    x = (p.r_max / budget) * np.power(s / ref.s_max, p.c) * np.power(t / ref.t_max, p.b)
+    x = np.power(x, 1.0 / p.a, out=x if type(x) is np.ndarray else None)
+    x *= ref.q_min
+    return x
 
 
 def feasible_q(p: RateParams, s, t, budget):
@@ -131,9 +131,10 @@ def _best_cells(rp: RateParams, qp: QualityParams, budget, s, t):
     # stepsizes >= q_limit score <= 0 and all others > 0, so the best cell
     # lies at or above q_limit only when every cell does; callers check it.
     s, t = s[:, None], t[None, :]
-    q = np.maximum(_budget_q(rp, s, t, budget), rp.ref.q_min)
+    q = _budget_q(rp, s, t, budget)
+    np.maximum(q, rp.ref.q_min, out=q)
     quality = _quality(qp, q, s, t)
-    i, j = divmod(np.argmax(quality.reshape(len(budget), -1), axis=1), t.size)
+    i, j = divmod(quality.reshape(len(budget), -1).argmax(axis=1), t.size)
     rows = np.arange(len(budget))
     return quality[rows, i, j], q[rows, i, j], i, j
 
@@ -159,13 +160,13 @@ def optimize_continuous(
     n = _grid_size(grid)
     budgets = np.array(budget).reshape(1, 1, 1)
     s_axis, t_axis = _axes(rp.ref, n, n)
-    quality, q, i, j = (v[0] for v in _best_cells(rp, qp, budgets, s_axis, t_axis))
+    (quality,), (q,), (i,), (j,) = _best_cells(rp, qp, budgets, s_axis, t_axis)
     s, t = s_axis[i], t_axis[j]
     # One grid-halving pass: 5 x 5 points spanning the best cell's neighbours.
     lo = np.array([s_axis[max(i - 1, 0)], t_axis[max(j - 1, 0)]])
     hi = np.array([s_axis[min(i + 1, n - 1)], t_axis[min(j + 1, n - 1)]])
     s_fine, t_fine = _geomspace(lo, hi, 5)
-    fine_quality, fine_q, fi, fj = (v[0] for v in _best_cells(rp, qp, budgets, s_fine, t_fine))
+    (fine_quality,), (fine_q,), (fi,), (fj,) = _best_cells(rp, qp, budgets, s_fine, t_fine)
     if fine_quality > quality:
         quality, q, s, t = fine_quality, fine_q, s_fine[fi], t_fine[fj]
     quality, q, s, t = float(quality), float(q), float(s), float(t)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -158,6 +159,27 @@ class TestEncodeLogCsv:
         with pytest.raises(InvalidParameterError) as err:
             read_encode_log(path)
         assert str(err.value) == f"{path}: line {3 + blanks}: field larger than field limit ({limit})"
+
+    def test_blank_lines_before_the_header_skipped(self, tmp_path):
+        path = write(tmp_path, "log.csv", "\nq,width\n1,2\n")
+        with pytest.raises(InvalidParameterError) as err:
+            read_encode_log(path)
+        assert str(err.value) == f"{path}: line 2: missing columns ['height', 'fps', 'rate_kbps']"
+        text = "\n\r\nq,width,height,fps,rate_kbps\n16,704,576,x,2379\n"
+        with pytest.raises(InvalidParameterError, match="^.*: line 4: fps must be a number"):
+            read_encode_log(write(tmp_path, "log.csv", text))
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [('"wid\nth",q', "missing columns ['width', 'height', 'fps', 'rate_kbps']"),
+         ('width,height,fps,rate_kbps,"la\nbel"', "need a 'q' or 'qp' column")],
+        ids=["missing-columns", "no-stepsize"],
+    )
+    def test_header_faults_name_the_line_the_header_ends_on(self, tmp_path, header, message):
+        path = write(tmp_path, "log.csv", f"{header}\n")
+        with pytest.raises(InvalidParameterError) as err:
+            read_encode_log(path)
+        assert str(err.value) == f"{path}: line 2: {message}"
 
     def test_bytes_not_utf8_name_no_line(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -357,6 +379,23 @@ def test_json_name_given_twice(tmp_path, reader, name, text, key):
     with pytest.raises(InvalidParameterError) as err:
         reader(path)
     assert str(err.value) == f"{path}: invalid JSON: {key!r} is named twice"
+
+
+@pytest.mark.parametrize(
+    "reader,name,text",
+    [
+        (read_encode_log, "log.csv", "q,width,height,fps,rate_kbps\n16,704,576,30,2379\n"),
+        (read_features, "f.csv", "mu_dfd,sigma_mvm,sigma_mda\n8,4,2.5\n"),
+        (read_features, "f.json", '{"mu_dfd": 8, "sigma_mvm": 4, "sigma_mda": 2.5}'),
+        (read_model_file, "model.json", MODEL_TEXT),
+    ],
+    ids=["log-csv", "features-csv", "features-json", "model"],
+)
+def test_utf8_byte_order_mark_accepted(tmp_path, reader, name, text):
+    # Excel's "CSV UTF-8" starts its files with one.
+    path = tmp_path / f"bom-{name}"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert reader(path) == reader(write(tmp_path, name, text))
 
 
 def readme_example(label: str) -> str:

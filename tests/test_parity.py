@@ -6,17 +6,24 @@ walk the steps of its first form.
 ``np.geomspace``, their ladder pairs without ``np.meshgrid`` and their best
 cell without ``np.unravel_index``, and read the quality surface's normalizing
 denominators from ``QualityParams`` instead of computing them per call. The
-reference functions below are that plain form. ``order_forward`` and
-``order_backward`` walk lattice positions and let ``OrderedPath`` derive the
-flagged steps; the reference walk builds a ``PathStep`` per move from a move
-table and flags the steps itself. The fit path's scalar-search objectives
-(the exponent fit's squared error, the Q(R) fit's RMSE) reduce in place
-without numpy's Python-level wrappers, and the CSV reader indexes
-``csv.reader`` rows instead of building a dict per row; the references are
-their first forms. Results must be equal with ``==``, not to a tolerance.
-The CSV reader also keeps rules of its own where csv.DictReader had quirks
-(a name given twice, a non-empty cell past the header, the line of a csv
-error); generated texts those rules decide are checked against the rules.
+quality surface and the budget-exact stepsize write their temporaries in
+place; ``reference_quality`` and ``reference_budget_q`` are their allocating
+expressions, and every other reference is built on them, so a fault in the
+in-place forms cannot cancel out. For Python-float, 0-d, 1-d and broadcast
+inputs the in-place forms must give the same bits, the same first
+floating-point error under numpy's raise mode and the same warnings, and
+leave their inputs as they were. The reference functions below are that
+plain form. ``order_forward`` and ``order_backward`` walk lattice positions
+and let ``OrderedPath`` derive the flagged steps; the reference walk builds
+a ``PathStep`` per move from a move table and flags the steps itself. The
+fit path's scalar-search objectives (the exponent fit's squared error, the
+Q(R) fit's RMSE) reduce in place without numpy's Python-level wrappers,
+and the CSV reader indexes ``csv.reader`` rows instead of building a dict
+per row; the references are their first forms. Results must be equal with
+``==``, not to a tolerance. The CSV reader also keeps rules of its own
+where csv.DictReader had quirks (a name given twice, a non-empty cell past
+the header, the line of a csv error, blank lines before the header);
+generated texts those rules decide are checked against the rules.
 """
 
 from __future__ import annotations
@@ -24,13 +31,24 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sequences import LAYER_Q, LAYER_S, LAYER_T, REF, SEQUENCES, quality_params, rate_params
+from sequences import (
+    LAYER_Q,
+    LAYER_S,
+    LAYER_T,
+    RATE_TABLES,
+    REF,
+    SEQUENCES,
+    quality_params,
+    rate_params,
+)
 from starq import (
     DegenerateDataError,
     FeasibleSets,
@@ -44,6 +62,7 @@ from starq import (
     StarqError,
     build_layer_grid,
     evaluate_quality,
+    feasible_q,
     fit_power_exponent,
     fit_qr,
     optimal_quality_curve,
@@ -51,31 +70,45 @@ from starq import (
     optimize_discrete,
     order_backward,
     order_forward,
+    quality_surface,
     rate_surface,
 )
 from starq import fileio
 from starq.fileio import _number, _read_csv, _reader, read_encode_log
 from starq.fitting import EncodeLog, RateSample, _exponent_sse
 from starq._solve import minimize_bounded
-from starq.models import _REL_TOL, _check, _check_q_limit, _rate, stepsize_from_qp
+from starq.models import _REL_TOL, _check, _check_q_limit, _quality, _rate, stepsize_from_qp
 from starq.optimizer import QrFit, _budget_q, _geomspace, _qr_rmse
 
 GRIDS = (2, 3, 5, 64, 128)
 DYADIC = FeasibleSets(s_values=LAYER_S, t_values=LAYER_T, q_range=(16.0, 104.0))
 
 
+def reference_alpha_s(p, q):
+    qp = np.maximum(4.0 + 6.0 * np.log2(q), p.qp_clamp)
+    return p.alpha_s_tilde * (p.nu1 * qp + p.nu2)
+
+
 def reference_quality(p, q, s, t):
     ref = p.ref
     f_q = np.expm1(-p.alpha_q * np.power(ref.q_min / q, p.beta_q)) / np.expm1(-p.alpha_q)
-    a_s_ref = p.alpha_s(ref.q_min)
-    f_s = np.expm1(-p.alpha_s(q) * np.power(s / ref.s_max, p.beta_s)) / np.expm1(-a_s_ref)
+    a_s_ref = reference_alpha_s(p, ref.q_min)
+    f_s = np.expm1(-reference_alpha_s(p, q) * np.power(s / ref.s_max, p.beta_s)) / np.expm1(-a_s_ref)
     f_t = np.expm1(-p.alpha_t * np.power(t / ref.t_max, p.beta_t)) / np.expm1(-p.alpha_t)
     return f_q * f_s * f_t
 
 
+def reference_budget_q(rp, s, t, budget):
+    ref = rp.ref
+    return ref.q_min * np.power(
+        (rp.r_max / budget) * np.power(s / ref.s_max, rp.c) * np.power(t / ref.t_max, rp.b),
+        1.0 / rp.a,
+    )
+
+
 def reference_best_cells(rp, qp, budget, s, t):
     s, t = s[:, None], t[None, :]
-    q = np.maximum(_budget_q(rp, s, t, budget), rp.ref.q_min)
+    q = np.maximum(reference_budget_q(rp, s, t, budget), rp.ref.q_min)
     quality = reference_quality(qp, q, s, t)
     best = np.argmax(quality.reshape(len(budget), -1), axis=1)
     i, j = np.unravel_index(best, quality.shape[1:])
@@ -108,7 +141,7 @@ def reference_continuous(rp, qp, budget, n):
 def reference_discrete(rp, qp, sets, budget):
     q_lo, q_hi = sets.q_range
     s, t = (v.ravel() for v in np.meshgrid(sets.s_values, sets.t_values, indexing="ij"))
-    q = np.maximum(_budget_q(rp, s, t, budget), q_lo)
+    q = np.maximum(reference_budget_q(rp, s, t, budget), q_lo)
     feasible = q <= q_hi * (1.0 + _REL_TOL)
     if not feasible.any():
         raise InfeasibleError(f"budget {budget} kbps is unreachable even at the coarsest stepsize")
@@ -184,6 +217,89 @@ def test_layer_grid_and_evaluate_quality_match_reference(sequence):
     for x in zip(*(rng.uniform(lo, hi, 40).tolist() for lo, hi in
                    ((16.0, 700.0), (LAYER_S[0] / 4, LAYER_S[-1]), (1.0, 30.0)))):
         assert evaluate_quality(qp, Star(*x)) == float(reference_quality(qp, *x))
+
+
+# Input forms of the surfaces: a Python float, a 0-d array, a 1-d axis, the
+# three axes of a layer lattice as build_layer_grid passes them, a 2-d grid
+# and a full lattice. Any three of them broadcast together.
+FORMS = (None, (), (3,), (2, 1, 1), (1, 4, 1), (1, 1, 3), (4, 3), (2, 4, 3))
+# Magnitudes near the model's domain, and any positive finite float, so that
+# the surfaces over- and underflow.
+magnitudes = st.one_of(
+    st.floats(1e-3, 1e6),
+    st.floats(min_value=0.0, max_value=np.finfo(float).max, exclude_min=True),
+)
+
+
+@st.composite
+def surface_inputs(draw, n):
+    inputs = []
+    for _ in range(n):
+        form = draw(st.sampled_from(FORMS))
+        size = 1 if form is None else math.prod(form)
+        values = draw(st.lists(magnitudes, min_size=size, max_size=size))
+        inputs.append(values[0] if form is None else np.reshape(values, form))
+    return inputs
+
+
+def bits(value):
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+def surface_outcome(f, *args):
+    # The first floating-point error under numpy's raise mode, or the
+    # result's bits; then the result's bits again with every numpy warning
+    # recorded. A package error stands for both.
+    try:
+        with np.errstate(all="raise"):
+            try:
+                raised = bits(f(*args))
+            except FloatingPointError as exc:
+                raised = str(exc)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+            warnings.simplefilter("always")
+            value = bits(f(*args))
+        return raised, value, [str(w.message) for w in caught]
+    except StarqError as exc:
+        return type(exc), str(exc)
+
+
+def as_arrays(*args):
+    # What the public surfaces validate their inputs into.
+    return [np.asarray(v, dtype=float) for v in args]
+
+
+def reference_quality_surface(p, q, s, t):
+    q, s, t = as_arrays(q, s, t)
+    _check_q_limit(q.max(initial=0.0))
+    return reference_quality(p, q, s, t)
+
+
+def reference_feasible_q(p, s, t, budget):
+    return reference_budget_q(p, *as_arrays(s, t, budget))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sequence=st.sampled_from(SEQUENCES),
+    scenario=st.sampled_from(sorted(RATE_TABLES)),
+    qst=surface_inputs(3),
+    budget=surface_inputs(1),
+)
+@example(sequence="city", scenario="svc1", qst=[5e-324, 1e5, 10.0], budget=[1e-300])
+@example(sequence="crew", scenario="svc1", qst=[1e-300, 1e300, 1e300], budget=[1e300])
+def test_surfaces_in_place_match_reference(sequence, scenario, qst, budget):
+    rp, qp = rate_params(sequence, scenario), quality_params(sequence)
+    q, s, t = qst
+    before = [bits(v) for v in (q, s, t, *budget)]
+    for got, want, args in (
+        (_quality, reference_quality, (qp, q, s, t)),
+        (quality_surface, reference_quality_surface, (qp, q, s, t)),
+        (_budget_q, reference_budget_q, (rp, s, t, *budget)),
+        (feasible_q, reference_feasible_q, (rp, s, t, *budget)),
+    ):
+        assert surface_outcome(got, *args) == surface_outcome(want, *args), got.__name__
+    assert [bits(v) for v in (q, s, t, *budget)] == before
 
 
 def numpy_outcome(f):
@@ -466,9 +582,10 @@ def csv_view(read, path, reference):
     # names (None for an empty file) and each row's line number and cells by
     # non-empty name; or the type and message of the error raised.
     try:
-        names, rows = read(path)
+        result = read(path)
     except StarqError as exc:
         return type(exc), str(exc)
+    names, rows = result[0], result[-1]
     if names is None:
         return None, rows
     if reference:
@@ -486,11 +603,13 @@ def assert_readers_match(path):
 def own_rule_error(text):
     # The error the reader's own rules give a text, or None for a text they
     # leave as csv.DictReader read it: a stripped name given twice, a
-    # non-empty cell past the header's last column, or a csv error on the
-    # line the reader stopped on.
+    # non-empty cell past the header's last column, a csv error on the line
+    # the reader stopped on, or a fault of a header that spans lines, on the
+    # line where it ends.
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, [])
+        header_line = reader.line_num
         names = [name.strip() for name in header if name.strip()]
         for i, name in enumerate(names):
             if name in names[:i]:
@@ -500,6 +619,11 @@ def own_rule_error(text):
                 return f"line {reader.line_num}: non-empty cell past column {len(header)}"
     except csv.Error as exc:
         return f"line {reader.line_num}: {exc}"
+    missing = [c for c in fileio._LOG_COLUMNS if c not in names]
+    if header_line > 1 and missing:
+        return f"line {header_line}: missing columns {missing}"
+    if header_line > 1 and "q" not in names and "qp" not in names:
+        return f"line {header_line}: need a 'q' or 'qp' column"
     return None
 
 
@@ -542,8 +666,22 @@ def csv_path(tmp_path_factory):
 @example(text="q,width,height,fps,rate_kbps,rate_kbps\n16,704,576,30,100,5\n")
 @example(text="q,width,height,fps,rate_kbps\n16,704,576,15,1,\n16,704,576,30,2,383.1\n")
 @example(text="\nq,width\n1,2\n")
+@example(text='"a\nb"')
 @example(text="")
 def test_csv_reader_matches_reference(csv_path, text):
+    blank = re.match(r"(?:\r\n|\r|\n)*", text).group()
+    if blank:
+        # Blank lines before the header are skipped: the text reads as it
+        # does without them, with each line number shifted by their count.
+        csv_path.write_text(text[len(blank):], newline="")
+        expected = csv_outcome(read_encode_log, csv_path)
+        if isinstance(expected[1], str):
+            lines = len(re.findall(r"\r\n|\r|\n", blank))
+            message = re.sub(r"line (\d+):", lambda m: f"line {int(m[1]) + lines}:", expected[1])
+            expected = (expected[0], message)
+        csv_path.write_text(text, newline="")
+        assert csv_outcome(read_encode_log, csv_path) == expected
+        return
     csv_path.write_text(text, newline="")
     expected = own_rule_error(text)
     if expected is None:

@@ -76,3 +76,28 @@ def test_quality_curve_matches_single_budget_search(sequence):
         for b in budgets
     ]
     assert [quality for _, quality in curve] == single
+
+
+def snapshot(arrays):
+    return [(a.tobytes(), a.shape, a.strides, repr(a.flags)) for a in arrays]
+
+
+@pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+def test_surfaces_leave_their_inputs_unchanged(writeable):
+    # The surfaces compute in place on temporaries of their own. LayerGrid
+    # stores read-only tables, and callers may share arrays across threads.
+    rp, qp = rate_params("city"), quality_params("city")
+    q, s, t, frac = random_points("city")
+    lattice = [np.array(v[:k]).reshape(shape) for v, k, shape in
+               ((q, 4, (1, 1, -1)), (s, 3, (-1, 1, 1)), (t, 5, (1, -1, 1)))]
+    inputs = [q, s, t, frac * rp.r_max, *lattice, np.array(rp.r_max / 3)]
+    for a in inputs:
+        a.flags.writeable = writeable
+    before = snapshot(inputs)
+    q, s, t, budget, q3, s3, t3, budget0 = inputs
+    for args in ((q, s, t), (q3, s3, t3)):
+        quality_surface(qp, *args)
+        rate_surface(rp, *args)
+    feasible_q(rp, s, t, budget)
+    feasible_q(rp, s3, t3, budget0)
+    assert snapshot(inputs) == before
