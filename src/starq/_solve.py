@@ -6,13 +6,15 @@
 Malcolm and Moler's ``fmin``. It keeps scipy's tolerance rule and iteration
 order, so it visits the same points and returns the same minimizer.
 
-``least_squares_box`` is a projected Levenberg-Marquardt loop for small
-residual vectors with an analytic Jacobian and lower bounds only.
+``least_squares_box`` is a projected Levenberg-Marquardt loop for a few
+parameters with lower bounds only. Each trial point's one normal matrix,
+``[J | r]ᵀ[J | r]``, holds ``JᵀJ``, ``Jᵀr`` and ``rᵀr`` as Python floats.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -136,6 +138,7 @@ def minimize_bounded(
 class BoxLeastSquares(NamedTuple):
     """Outcome of :func:`least_squares_box`.
 
+    ``sse_start`` is the sum of squares at ``x0`` projected onto the bounds.
     ``status`` is ``"converged"`` (the step or the scaled gradient fell below
     tolerance), ``"stalled"`` (no damped step improved on the current point)
     or ``"max_iterations"``.
@@ -143,75 +146,83 @@ class BoxLeastSquares(NamedTuple):
 
     x: np.ndarray
     sse: float
+    sse_start: float
     nit: int
     status: str
 
 
-def least_squares_box(
-    resid_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    x0,
-    lower,
-) -> BoxLeastSquares:
+def least_squares_box(jac_resid: Callable[[list], np.ndarray], x0, lower) -> BoxLeastSquares:
     """Minimize ``sum(r(x)**2)`` subject to ``x >= lower``.
 
-    ``resid_jac(x)`` returns the residual vector and its Jacobian. Each step
-    solves the Marquardt-scaled damped normal equations over the free
-    variables: those above their bound, plus those at it whose descent
-    direction points inward. The trial point is projected onto the bounds
-    and accepted if it lowers the sum of squares, or, once the change is
-    within rounding of the sum, if it lowers the scaled gradient, which
+    ``jac_resid(x)`` takes the point as a list of floats and returns
+    ``[J | r]``, an ``(n, k + 1)`` float array that it may refill on every
+    call. Each step solves the Marquardt-scaled damped normal equations over
+    the free variables: those above their bound, plus those at it whose
+    descent direction points inward. The trial point is projected onto the
+    bounds and accepted if it lowers the sum of squares, or, once the change
+    is within rounding of the sum, if it lowers the scaled gradient, which
     stays informative there. The result never scores worse than ``x0``
     projected onto the bounds.
     """
-    lower = np.asarray(lower, dtype=float)
-    x_start = x = np.maximum(np.asarray(x0, dtype=float), lower)
-    r, jac = resid_jac(x)
-    sse_start = sse = float(r @ r)
-    damping = 1e-3
-    status = "max_iterations"
-    nit = 0
+    k = len(lower)
+    lower = [float(v) for v in lower]
+    x = x_start = [max(float(v), lo) for v, lo in zip(x0, lower)]
+    a = jac_resid(x)
+    m = (a.T @ a).tolist()  # rows of JᵀJ, each with its entry of Jᵀr; last row Jᵀr, rᵀr
+    sse_start = sse = m[k][k]
+    damping, status, nit = 1e-3, "max_iterations", 0
     while nit < _MAX_ITERATIONS:
-        grad = jac.T @ r
-        free = (x > lower) | (grad < 0.0)
-        if sse == 0.0 or not free.any():
+        grad = m[k]
+        free = [i for i in range(k) if x[i] > lower[i] or grad[i] < 0.0]
+        scale = [math.sqrt(m[i][i]) or 1.0 for i in free]
+        g = [grad[i] / si for i, si in zip(free, scale)]
+        if sse == 0.0 or not free or (g_max := max(map(abs, g))) <= _TOL * math.sqrt(sse):
             status = "converged"
             break
-        jf = jac[:, free]
-        scale = np.sqrt(np.einsum("ij,ij->j", jf, jf))
-        scale[scale == 0.0] = 1.0
-        g = grad[free] / scale
-        g_max = np.max(np.abs(g))
-        if g_max <= _TOL * math.sqrt(sse):
-            status = "converged"
-            break
-        h = (jf / scale).T @ (jf / scale)
+        h = [[m[i][j] / (si * sj) for j, sj in zip(free, scale)] for i, si in zip(free, scale)]
         while damping <= 1e16:
-            try:
-                z = np.linalg.solve(h + damping * np.eye(h.shape[0]), -g)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            trial = x.copy()
-            trial[free] += z / scale
-            np.maximum(trial, lower, out=trial)
-            r_trial, jac_trial = resid_jac(trial)
-            sse_trial = float(r_trial @ r_trial)
-            if sse_trial < sse or (
-                sse_trial <= sse * (1.0 + 64 * _EPS)
-                and np.max(np.abs(jac_trial[:, free].T @ r_trial) / scale) < g_max
-            ):
-                break
+            z = _damped_solve(h, damping, g)
+            if z is not None:
+                trial = x.copy()
+                for i, zi, si in zip(free, z, scale):
+                    trial[i] = max(x[i] + zi / si, lower[i])
+                a = jac_resid(trial)
+                m_trial = (a.T @ a).tolist()
+                sse_trial = m_trial[k][k]
+                if sse_trial < sse or (
+                    sse_trial <= sse * (1.0 + 64 * _EPS)
+                    and max(abs(m_trial[k][i]) / si for i, si in zip(free, scale)) < g_max
+                ):
+                    break
             damping *= 10.0
         else:
             status = "stalled"
             break
         nit += 1
-        small_step = bool(np.all(np.abs(trial - x) <= _TOL * (np.abs(x) + _TOL)))
-        x, r, jac, sse = trial, r_trial, jac_trial, sse_trial
+        small_step = all(abs(u - v) <= _TOL * (abs(v) + _TOL) for u, v in zip(trial, x))
+        x, m, sse = trial, m_trial, sse_trial
         damping = max(damping * 0.1, 1e-12)
         if small_step:
             status = "converged"
             break
     if sse > sse_start:
-        return BoxLeastSquares(x_start, sse_start, nit, status)
-    return BoxLeastSquares(x, sse, nit, status)
+        x, sse = x_start, sse_start
+    return BoxLeastSquares(np.array(x), sse, sse_start, nit, status)
+
+
+def _damped_solve(h, damping, g):
+    # z with (h + damping * I) z = -g by elimination without pivoting, or None
+    # where a pivot shows the matrix is not numerically positive definite.
+    a = [[*row, -gi] for row, gi in zip(h, g)]
+    for i, ai in enumerate(a):
+        pivot = ai[i] = ai[i] + damping
+        if not pivot > 0.0:
+            return None
+        for aj in a[i + 1:]:
+            f = aj[i] / pivot
+            for col in range(i + 1, len(ai)):
+                aj[col] -= f * ai[col]
+    z = []
+    for ai in reversed(a):  # back substitution: z holds the later unknowns
+        z.insert(0, (ai[-1] - sum(map(mul, ai[-1 - len(z):-1], z))) / ai[-2 - len(z)])
+    return z

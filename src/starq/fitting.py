@@ -287,11 +287,11 @@ def _columns(samples):
     )
 
 
-def _loglinear_init(ref: ResolutionRef, lq, lt, ls, rate) -> RateParams:
+def _loglinear_init(ref: ResolutionRef, signed, rate) -> RateParams:
     # log rate is linear in the four unknowns; used only to seed the joint fit.
     if len(rate) < 4:
         raise InsufficientDataError("joint fit needs at least four samples")
-    rows = np.column_stack((np.ones_like(lq), -lq, lt, ls))
+    rows = np.column_stack((np.ones(len(rate)), signed))
     coef, _, rank, _ = np.linalg.lstsq(rows, np.log(rate), rcond=None)
     if rank < 4:
         raise InsufficientDataError(
@@ -329,14 +329,14 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
         params = _protocol_fit(log, warnings)
     else:
         ref = log.ref
-        # Per sample: log of q, t and s over their reference values, and the rate.
-        ratios = (np.log(q / ref.q_min), np.log(t / ref.t_max), np.log(s / ref.s_max), measured)
+        # Per sample: -log(q / q_min), log(t / t_max), log(s / s_max).
+        signed = np.array((-np.log(q / ref.q_min), np.log(t / ref.t_max), np.log(s / ref.s_max))).T
         try:
             init = _protocol_fit(log, warnings)
         except (InsufficientDataError, DegenerateDataError):
-            init = _loglinear_init(log.ref, *ratios)
+            init = _loglinear_init(ref, signed, measured)
             warnings.append("anchor samples missing; joint fit seeded by log-domain regression")
-        params = _joint_refine(ratios, init, warnings)
+        params = _joint_refine(signed, measured, init, warnings)
 
     predicted = _rate(params, q, s, t)
     d = measured - predicted
@@ -356,21 +356,29 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
     )
 
 
-def _joint_refine(ratios, init: RateParams, warnings: list[str]) -> RateParams:
-    lq, lt, ls, measured = ratios
+def _joint_refine(signed, measured, init: RateParams, warnings: list[str]) -> RateParams:
+    # The solver's [J | r], filled in place: d model / d (a, b, c) is the
+    # signed log-ratio times the model, d model / d r_max the model at r_max 1.
+    out = np.empty((len(measured), 5), order="F")
+    jac, unit, residual = out[:, :3], out[:, 3], out[:, 4]
 
-    def resid_jac(x):
-        a, b, c, r_max = x
-        unit = np.exp(-a * lq + b * lt + c * ls)
-        model = r_max * unit
-        return model - measured, np.column_stack((-lq * model, lt * model, ls * model, unit))
+    def jac_resid(x):
+        np.multiply(signed, x[:3], out=jac)
+        np.add.reduce(jac, axis=1, out=unit)
+        np.exp(unit, out=unit)
+        np.multiply(unit, x[3], out=residual)
+        np.multiply(signed, residual[:, None], out=jac)
+        np.subtract(residual, measured, out=residual)
+        return out
 
-    x0 = np.array([init.a, init.b, init.c, init.r_max])
-    result = least_squares_box(resid_jac, x0, _JOINT_LOWER)
-    residual0 = resid_jac(x0)[0]
-    sse_init = float(residual0 @ residual0)
+    x0 = (init.a, init.b, init.c, init.r_max)
+    result = least_squares_box(jac_resid, x0, _JOINT_LOWER)
+    sse_init = result.sse_start
+    if any(v < lo for v, lo in zip(x0, _JOINT_LOWER)):  # the solver scored the projected seed
+        jac_resid(x0)
+        sse_init = float(residual @ residual)
     if result.sse > sse_init * (1.0 + 1e-12) + 1e-30:
         warnings.append("joint refinement did not reduce the residual; kept the seed fit")
         return init
-    a, b, c, r_max = (float(v) for v in result.x)
+    a, b, c, r_max = result.x.tolist()
     return RateParams(a=a, b=b, c=c, r_max=r_max, ref=init.ref)

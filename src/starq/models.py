@@ -120,7 +120,16 @@ def _times(x, y):
     # x * y, written into the larger operand where that is a private temporary
     # array of the product's shape; else a new array or numpy scalar. Swapped
     # operands give the same bits, as x is never NaN where they swap.
-    a, b = (x, y) if type(x) is np.ndarray and getattr(y, "size", 1) <= x.size else (y, x)
+    if type(x) is not np.ndarray:  # the product has y's shape
+        y *= x
+        return y
+    size = getattr(y, "size", 1)
+    a, b = (x, y) if size <= x.size else (y, x)
+    # Operands of one rank and two sizes, such as a lattice's (L, 1, 1) and
+    # (1, M, 1) axes, have their shapes tested: a failed write costs more.
+    if size != x.size and getattr(y, "ndim", 0) == x.ndim:
+        if np.broadcast(a, b).shape != a.shape:
+            return x * y
     try:
         a *= b
         return a

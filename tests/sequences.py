@@ -131,3 +131,28 @@ def synthetic_log(params: RateParams, noise: float = 0.0, seed: int = 0) -> Enco
                     rate *= 1.0 + noise * float(rng.standard_normal())
                 samples.append(RateSample(star=star, rate=rate))
     return EncodeLog(samples=tuple(samples), ref=params.ref)
+
+
+def without_anchor(log: EncodeLog) -> EncodeLog:
+    """The log less its sample at the reference point, which leaves it to the
+    joint fit's log-domain seed."""
+    ref = (log.ref.q_min, log.ref.s_max, log.ref.t_max)
+    kept = [x for x in log.samples if (x.star.q, x.star.s, x.star.t) != ref]
+    return EncodeLog(samples=tuple(kept), ref=log.ref)
+
+
+# Joint-fit fixture logs, as (scenario, noise, seed, anchors): both predictor
+# scenarios, noiseless and noisy, with and without the anchor sample.
+JOINT_FIT_CASES = [
+    (scenario, noise, seed, anchors)
+    for scenario in ("svc1", "sl2")
+    for noise, seed in ((0.0, 0), (0.01, 1), (0.01, 2), (0.03, 3))
+    for anchors in (True, False)
+]
+
+
+def joint_fit_logs(scenario: str, noise: float, seed: int, anchors: bool):
+    """One fixture log per sequence for a case of JOINT_FIT_CASES."""
+    for sequence in SEQUENCES:
+        log = synthetic_log(rate_params(sequence, scenario), noise, seed)
+        yield sequence, log if anchors else without_anchor(log)

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sequences import RATE_TABLES, REF, SEQUENCES, rate_params, synthetic_log
+from sequences import (
+    JOINT_FIT_CASES,
+    RATE_TABLES,
+    REF,
+    SEQUENCES,
+    joint_fit_logs,
+    rate_params,
+    synthetic_log,
+)
 from starq import (
     CIF4,
     QCIF,
@@ -218,6 +226,35 @@ class TestFitRateParams:
     def test_unknown_mode(self):
         with pytest.raises(InvalidParameterError):
             fit_rate_params(synthetic_log(CITY), mode="bayesian")
+
+
+@pytest.mark.parametrize("scenario, noise, seed, anchors", JOINT_FIT_CASES)
+def test_joint_fit_reaches_the_least_squares_optimum(scenario, noise, seed, anchors):
+    # An independent solver, scipy's trust-region reflective least squares
+    # from the generating parameters, finds no lower sum of squares than the
+    # joint fit; noiseless logs fit to rounding, which the absolute term covers.
+    optimize = pytest.importorskip("scipy.optimize")
+    for sequence, log in joint_fit_logs(scenario, noise, seed, anchors):
+        signed = np.array([(-math.log(x.star.q / REF.q_min), math.log(x.star.t / REF.t_max),
+                            math.log(x.star.s / REF.s_max)) for x in log.samples])
+        measured = np.array([x.rate for x in log.samples])
+
+        def residual(x):
+            return x[3] * np.exp(signed @ x[:3]) - measured
+
+        def jacobian(x):
+            unit = np.exp(signed @ x[:3])
+            return np.column_stack((signed * (x[3] * unit)[:, None], unit))
+
+        best = optimize.least_squares(
+            residual, RATE_TABLES[scenario][sequence], jac=jacobian,
+            bounds=([0.0, 0.0, 0.0, 1e-9], np.inf), method="trf", x_scale="jac",
+            xtol=1e-15, ftol=1e-15, gtol=1e-15,
+        )
+        p = fit_rate_params(log, mode="joint").params
+        got = residual(np.array([p.a, p.b, p.c, p.r_max]))
+        floor = 1e-20 * float(measured @ measured)
+        assert float(got @ got) <= float(best.fun @ best.fun) * (1.0 + 1e-9) + floor, sequence
 
 
 class TestSearchBound:

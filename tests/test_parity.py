@@ -24,6 +24,17 @@ per row; the references are their first forms. Results must be equal with
 where csv.DictReader had quirks (a name given twice, a non-empty cell past
 the header, the line of a csv error, blank lines before the header);
 generated texts those rules decide are checked against the rules.
+
+The joint fit's least-squares loop reads ``JᵀJ``, ``Jᵀr`` and ``rᵀr`` from
+one product of ``[J | r]`` with itself and steps on Python floats, and its
+refinement takes the seed's sum of squares from the loop;
+``reference_least_squares_box`` and ``reference_joint_refine`` are the numpy
+loop and the refinement they replaced. Both fill ``[J | r]`` with the same
+bits but sum in other orders, so here results agree to a tolerance: the sum
+of squares no more than 1e-12 relative above the reference's, parameters
+within 1e-9 relative, the same warnings, and the same iteration count and
+status, or, where a stopping test that rounding decides splits the loops,
+counts one apart.
 """
 
 from __future__ import annotations
@@ -40,14 +51,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sequences import (
+    JOINT_FIT_CASES,
     LAYER_Q,
     LAYER_S,
     LAYER_T,
     RATE_TABLES,
     REF,
     SEQUENCES,
+    joint_fit_logs,
     quality_params,
     rate_params,
+    synthetic_log,
+    without_anchor,
 )
 from starq import (
     DegenerateDataError,
@@ -58,10 +73,12 @@ from starq import (
     PathStep,
     InvalidParameterError,
     QrModel,
+    RateParams,
     Star,
     StarqError,
     build_layer_grid,
     evaluate_quality,
+    fit_rate_params,
     feasible_q,
     fit_power_exponent,
     fit_qr,
@@ -73,9 +90,9 @@ from starq import (
     quality_surface,
     rate_surface,
 )
-from starq import fileio
+from starq import _solve, fileio, fitting
 from starq.fileio import _number, _read_csv, _reader, read_encode_log
-from starq.fitting import EncodeLog, RateSample, _exponent_sse
+from starq.fitting import _JOINT_LOWER, EncodeLog, RateSample, _exponent_sse
 from starq._solve import minimize_bounded
 from starq.models import _REL_TOL, _check, _check_q_limit, _quality, _rate, stepsize_from_qp
 from starq.optimizer import QrFit, _budget_q, _geomspace, _qr_rmse
@@ -689,3 +706,147 @@ def test_csv_reader_matches_reference(csv_path, text):
     else:
         error = (InvalidParameterError, f"{csv_path}: {expected}")
         assert csv_outcome(read_encode_log, csv_path) == error
+
+
+# The joint fit's least-squares loop and refinement as first written: the
+# loop takes the residual and the Jacobian apart and keeps its books in
+# numpy, and the refinement scores its seed with a second evaluation.
+def reference_least_squares_box(resid_jac, x0, lower):
+    lower = np.asarray(lower, dtype=float)
+    x_start = x = np.maximum(np.asarray(x0, dtype=float), lower)
+    r, jac = resid_jac(x)
+    sse_start = sse = float(r @ r)
+    damping = 1e-3
+    status = "max_iterations"
+    nit = 0
+    while nit < _solve._MAX_ITERATIONS:
+        grad = jac.T @ r
+        free = (x > lower) | (grad < 0.0)
+        if sse == 0.0 or not free.any():
+            status = "converged"
+            break
+        jf = jac[:, free]
+        scale = np.sqrt(np.einsum("ij,ij->j", jf, jf))
+        scale[scale == 0.0] = 1.0
+        g = grad[free] / scale
+        g_max = np.max(np.abs(g))
+        if g_max <= _solve._TOL * math.sqrt(sse):
+            status = "converged"
+            break
+        h = (jf / scale).T @ (jf / scale)
+        while damping <= 1e16:
+            try:
+                z = np.linalg.solve(h + damping * np.eye(h.shape[0]), -g)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            trial = x.copy()
+            trial[free] += z / scale
+            np.maximum(trial, lower, out=trial)
+            r_trial, jac_trial = resid_jac(trial)
+            sse_trial = float(r_trial @ r_trial)
+            if sse_trial < sse or (
+                sse_trial <= sse * (1.0 + 64 * _solve._EPS)
+                and np.max(np.abs(jac_trial[:, free].T @ r_trial) / scale) < g_max
+            ):
+                break
+            damping *= 10.0
+        else:
+            status = "stalled"
+            break
+        nit += 1
+        small_step = bool(np.all(np.abs(trial - x) <= _solve._TOL * (np.abs(x) + _solve._TOL)))
+        x, r, jac, sse = trial, r_trial, jac_trial, sse_trial
+        damping = max(damping * 0.1, 1e-12)
+        if small_step:
+            status = "converged"
+            break
+    if sse > sse_start:
+        return x_start, sse_start, nit, status
+    return x, sse, nit, status
+
+
+def reference_joint_refine(signed, measured, init):
+    # The refined parameters (the seed if the refinement fell back), whether
+    # it fell back, and the loop's (x, sse, nit, status).
+    lq, lt, ls = -signed[:, 0], signed[:, 1], signed[:, 2]
+
+    def resid_jac(x):
+        a, b, c, r_max = x
+        unit = np.exp(-a * lq + b * lt + c * ls)
+        model = r_max * unit
+        return model - measured, np.column_stack((-lq * model, lt * model, ls * model, unit))
+
+    x0 = np.array([init.a, init.b, init.c, init.r_max])
+    result = reference_least_squares_box(resid_jac, x0, _JOINT_LOWER)
+    residual0 = resid_jac(x0)[0]
+    sse_init = float(residual0 @ residual0)
+    if result[1] > sse_init * (1.0 + 1e-12) + 1e-30:
+        return init, True, result
+    a, b, c, r_max = (float(v) for v in result[0])
+    return RateParams(a=a, b=b, c=c, r_max=r_max, ref=init.ref), False, result
+
+
+_FALLBACK = "joint refinement did not reduce the residual; kept the seed fit"
+
+
+def joint_fit_and_reference(log):
+    # A joint fit with the solver's outcome, and the reference refinement of
+    # the seed that fit refined: (report, solver result, expected warnings,
+    # reference params, reference loop outcome).
+    seen = {}
+
+    def spy_refine(signed, measured, init, warnings):
+        seen["args"], seen["warnings"] = (signed, measured, init), list(warnings)
+        return refine(signed, measured, init, warnings)
+
+    def spy_solve(*args):
+        seen["result"] = solve(*args)
+        return seen["result"]
+
+    refine, solve = fitting._joint_refine, fitting.least_squares_box
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "_joint_refine", spy_refine)
+        patch.setattr(fitting, "least_squares_box", spy_solve)
+        report = fit_rate_params(log, mode="joint")
+    params, fell_back, result = reference_joint_refine(*seen["args"])
+    warnings = tuple(seen["warnings"] + [_FALLBACK] * fell_back)
+    return report, seen["result"], warnings, params, result
+
+
+def assert_joint_fit_matches_reference(log):
+    report, result, warnings, params, (_, sse, nit, status) = joint_fit_and_reference(log)
+    assert report.warnings == warnings
+    if (result.nit, result.status) != (nit, status):
+        # The loops fill [J | r] with the same bits but sum its products in
+        # other orders, so a test that rounding decides near the optimum can
+        # end one of them an iteration apart from the other, at the same point.
+        assert abs(result.nit - nit) <= 1
+        assert math.isclose(result.sse, sse, rel_tol=64 * _solve._EPS)
+    assert result.sse <= sse * (1.0 + 1e-12)
+    got, want = report.params, params
+    for name in ("a", "b", "c", "r_max"):
+        assert math.isclose(getattr(got, name), getattr(want, name), rel_tol=1e-9, abs_tol=1e-300)
+
+
+@pytest.mark.parametrize("scenario, noise, seed, anchors", JOINT_FIT_CASES)
+def test_joint_fit_matches_reference(scenario, noise, seed, anchors):
+    for _, log in joint_fit_logs(scenario, noise, seed, anchors):
+        assert_joint_fit_matches_reference(log)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.floats(0.2, 2.5),
+    b=st.floats(0.1, 1.5),
+    c=st.floats(0.1, 1.5),
+    r_max=st.floats(10.0, 1e5),
+    noise=st.floats(0.0, 0.03),
+    seed=st.integers(0, 2**16),
+    anchors=st.booleans(),
+)
+# Loops that split on a stopping test that rounding decides.
+@example(a=1.0, b=1.0, c=1.0, r_max=183.0, noise=0.0013, seed=1, anchors=False)
+def test_joint_fit_matches_reference_on_any_log(a, b, c, r_max, noise, seed, anchors):
+    log = synthetic_log(RateParams(a=a, b=b, c=c, r_max=r_max, ref=REF), noise, seed)
+    assert_joint_fit_matches_reference(log if anchors else without_anchor(log))

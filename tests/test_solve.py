@@ -61,18 +61,18 @@ class TestMinimizeBounded:
 
 
 def _exp_model(lt, ls, measured):
-    # r_max * exp(b*lt + c*ls) - measured, with x = (b, c, r_max)
-    def resid_jac(x):
+    # [J | r] of r_max * exp(b*lt + c*ls) - measured, with x = (b, c, r_max)
+    def jac_resid(x):
         b, c, r_max = x
         unit = np.exp(b * lt + c * ls)
         model = r_max * unit
-        return model - measured, np.column_stack((lt * model, ls * model, unit))
+        return np.column_stack((lt * model, ls * model, unit, model - measured))
 
-    return resid_jac
+    return jac_resid
 
 
-def _sse(resid_jac, x):
-    r = resid_jac(np.asarray(x, dtype=float))[0]
+def _sse(jac_resid, x):
+    r = jac_resid(np.asarray(x, dtype=float))[:, -1]
     return float(r @ r)
 
 
@@ -95,7 +95,8 @@ class TestLeastSquaresBox:
         assert c == 0.0
         assert b > 0.0
         # Stationary in the free variables and pushing outward on the bound.
-        residual, jac = resid_jac(result.x)
+        stacked = resid_jac(result.x)
+        residual, jac = stacked[:, -1], stacked[:, :-1]
         grad = jac.T @ residual
         scale = np.linalg.norm(jac, axis=0) * math.sqrt(result.sse)
         assert abs(grad[0]) <= 1e-7 * scale[0]
