@@ -186,14 +186,17 @@ def least_squares_box(jac_resid: Callable[[list], np.ndarray], x0, lower) -> Box
                 trial = x.copy()
                 for i, zi, si in zip(free, z, scale):
                     trial[i] = max(x[i] + zi / si, lower[i])
-                a = jac_resid(trial)
-                m_trial = (a.T @ a).tolist()
-                sse_trial = m_trial[k][k]
-                if sse_trial < sse or (
-                    sse_trial <= sse * (1.0 + 64 * _EPS)
-                    and max(abs(m_trial[k][i]) / si for i, si in zip(free, scale)) < g_max
-                ):
-                    break
+                # A step that rounds away gives back x, whose sums are the
+                # current ones and fail the test below, so it goes unevaluated.
+                if trial != x:
+                    a = jac_resid(trial)
+                    m_trial = (a.T @ a).tolist()
+                    sse_trial = m_trial[k][k]
+                    if sse_trial < sse or (
+                        sse_trial <= sse * (1.0 + 64 * _EPS)
+                        and max(abs(m_trial[k][i]) / si for i, si in zip(free, scale)) < g_max
+                    ):
+                        break
             damping *= 10.0
         else:
             status = "stalled"

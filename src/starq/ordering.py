@@ -13,6 +13,7 @@ drop and tends to spread the achievable rates more evenly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,18 +60,21 @@ class LayerGrid:
                 raise InvalidParameterError(f"{name} table shape must be {shape}")
             table.flags.writeable = False
             object.__setattr__(self, name, table)
-        for axis in range(3):
-            if not np.all(np.diff(self.rate, axis=axis) > 0):
-                raise InvalidParameterError("rate must increase strictly along every axis")
+        # For finite doubles with gradual underflow ``b - a > 0`` exactly when
+        # ``b > a``, so this is ``np.diff(rate, axis=k) > 0`` for each axis k.
+        r = self.rate
+        if not ((r[1:] > r[:-1]).all() and (r[:, 1:] > r[:, :-1]).all()
+                and (r[:, :, 1:] > r[:, :, :-1]).all()):
+            raise InvalidParameterError("rate must increase strictly along every axis")
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return (len(self.s_levels), len(self.t_levels), len(self.q_levels))
 
 
-@dataclass(frozen=True)
-class PathStep:
-    """One lattice point on a layer path, with its physical coordinates."""
+class PathStep(NamedTuple):
+    """One lattice point on a layer path, with its physical coordinates; an
+    immutable named tuple, equal to the plain tuple of its fields."""
 
     l: int
     m: int
@@ -86,8 +90,9 @@ class PathStep:
 class OrderedPath:
     """A monotone traversal of a layer lattice, in increasing-rate order.
 
-    Every step is checked: ``l``, ``m``, ``n`` non-negative integers; ``s``,
-    ``t``, ``q`` and ``rate`` finite and > 0; ``quality`` finite.
+    Every step must be a :class:`PathStep` and is checked: ``l``, ``m``,
+    ``n`` non-negative integers; ``s``, ``t``, ``q`` and ``rate`` finite and
+    > 0; ``quality`` finite.
     ``nonpositive_gain_steps``, the indices of the steps that did not improve
     quality, is derived from the steps; a value passed in must equal it. It
     is empty for grids built from the analytic surfaces.
@@ -103,23 +108,28 @@ class OrderedPath:
             raise InvalidParameterError("ordered path has no steps")
         if self.direction not in ("forward", "backward"):
             raise InvalidParameterError(f"unknown path direction {self.direction!r}")
-        index = [i for x in steps for i in (x.l, x.m, x.n)]
+        for x in steps:
+            if not isinstance(x, PathStep):
+                raise InvalidParameterError(f"path steps must be PathStep, got {type(x).__name__}")
+        l, m, n, s, t, q, rate, quality = zip(*steps)
+        index = l + m + n
         _check("step indices l, m, n", index, 0.0, strict=False, array=True)
         if np.asarray(index).dtype.kind not in "iu":
             raise InvalidParameterError("step indices l, m, n must be integers")
-        _check("step s, t, q, rate", [v for x in steps for v in (x.s, x.t, x.q, x.rate)], array=True)
-        _check("step quality", [x.quality for x in steps], -np.inf, array=True)
-        for prev, cur in zip(steps, steps[1:]):
-            deltas = (cur.l - prev.l, cur.m - prev.m, cur.n - prev.n)
+        _check("step s, t, q, rate", s + t + q + rate, array=True)
+        _check("step quality", quality, -np.inf, array=True)
+        pairs = zip(l, l[1:], m, m[1:], n, n[1:], s, s[1:], t, t[1:], q, q[1:], rate, rate[1:])
+        for l0, l1, m0, m1, n0, n1, s0, s1, t0, t1, q0, q1, rate0, rate1 in pairs:
+            deltas = (l1 - l0, m1 - m0, n1 - n0)
             if sorted(deltas) != [0, 0, 1]:
                 raise InvalidParameterError(
                     f"consecutive steps must differ by +1 in one coordinate, got {deltas}"
                 )
-            if cur.s < prev.s or cur.t < prev.t or cur.q > prev.q:
+            if s1 < s0 or t1 < t0 or q1 > q0:
                 raise InvalidParameterError("path violates the monotonicity constraint")
-            if cur.rate <= prev.rate:
+            if rate1 <= rate0:
                 raise InvalidParameterError("rate must increase strictly along the path")
-        flags = tuple(i for i in range(1, len(steps)) if steps[i].quality <= steps[i - 1].quality)
+        flags = tuple(i for i in range(1, len(quality)) if quality[i] <= quality[i - 1])
         passed = self.nonpositive_gain_steps
         if passed is not None and passed != flags:
             raise InvalidParameterError(f"nonpositive_gain_steps must be {flags}, got {passed!r}")
@@ -143,35 +153,43 @@ def build_layer_grid(
 def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
     # Both walks score a single-coordinate move by the slope dq/dr between its
     # two lattice points; forward takes the largest, backward the smallest.
-    # ``item`` reads table cells as Python floats, whose arithmetic is the
-    # same IEEE double arithmetic as numpy's scalars, at less cost per step.
+    # The walk steps on the flat cell index by one stride per axis and carries
+    # the chosen cell's rate and quality on. ``item`` reads cells as Python
+    # floats, whose arithmetic is numpy's IEEE double arithmetic, at less cost.
     forward = direction == "forward"
-    step = 1 if forward else -1
+    sign = 1 if forward else -1
     rate, quality = grid.rate.item, grid.quality.item
-    top = tuple(k - 1 for k in grid.shape)
-    pos, end = ((0, 0, 0), top) if forward else (top, (0, 0, 0))
-    visited = [pos]
-    while pos != end:
-        rate0, quality0 = rate(pos), quality(pos)
-        best_slope = best_pos = None
+    s, t, q = grid.s_levels, grid.t_levels, grid.q_levels
+    L, M, N = grid.shape
+    strides = (sign * M * N, sign * N, sign)
+    left = [L - 1, M - 1, N - 1]  # moves each axis has before the walk's end
+    pos = [0, 0, 0] if forward else left.copy()
+    flat = 0 if forward else L * M * N - 1
+    rate0, quality0 = rate(flat), quality(flat)
+    steps = []
+    while True:
+        l, m, n = pos
+        steps.append(PathStep(l, m, n, s[l], t[m], q[n], rate0, quality0))
+        best_axis = None
         # Single-coordinate moves in the tie-break order for equal slopes:
         # amplitude, then temporal, then spatial.
         for axis in (2, 1, 0):
-            if pos[axis] == end[axis]:
-                continue
-            nxt = pos[:axis] + (pos[axis] + step,) + pos[axis + 1:]
-            slope = (quality(nxt) - quality0) / (rate(nxt) - rate0)
-            if best_pos is None or (slope > best_slope if forward else slope < best_slope):
-                best_slope = slope
-                best_pos = nxt
-        pos = best_pos
-        visited.append(pos)
-    s, t, q = grid.s_levels, grid.t_levels, grid.q_levels
-    steps = tuple(
-        PathStep(l, m, n, s[l], t[m], q[n], rate(l, m, n), quality(l, m, n))
-        for l, m, n in (visited if forward else reversed(visited))
-    )
-    return OrderedPath(steps=steps, direction=direction)
+            if left[axis]:
+                nxt = flat + strides[axis]
+                rate1, quality1 = rate(nxt), quality(nxt)
+                slope = (quality1 - quality0) / (rate1 - rate0)
+                if best_axis is None or (slope > best_slope if forward else slope < best_slope):
+                    best_slope, best_axis = slope, axis
+                    best_rate, best_quality = rate1, quality1
+        if best_axis is None:
+            break
+        flat += strides[best_axis]
+        left[best_axis] -= 1
+        pos[best_axis] += sign
+        rate0, quality0 = best_rate, best_quality
+    if not forward:
+        steps.reverse()
+    return OrderedPath(steps=tuple(steps), direction=direction)
 
 
 def order_forward(grid: LayerGrid) -> OrderedPath:
@@ -190,13 +208,14 @@ def order_backward(grid: LayerGrid) -> OrderedPath:
 def path_quality_loss(path: OrderedPath, qr: QrModel) -> float:
     """Largest shortfall of the path's quality below the continuous
     rate-quality summary, evaluated at the path's own rates."""
-    powered = _qr_powered(qr.r_max, [step.rate for step in path.steps])
-    qualities = np.array([step.quality for step in path.steps])
-    return float(np.max(_qr(qr.kappa, powered) - qualities))
+    *_, rates, qualities = zip(*path.steps)
+    powered = _qr_powered(qr.r_max, rates)
+    return float(np.max(_qr(qr.kappa, powered) - np.array(qualities)))
 
 
 def max_rate_gap(path: OrderedPath) -> float:
     """Largest rate jump between consecutive path steps, in kbps."""
     if len(path.steps) < 2:
         return 0.0
-    return max(b.rate - a.rate for a, b in zip(path.steps, path.steps[1:]))
+    *_, rates, _ = zip(*path.steps)
+    return max(b - a for a, b in zip(rates, rates[1:]))

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -220,9 +218,23 @@ class TestOrderedPathInvariants:
              "string-s"],
     )
     def test_every_step_field_checked(self, field, value):
-        step = dataclasses.replace(PathStep(0, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2), **{field: value})
+        step = PathStep(0, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2)._replace(**{field: value})
         with pytest.raises(InvalidParameterError, match=field):
             OrderedPath(steps=(step,), direction="forward")
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            (1, 2),
+            (FLAT_THEN_FALLING[0], (0, 0, 1, 1.0, 1.0, 2.0, 20.0, 0.5)),
+            ((0, 0, 0, 1.0, 1.0, 4.0, 10.0),),
+            (FLAT_THEN_FALLING[0], "PathStep"),
+        ],
+        ids=["ints", "plain-8-tuple", "7-tuple", "str"],
+    )
+    def test_steps_must_be_path_steps(self, steps):
+        with pytest.raises(InvalidParameterError, match="path steps must be PathStep"):
+            OrderedPath(steps=steps, direction="forward")
 
     def test_flags_derived_from_steps(self):
         path = OrderedPath(steps=FLAT_THEN_FALLING, direction="forward")
@@ -301,6 +313,19 @@ class TestOrderedPathInvariants:
     def test_model_grids_never_flag(self):
         assert order_forward(city_grid()).nonpositive_gain_steps == ()
         assert order_backward(city_grid()).nonpositive_gain_steps == ()
+
+
+class TestPathStep:
+    def test_is_an_immutable_named_tuple(self):
+        step = PathStep(0, 1, 2, 101376.0, 15.0, 26.0, 512.5, 0.75)
+        assert step == (0, 1, 2, 101376.0, 15.0, 26.0, 512.5, 0.75)
+        assert tuple(step) == (0, 1, 2, 101376.0, 15.0, 26.0, 512.5, 0.75)
+        assert step._asdict() == {"l": 0, "m": 1, "n": 2, "s": 101376.0, "t": 15.0,
+                                  "q": 26.0, "rate": 512.5, "quality": 0.75}
+        assert step._replace(rate=600.0).rate == 600.0 and step.rate == 512.5
+        with pytest.raises(AttributeError):
+            step.rate = 600.0
+        assert hash(step) == hash(tuple(step))
 
 
 class TestPathQualityLoss:

@@ -13,9 +13,13 @@ in-place forms cannot cancel out. For Python-float, 0-d, 1-d and broadcast
 inputs the in-place forms must give the same bits, the same first
 floating-point error under numpy's raise mode and the same warnings, and
 leave their inputs as they were. The reference functions below are that
-plain form. ``order_forward`` and ``order_backward`` walk lattice positions
+plain form. ``order_forward`` and ``order_backward`` walk flat cell indices
 and let ``OrderedPath`` derive the flagged steps; the reference walk builds
-a ``PathStep`` per move from a move table and flags the steps itself. The
+a ``PathStep`` per move from a move table and flags the steps itself.
+``OrderedPath`` checks its steps on columns taken with one ``zip``;
+``reference_path_flags`` is the check as first written, reading each step's
+fields by attribute, and the two must flag the same steps or raise the same
+error on walk paths with one or two fields replaced. The
 fit path's scalar-search objectives (the exponent fit's squared error, the
 Q(R) fit's RMSE) reduce in place without numpy's Python-level wrappers,
 and the CSV reader indexes ``csv.reader`` rows instead of building a dict
@@ -34,7 +38,9 @@ bits but sum in other orders, so here results agree to a tolerance: the sum
 of squares no more than 1e-12 relative above the reference's, parameters
 within 1e-9 relative, the same warnings, and the same iteration count and
 status, or, where a stopping test that rounding decides splits the loops,
-counts one apart.
+counts one apart. The loop does not evaluate a trial that a rounded-away
+step leaves equal to its point; ``reference_least_squares_box_every_trial``
+is the loop that did, and the two must return the same bits.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ from starq import (
     InfeasibleError,
     LayerGrid,
     OptimizationResult,
+    OrderedPath,
     PathStep,
     InvalidParameterError,
     QrModel,
@@ -433,6 +440,80 @@ def lattices(draw):
 @given(grid=lattices())
 def test_layer_walk_matches_reference_on_any_lattice(grid):
     assert_walks_match(grid)
+
+
+# The path check as first written: every step's fields read by attribute into
+# flat lists, then one loop over pairs of consecutive steps. It returns the
+# flagged steps or raises what OrderedPath raises.
+def reference_path_flags(steps, direction, passed=None):
+    if not steps:
+        raise InvalidParameterError("ordered path has no steps")
+    if direction not in ("forward", "backward"):
+        raise InvalidParameterError(f"unknown path direction {direction!r}")
+    index = [i for x in steps for i in (x.l, x.m, x.n)]
+    _check("step indices l, m, n", index, 0.0, strict=False, array=True)
+    if np.asarray(index).dtype.kind not in "iu":
+        raise InvalidParameterError("step indices l, m, n must be integers")
+    _check("step s, t, q, rate", [v for x in steps for v in (x.s, x.t, x.q, x.rate)], array=True)
+    _check("step quality", [x.quality for x in steps], -np.inf, array=True)
+    for prev, cur in zip(steps, steps[1:]):
+        deltas = (cur.l - prev.l, cur.m - prev.m, cur.n - prev.n)
+        if sorted(deltas) != [0, 0, 1]:
+            raise InvalidParameterError(
+                f"consecutive steps must differ by +1 in one coordinate, got {deltas}"
+            )
+        if cur.s < prev.s or cur.t < prev.t or cur.q > prev.q:
+            raise InvalidParameterError("path violates the monotonicity constraint")
+        if cur.rate <= prev.rate:
+            raise InvalidParameterError("rate must increase strictly along the path")
+    flags = tuple(i for i in range(1, len(steps)) if steps[i].quality <= steps[i - 1].quality)
+    if passed is not None and passed != flags:
+        raise InvalidParameterError(f"nonpositive_gain_steps must be {flags}, got {passed!r}")
+    return flags
+
+
+@st.composite
+def mutated_paths(draw):
+    # A walk of a drawn lattice with one field of one or two steps replaced:
+    # indices moved by a non-unit amount or onto another axis, copied from a
+    # neighbour, or made a float, negative or bool; levels, rates and
+    # qualities scaled (falling s or t, rising q, falling rate), copied from a
+    # neighbour (equal rates, quality ties), or made NaN, infinite, zero or
+    # negative. Two replacements also decide which check fires first.
+    grid = draw(lattices())
+    direction = draw(st.sampled_from(("forward", "backward")))
+    steps = list((order_forward if direction == "forward" else order_backward)(grid).steps)
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(steps) - 1))
+        field = draw(st.sampled_from(PathStep._fields))
+        value = getattr(steps[i], field)
+        neighbour = getattr(steps[i - 1 if i else min(1, len(steps) - 1)], field)
+        if field in ("l", "m", "n"):
+            choices = (value + 1, value - 1, value + 2, neighbour, -1, float(value), True, False)
+        else:
+            choices = (math.nan, math.inf, 0.0, -abs(value), neighbour, np.float64(value), "scaled")
+        new = draw(st.sampled_from(choices))
+        if isinstance(new, str):
+            new = value * draw(st.floats(0.25, 4.0))
+        steps[i] = steps[i]._replace(**{field: new})
+    passed = draw(st.sampled_from((None, (), (1,))))
+    return tuple(steps), direction, passed
+
+
+@settings(max_examples=500, deadline=None)
+@given(path=mutated_paths())
+def test_path_check_matches_reference(path):
+    def checked(*args):
+        return OrderedPath(*args).nonpositive_gain_steps
+
+    assert outcome(checked, *path) == outcome(reference_path_flags, *path)
+
+
+def test_path_step_repr():
+    step = PathStep(0, 1, 2, 101376.0, 15.0, 26.0, 512.5, 0.75)
+    assert repr(step) == (
+        "PathStep(l=0, m=1, n=2, s=101376.0, t=15.0, q=26.0, rate=512.5, quality=0.75)"
+    )
 
 
 # The fit path's scalar objectives as first written, and the objectives the
@@ -850,3 +931,123 @@ def test_joint_fit_matches_reference(scenario, noise, seed, anchors):
 def test_joint_fit_matches_reference_on_any_log(a, b, c, r_max, noise, seed, anchors):
     log = synthetic_log(RateParams(a=a, b=b, c=c, r_max=r_max, ref=REF), noise, seed)
     assert_joint_fit_matches_reference(log if anchors else without_anchor(log))
+
+
+# The least-squares loop before it skipped trials equal to its point: every
+# trial is evaluated, also one that a rounded-away step leaves at ``x``. It
+# returns its result and the points it evaluated ``jac_resid`` at.
+def reference_least_squares_box_every_trial(jac_resid, x0, lower):
+    points = []
+
+    def evaluate(x):
+        points.append(list(x))
+        return jac_resid(x)
+
+    eps, tol = _solve._EPS, _solve._TOL
+    k = len(lower)
+    lower = [float(v) for v in lower]
+    x = x_start = [max(float(v), lo) for v, lo in zip(x0, lower)]
+    a = evaluate(x)
+    m = (a.T @ a).tolist()
+    sse_start = sse = m[k][k]
+    damping, status, nit = 1e-3, "max_iterations", 0
+    while nit < _solve._MAX_ITERATIONS:
+        grad = m[k]
+        free = [i for i in range(k) if x[i] > lower[i] or grad[i] < 0.0]
+        scale = [math.sqrt(m[i][i]) or 1.0 for i in free]
+        g = [grad[i] / si for i, si in zip(free, scale)]
+        if sse == 0.0 or not free or (g_max := max(map(abs, g))) <= tol * math.sqrt(sse):
+            status = "converged"
+            break
+        h = [[m[i][j] / (si * sj) for j, sj in zip(free, scale)] for i, si in zip(free, scale)]
+        while damping <= 1e16:
+            z = _solve._damped_solve(h, damping, g)
+            if z is not None:
+                trial = x.copy()
+                for i, zi, si in zip(free, z, scale):
+                    trial[i] = max(x[i] + zi / si, lower[i])
+                a = evaluate(trial)
+                m_trial = (a.T @ a).tolist()
+                sse_trial = m_trial[k][k]
+                if sse_trial < sse or (
+                    sse_trial <= sse * (1.0 + 64 * eps)
+                    and max(abs(m_trial[k][i]) / si for i, si in zip(free, scale)) < g_max
+                ):
+                    break
+            damping *= 10.0
+        else:
+            status = "stalled"
+            break
+        nit += 1
+        small_step = all(abs(u - v) <= tol * (abs(v) + tol) for u, v in zip(trial, x))
+        x, m, sse = trial, m_trial, sse_trial
+        damping = max(damping * 0.1, 1e-12)
+        if small_step:
+            status = "converged"
+            break
+    if sse > sse_start:
+        x, sse = x_start, sse_start
+    return _solve.BoxLeastSquares(np.array(x), sse, sse_start, nit, status), points
+
+
+def joint_solve_and_reference(log):
+    # The joint fit's least-squares result with the points it evaluated, and
+    # the every-trial loop's result and points for the same arguments.
+    seen = {}
+
+    def spy_solve(jac_resid, x0, lower):
+        def evaluate(x):
+            seen["points"].append(list(x))
+            return jac_resid(x)
+
+        seen["args"], seen["points"] = (jac_resid, x0, lower), []
+        seen["result"] = solve(evaluate, x0, lower)
+        return seen["result"]
+
+    solve = fitting.least_squares_box
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fitting, "least_squares_box", spy_solve)
+        fit_rate_params(log, mode="joint")
+    return seen["result"], seen["points"], *reference_least_squares_box_every_trial(*seen["args"])
+
+
+def assert_same_solve(got, want):
+    assert got.x.tobytes() == want.x.tobytes()
+    assert (got.sse, got.sse_start, got.nit, got.status) == (
+        want.sse, want.sse_start, want.nit, want.status)
+
+
+def test_least_squares_skips_trials_equal_to_its_point():
+    # A log on which no damped step helps near the end: every step up to
+    # damping 1e16 rounds away, and the every-trial loop evaluates the point
+    # it returns again and again before it stalls.
+    log = synthetic_log(RateParams(a=1.0, b=1.0, c=1.0, r_max=183.0, ref=REF), 0.0013, 1)
+    got, points, want, want_points = joint_solve_and_reference(without_anchor(log))
+    assert_same_solve(got, want)
+    assert got.status == "stalled"
+    assert want_points.count(want.x.tolist()) > 1
+    assert points.count(got.x.tolist()) <= 1
+    assert len(points) < len(want_points)
+
+
+@pytest.mark.parametrize("scenario, noise, seed, anchors", JOINT_FIT_CASES)
+def test_least_squares_matches_every_trial_loop(scenario, noise, seed, anchors):
+    for _, log in joint_fit_logs(scenario, noise, seed, anchors):
+        got, _, want, _ = joint_solve_and_reference(log)
+        assert_same_solve(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.floats(0.2, 2.5),
+    b=st.floats(0.1, 1.5),
+    c=st.floats(0.1, 1.5),
+    r_max=st.floats(10.0, 1e5),
+    noise=st.floats(0.0, 0.03),
+    seed=st.integers(0, 2**16),
+    anchors=st.booleans(),
+)
+def test_least_squares_matches_every_trial_loop_on_any_log(a, b, c, r_max, noise, seed, anchors):
+    log = synthetic_log(RateParams(a=a, b=b, c=c, r_max=r_max, ref=REF), noise, seed)
+    got, _, want, _ = joint_solve_and_reference(log if anchors else without_anchor(log))
+    assert_same_solve(got, want)
