@@ -162,8 +162,8 @@ def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
     s, t, q = grid.s_levels, grid.t_levels, grid.q_levels
     L, M, N = grid.shape
     strides = (sign * M * N, sign * N, sign)
-    left = [L - 1, M - 1, N - 1]  # moves each axis has before the walk's end
-    pos = [0, 0, 0] if forward else left.copy()
+    top = (L - 1, M - 1, N - 1)
+    pos, end = ([0, 0, 0], top) if forward else (list(top), (0, 0, 0))
     flat = 0 if forward else L * M * N - 1
     rate0, quality0 = rate(flat), quality(flat)
     steps = []
@@ -174,7 +174,7 @@ def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
         # Single-coordinate moves in the tie-break order for equal slopes:
         # amplitude, then temporal, then spatial.
         for axis in (2, 1, 0):
-            if left[axis]:
+            if pos[axis] != end[axis]:
                 nxt = flat + strides[axis]
                 rate1, quality1 = rate(nxt), quality(nxt)
                 slope = (quality1 - quality0) / (rate1 - rate0)
@@ -184,7 +184,6 @@ def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
         if best_axis is None:
             break
         flat += strides[best_axis]
-        left[best_axis] -= 1
         pos[best_axis] += sign
         rate0, quality0 = best_rate, best_quality
     if not forward:
