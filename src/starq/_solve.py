@@ -138,7 +138,6 @@ def minimize_bounded(
 class BoxLeastSquares(NamedTuple):
     """Outcome of :func:`least_squares_box`.
 
-    ``sse_start`` is the sum of squares at ``x0`` projected onto the bounds.
     ``status`` is ``"converged"`` (the step or the scaled gradient fell below
     tolerance), ``"stalled"`` (no damped step improved on the current point)
     or ``"max_iterations"``.
@@ -146,7 +145,6 @@ class BoxLeastSquares(NamedTuple):
 
     x: np.ndarray
     sse: float
-    sse_start: float
     nit: int
     status: str
 
@@ -210,7 +208,7 @@ def least_squares_box(jac_resid: Callable[[list], np.ndarray], x0, lower) -> Box
             break
     if sse > sse_start:
         x, sse = x_start, sse_start
-    return BoxLeastSquares(np.array(x), sse, sse_start, nit, status)
+    return BoxLeastSquares(np.array(x), sse, nit, status)
 
 
 def _damped_solve(h, damping, g):

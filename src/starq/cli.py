@@ -169,17 +169,12 @@ def cmd_order(args) -> int:
     path = order_forward(grid) if args.direction == "forward" else order_backward(grid)
 
     steps = []
-    prev = None
-    for step in path.steps:
-        record = {
-            "l": step.l, "m": step.m, "n": step.n,
-            "s": step.s, "t": step.t, "q": step.q,
-            "rate_kbps": step.rate, "quality": step.quality,
-        }
-        if prev is not None:
-            record["dq_dr"] = (step.quality - prev.quality) / (step.rate - prev.rate)
+    for i, step in enumerate(path.steps):
+        record = step._asdict()
+        record["rate_kbps"] = record.pop("rate")
+        if i:
+            record["dq_dr"] = path.slopes[i - 1]
         steps.append(record)
-        prev = step
     gap = max_rate_gap(path)
     top_rate = path.steps[-1].rate
     doc = {

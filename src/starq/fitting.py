@@ -20,8 +20,6 @@ from .errors import DegenerateDataError, InsufficientDataError, InvalidParameter
 from .models import RateParams, ResolutionRef, Star, _check, _check_fields, _close, _mean, _rate
 
 _EXPONENT_MAX = 4.0
-# Lower bounds of (a, b, c, r_max) in the joint refinement.
-_JOINT_LOWER = (0.0, 0.0, 0.0, 1e-9)
 
 
 @dataclass(frozen=True)
@@ -314,9 +312,12 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
     and takes ``r_max`` from the measured anchor rate; it requires the anchor
     samples. ``joint`` mode minimizes the squared rate error over all four
     parameters simultaneously, seeded by the protocol fit when the anchors
-    exist and by a log-domain regression otherwise. If the joint refinement
-    fails to reduce the squared error it falls back to its seed and flags a
-    warning. Accuracy metrics cover every sample in the log.
+    exist and by a log-domain regression otherwise. The refinement keeps
+    ``a, b, c >= 0`` and ``r_max >= 1e-9`` times the seed's, a box that holds
+    the seed, and never ends with a larger squared error than the seed has.
+    Where that floor rounds to 0 (a subnormal seed ``r_max``) and the loop
+    ends at ``r_max = 0``, ``RateParams`` raises ``InvalidParameterError``.
+    Accuracy metrics cover every sample in the log.
     """
     if mode not in ("protocol", "joint"):
         raise InvalidParameterError(f"unknown fit mode {mode!r}")
@@ -336,7 +337,7 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
         except (InsufficientDataError, DegenerateDataError):
             init = _loglinear_init(ref, signed, measured)
             warnings.append("anchor samples missing; joint fit seeded by log-domain regression")
-        params = _joint_refine(signed, measured, init, warnings)
+        params = _joint_refine(signed, measured, init)
 
     predicted = _rate(params, q, s, t)
     d = measured - predicted
@@ -356,7 +357,7 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
     )
 
 
-def _joint_refine(signed, measured, init: RateParams, warnings: list[str]) -> RateParams:
+def _joint_refine(signed, measured, init: RateParams) -> RateParams:
     # The solver's [J | r], filled in place: d model / d (a, b, c) is the
     # signed log-ratio times the model, d model / d r_max the model at r_max 1.
     out = np.empty((len(measured), 5), order="F")
@@ -371,14 +372,7 @@ def _joint_refine(signed, measured, init: RateParams, warnings: list[str]) -> Ra
         np.subtract(residual, measured, out=residual)
         return out
 
+    # A floor relative to the seed keeps the fit free of the rate unit.
     x0 = (init.a, init.b, init.c, init.r_max)
-    result = least_squares_box(jac_resid, x0, _JOINT_LOWER)
-    sse_init = result.sse_start
-    if any(v < lo for v, lo in zip(x0, _JOINT_LOWER)):  # the solver scored the projected seed
-        jac_resid(x0)
-        sse_init = float(residual @ residual)
-    if result.sse > sse_init * (1.0 + 1e-12) + 1e-30:
-        warnings.append("joint refinement did not reduce the residual; kept the seed fit")
-        return init
-    a, b, c, r_max = result.x.tolist()
+    a, b, c, r_max = least_squares_box(jac_resid, x0, (0.0, 0.0, 0.0, 1e-9 * init.r_max)).x.tolist()
     return RateParams(a=a, b=b, c=c, r_max=r_max, ref=init.ref)

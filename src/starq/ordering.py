@@ -12,7 +12,7 @@ drop and tends to spread the achievable rates more evenly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -90,20 +90,23 @@ class PathStep(NamedTuple):
 class OrderedPath:
     """A monotone traversal of a layer lattice, in increasing-rate order.
 
-    Every step must be a :class:`PathStep` and is checked: ``l``, ``m``,
-    ``n`` non-negative integers; ``s``, ``t``, ``q`` and ``rate`` finite and
-    > 0; ``quality`` finite.
+    The steps are stored as a tuple. Every step must be a :class:`PathStep`
+    and is checked: ``l``, ``m``, ``n`` non-negative integers; ``s``, ``t``,
+    ``q`` and ``rate`` finite and > 0; ``quality`` finite.
     ``nonpositive_gain_steps``, the indices of the steps that did not improve
     quality, is derived from the steps; a value passed in must equal it. It
-    is empty for grids built from the analytic surfaces.
+    is empty for grids built from the analytic surfaces. ``slopes[i - 1]`` is
+    step ``i``'s quality change per rate increase over step ``i - 1``.
     """
 
     steps: tuple[PathStep, ...]
     direction: str
     nonpositive_gain_steps: tuple[int, ...] | None = None
+    slopes: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        steps = self.steps
+        steps = tuple(self.steps)
+        object.__setattr__(self, "steps", steps)
         if not steps:
             raise InvalidParameterError("ordered path has no steps")
         if self.direction not in ("forward", "backward"):
@@ -118,8 +121,11 @@ class OrderedPath:
             raise InvalidParameterError("step indices l, m, n must be integers")
         _check("step s, t, q, rate", s + t + q + rate, array=True)
         _check("step quality", quality, -np.inf, array=True)
-        pairs = zip(l, l[1:], m, m[1:], n, n[1:], s, s[1:], t, t[1:], q, q[1:], rate, rate[1:])
-        for l0, l1, m0, m1, n0, n1, s0, s1, t0, t1, q0, q1, rate0, rate1 in pairs:
+        pairs = zip(l, l[1:], m, m[1:], n, n[1:], s, s[1:], t, t[1:], q, q[1:],
+                    rate, rate[1:], quality, quality[1:])
+        slopes = []
+        for (l0, l1, m0, m1, n0, n1, s0, s1, t0, t1, q0, q1,
+             rate0, rate1, quality0, quality1) in pairs:
             deltas = (l1 - l0, m1 - m0, n1 - n0)
             if sorted(deltas) != [0, 0, 1]:
                 raise InvalidParameterError(
@@ -129,11 +135,13 @@ class OrderedPath:
                 raise InvalidParameterError("path violates the monotonicity constraint")
             if rate1 <= rate0:
                 raise InvalidParameterError("rate must increase strictly along the path")
+            slopes.append((quality1 - quality0) / (rate1 - rate0))
         flags = tuple(i for i in range(1, len(quality)) if quality[i] <= quality[i - 1])
         passed = self.nonpositive_gain_steps
         if passed is not None and passed != flags:
             raise InvalidParameterError(f"nonpositive_gain_steps must be {flags}, got {passed!r}")
         object.__setattr__(self, "nonpositive_gain_steps", flags)
+        object.__setattr__(self, "slopes", tuple(slopes))
 
 
 def build_layer_grid(

@@ -8,6 +8,7 @@ strict rate properties.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sequences import LAYER_Q, LAYER_S, LAYER_T, REF, quality_params, rate_params
+from sequences import (
+    LAYER_Q,
+    LAYER_S,
+    LAYER_T,
+    RATE_TABLES,
+    REF,
+    SEQUENCES,
+    quality_params,
+    rate_params,
+)
 from starq import (
     CIF,
     FeasibleSets,
@@ -31,9 +41,13 @@ from starq import (
     evaluate_rate,
     fit_power_exponent,
     fit_qr,
+    max_rate_gap,
     optimal_quality_curve,
     optimize_continuous,
     optimize_discrete,
+    order_backward,
+    order_forward,
+    path_quality_loss,
     pearson,
     qp_from_stepsize,
     quality_surface,
@@ -279,3 +293,47 @@ def test_discrete_optimizer_keeps_the_budget(model, frac, n, q_hi):
         return
     assert result.rate <= budget * (1.0 + 1e-9)
     assert result.star.q < Q_LIMIT and 0.0 < result.quality <= 1.0
+
+
+DYADIC = FeasibleSets(s_values=LAYER_S, t_values=LAYER_T, q_range=(16.0, 104.0))
+# Largest relative change of an optimal-quality curve under a rate unit
+# that is a power of two: its budgets go through log10 and back.
+CURVE_REL_TOL = 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=st.sampled_from(sorted(RATE_TABLES)), sequence=st.sampled_from(SEQUENCES),
+       j=st.integers(-200, 199))
+def test_rate_unit_is_free(scenario, sequence, j):
+    # Rates in another unit, a power of two apart: every decision, path and
+    # summary fit scales its rates by exactly k and keeps everything else.
+    rp, qp, k = rate_params(sequence, scenario), quality_params(sequence), 2.0 ** j
+    scaled = dataclasses.replace(rp, r_max=rp.r_max * k)
+    for frac in (0.02, 0.1, 0.4, 0.9):
+        for optimize in (lambda p, b: optimize_continuous(p, qp, b, grid=64),
+                         lambda p, b: optimize_discrete(p, qp, DYADIC, b)):
+            try:
+                want = optimize(rp, frac * rp.r_max)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    optimize(scaled, frac * rp.r_max * k)
+                continue
+            got = optimize(scaled, frac * rp.r_max * k)
+            assert (got.star, got.quality, got.rate) == (want.star, want.quality, want.rate * k)
+    grid = build_layer_grid(rp, qp, LAYER_S, LAYER_T, LAYER_Q)
+    grid_k = build_layer_grid(scaled, qp, LAYER_S, LAYER_T, LAYER_Q)
+    curve = optimal_quality_curve(rp, qp)
+    qr = fit_qr(curve, rp.r_max)
+    qr_k = fit_qr([(r * k, v) for r, v in curve], rp.r_max * k)
+    assert (qr_k.model.kappa, qr_k.model.r_max, qr_k.rmse) == (
+        qr.model.kappa, qr.model.r_max * k, qr.rmse)
+    for order in (order_forward, order_backward):
+        path, path_k = order(grid), order(grid_k)
+        assert path_k.steps == tuple(x._replace(rate=x.rate * k) for x in path.steps)
+        assert path_k.nonpositive_gain_steps == path.nonpositive_gain_steps
+        assert path_k.slopes == tuple(v / k for v in path.slopes)
+        assert max_rate_gap(path_k) == max_rate_gap(path) * k
+        assert path_quality_loss(path_k, qr_k.model) == path_quality_loss(path, qr.model)
+    for (r, v), (r_k, v_k) in zip(curve, optimal_quality_curve(scaled, qp)):
+        assert math.isclose(r_k, r * k, rel_tol=CURVE_REL_TOL)
+        assert math.isclose(v_k, v, rel_tol=CURVE_REL_TOL)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sequences import (
@@ -16,6 +16,7 @@ from sequences import (
     joint_fit_logs,
     rate_params,
     synthetic_log,
+    without_anchor,
 )
 from starq import (
     CIF4,
@@ -24,6 +25,7 @@ from starq import (
     EncodeLog,
     InsufficientDataError,
     InvalidParameterError,
+    RateParams,
     RateSample,
     Star,
     evaluate_rate,
@@ -302,6 +304,38 @@ class TestFitMetamorphic:
         order = np.random.default_rng(seed).permutation(len(log.samples))
         shuffled = EncodeLog(samples=tuple(log.samples[i] for i in order), ref=log.ref)
         _assert_same_fit(fit_rate_params(shuffled, mode=mode).params, base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.floats(0.2, 2.5),
+    b=st.floats(0.1, 1.5),
+    c=st.floats(0.1, 1.5),
+    r_max=st.floats(10.0, 1e5),
+    noise=st.floats(0.0, 0.03),
+    seed=st.integers(0, 2**16),
+    anchors=st.booleans(),
+    j=st.integers(-80, 80),
+)
+def test_rate_unit_is_free(a, b, c, r_max, noise, seed, anchors, j):
+    # Rates in another unit, a power of two apart, scale every rate output by
+    # exactly k. A log without the anchor sample seeds its joint fit from the
+    # logs of its rates, which round differently, so it agrees to 1e-9.
+    log = synthetic_log(RateParams(a=a, b=b, c=c, r_max=r_max, ref=REF), noise, seed)
+    k = 2.0 ** j
+    if not anchors:
+        log = without_anchor(log)
+        _assert_same_fit(fit_rate_params(_scaled(log, k), mode="joint").params,
+                         fit_rate_params(log, mode="joint").params, rate_scale=k)
+        return
+    for mode in ("protocol", "joint"):
+        want = fit_rate_params(log, mode=mode)
+        assert fit_rate_params(_scaled(log, k), mode=mode) == dataclasses.replace(
+            want,
+            params=dataclasses.replace(want.params, r_max=want.params.r_max * k),
+            rmse=want.rmse * k,
+            per_sample_residuals=tuple((x, m * k, p * k) for x, m, p in want.per_sample_residuals),
+        )
 
 
 class TestEncodeLog:

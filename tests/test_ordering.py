@@ -242,6 +242,26 @@ class TestOrderedPathInvariants:
         same = OrderedPath(FLAT_THEN_FALLING, "forward", nonpositive_gain_steps=(1, 2))
         assert same.nonpositive_gain_steps == (1, 2)
 
+    def test_steps_from_a_list_stored_as_a_tuple(self):
+        path = OrderedPath(steps=list(FLAT_THEN_FALLING), direction="forward")
+        assert path.steps == FLAT_THEN_FALLING
+        assert path == OrderedPath(steps=FLAT_THEN_FALLING, direction="forward")
+        assert hash(path) == hash(OrderedPath(steps=FLAT_THEN_FALLING, direction="forward"))
+
+    def test_steps_from_a_generator_checked_and_stored(self):
+        path = OrderedPath(steps=(x for x in FLAT_THEN_FALLING), direction="forward")
+        assert path.steps == FLAT_THEN_FALLING
+        assert path.nonpositive_gain_steps == (1, 2)
+        with pytest.raises(InvalidParameterError, match="no steps"):
+            OrderedPath(steps=(x for x in ()), direction="forward")
+
+    def test_slopes_derived_from_steps(self):
+        a, b, c = FLAT_THEN_FALLING
+        path = OrderedPath(steps=FLAT_THEN_FALLING, direction="forward")
+        assert path.slopes == ((b.quality - a.quality) / (b.rate - a.rate),
+                               (c.quality - b.quality) / (c.rate - b.rate))
+        assert OrderedPath(steps=(a,), direction="forward").slopes == ()
+
     @pytest.mark.parametrize("flags", [(7,), (), (1,), (2, 1)])
     def test_passed_flags_must_match_steps(self, flags):
         with pytest.raises(InvalidParameterError, match="nonpositive_gain_steps"):
