@@ -156,11 +156,11 @@ def least_squares_box(jac_resid: Callable[[list], np.ndarray], x0, lower) -> Box
     ``[J | r]``, an ``(n, k + 1)`` float array that it may refill on every
     call. Each step solves the Marquardt-scaled damped normal equations over
     the free variables: those above their bound, plus those at it whose
-    descent direction points inward. The trial point is projected onto the
-    bounds and accepted if it lowers the sum of squares, or, once the change
-    is within rounding of the sum, if it lowers the scaled gradient, which
-    stays informative there. The result never scores worse than ``x0``
-    projected onto the bounds.
+    descent direction points inward. Every trial point is projected onto the
+    bounds, evaluated, and accepted if it lowers the sum of squares or, within
+    rounding of the sum, the scaled gradient. A step that moves each variable
+    by at most 1e-13 of its value ends the loop, whatever the unit of ``x``.
+    The result never scores worse than ``x0`` projected onto the bounds.
     """
     k = len(lower)
     lower = [float(v) for v in lower]
@@ -184,23 +184,20 @@ def least_squares_box(jac_resid: Callable[[list], np.ndarray], x0, lower) -> Box
                 trial = x.copy()
                 for i, zi, si in zip(free, z, scale):
                     trial[i] = max(x[i] + zi / si, lower[i])
-                # A step that rounds away gives back x, whose sums are the
-                # current ones and fail the test below, so it goes unevaluated.
-                if trial != x:
-                    a = jac_resid(trial)
-                    m_trial = (a.T @ a).tolist()
-                    sse_trial = m_trial[k][k]
-                    if sse_trial < sse or (
-                        sse_trial <= sse * (1.0 + 64 * _EPS)
-                        and max(abs(m_trial[k][i]) / si for i, si in zip(free, scale)) < g_max
-                    ):
-                        break
+                a = jac_resid(trial)
+                m_trial = (a.T @ a).tolist()
+                sse_trial = m_trial[k][k]
+                if sse_trial < sse or (
+                    sse_trial <= sse * (1.0 + 64 * _EPS)
+                    and max(abs(m_trial[k][i]) / si for i, si in zip(free, scale)) < g_max
+                ):
+                    break
             damping *= 10.0
         else:
             status = "stalled"
             break
         nit += 1
-        small_step = all(abs(u - v) <= _TOL * (abs(v) + _TOL) for u, v in zip(trial, x))
+        small_step = all(abs(u - v) <= _TOL * abs(v) for u, v in zip(trial, x))
         x, m, sse = trial, m_trial, sse_trial
         damping = max(damping * 0.1, 1e-12)
         if small_step:

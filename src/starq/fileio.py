@@ -115,13 +115,19 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
 @dataclass(frozen=True)
 class ModelFile:
     """A JSON model document: reference resolutions plus any of the three
-    parameter sets."""
+    parameter sets, whose rate and quality sections share its reference."""
 
     ref: ResolutionRef
     scenario: str = ""
     rate: RateParams | None = None
     quality: QualityParams | None = None
     qr: QrModel | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.scenario, str):
+            raise InvalidParameterError(f"scenario must be a JSON string, got {self.scenario!r}")
+        if any(p is not None and not p.ref.matches(self.ref) for p in (self.rate, self.quality)):
+            raise InvalidParameterError("rate and quality sections must use the model's reference")
 
 
 def _values(obj) -> dict:
@@ -140,7 +146,7 @@ def model_to_dict(model: ModelFile) -> dict:
 def model_from_dict(doc: dict) -> ModelFile:
     ref = _section(_object(doc), "ref", ResolutionRef)
     parts = {key: _section(doc, key, cls, ref) for key, cls in _SECTIONS.items() if key in doc}
-    return ModelFile(ref=ref, scenario=str(doc.get("scenario", "")), **parts)
+    return ModelFile(ref=ref, scenario=doc.get("scenario", ""), **parts)
 
 
 def _section(doc: dict, key: str, cls, ref=None):

@@ -171,9 +171,9 @@ def fit_power_exponent(points, direction: str) -> float:
 
     ``direction`` selects the model: ``"decreasing"`` fits ``ratio ** -x``
     (rates falling as the ratio grows), ``"increasing"`` fits ``ratio ** x``.
-    The squared error is minimized in the linear rate domain by bracketed
-    scalar minimization on ``[0, 4]``; a log-log regression slope seeds the
-    search and is kept if it happens to score better.
+    The squared error in the linear rate domain is minimized by a bounded
+    search on ``[0, 4]``; the clamped log-log slope, exact on noiseless logs,
+    is a second candidate and wins when it scores better.
     """
     if direction not in ("decreasing", "increasing"):
         raise InvalidParameterError(f"unknown direction {direction!r}")
@@ -194,7 +194,7 @@ def _fit_exponent(points, sign: float) -> tuple[float, bool]:
     dr = log_r - _mean(log_r)
     sse = _exponent_sse(ratios, values, sign)
     result = minimize_bounded(sse, 0.0, _EXPONENT_MAX)
-    if dd := np.dot(dr, dr):  # equal ratios give no log-log slope to seed with
+    if dd := np.dot(dr, dr):  # equal ratios give no log-log slope to try
         init = min(max(sign * float(np.dot(dr, log_v - _mean(log_v)) / dd), 0.0), _EXPONENT_MAX)
         if sse(init) < result.fun:
             return init, init == _EXPONENT_MAX

@@ -21,7 +21,9 @@ from starq import (
     RateSample,
     ResolutionRef,
     Star,
+    evaluate_quality,
     evaluate_rate,
+    feasible_q,
 )
 
 SEQUENCES = ("city", "crew", "harbour", "ice", "soccer")
@@ -156,3 +158,20 @@ def joint_fit_logs(scenario: str, noise: float, seed: int, anchors: bool):
     for sequence in SEQUENCES:
         log = synthetic_log(rate_params(sequence, scenario), noise, seed)
         yield sequence, log if anchors else without_anchor(log)
+
+
+def enumerate_discrete(rp, qp, sets, budget):
+    """Brute-force best operating point of a discrete set: the highest
+    quality, ties broken toward the smaller stepsize, then the larger frame
+    rate, then the larger frame size."""
+    best_key, best = None, None
+    for s in sets.s_values:
+        for t in sets.t_values:
+            q = max(feasible_q(rp, s, t, budget), sets.q_range[0])
+            if q > sets.q_range[1] * (1 + 1e-9):
+                continue
+            quality = evaluate_quality(qp, Star(q, s, t))
+            key = (quality, -q, t, s)
+            if best_key is None or key > best_key:
+                best_key, best = key, Star(q, s, t)
+    return best

@@ -16,6 +16,7 @@ from sequences import (
     QR_KAPPA,
     REF,
     SEQUENCES,
+    enumerate_discrete,
     quality_params,
     rate_params,
     synthetic_log,
@@ -30,7 +31,6 @@ from starq import (
     ResolutionRef,
     Star,
     build_layer_grid,
-    evaluate_quality,
     evaluate_rate,
     feasible_q,
     fit_qr,
@@ -141,27 +141,13 @@ def test_criterion_4_budget_equation_round_trip():
     report(4, "budget-exact stepsize reproduces the budget on 1000 random tuples", worst <= 1e-9, f"worst rel err {worst:.2e}")
 
 
-def _enumerate_discrete(rp, qp, sets, budget):
-    best_key, best = None, None
-    for s in sets.s_values:
-        for t in sets.t_values:
-            q = max(feasible_q(rp, s, t, budget), sets.q_range[0])
-            if q > sets.q_range[1] * (1 + 1e-9):
-                continue
-            quality = evaluate_quality(qp, Star(q, s, t))
-            key = (quality, -q, t, s)
-            if best_key is None or key > best_key:
-                best_key, best = key, Star(q, s, t)
-    return best
-
-
 def test_criterion_5_discrete_oracle_equivalence():
     mismatches = 0
     for sequence in SEQUENCES:
         rp, qp = rate_params(sequence), quality_params(sequence)
         for budget in np.geomspace(0.01 * rp.r_max, rp.r_max, 50):
             got = optimize_discrete(rp, qp, DYADIC, float(budget)).star
-            want = _enumerate_discrete(rp, qp, DYADIC, float(budget))
+            want = enumerate_discrete(rp, qp, DYADIC, float(budget))
             if got != want:
                 mismatches += 1
     report(5, "discrete optimizer matches brute-force enumeration exactly", mismatches == 0, f"{mismatches} mismatches over 250 runs")

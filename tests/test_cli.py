@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sequences import REF, rate_params, quality_params, synthetic_log
+from sequences import REF, rate_params, quality_params, synthetic_log, without_anchor
 from starq.cli import main
 from starq.fileio import ModelFile, write_model_file
 from starq import QualityParams, ResolutionRef
@@ -71,6 +71,19 @@ class TestFit:
             "16,176,144,30,90\n26,704,576,30,800\n64,704,576,30,300\n26,704,576,15,550\n"
         )
         assert main(["fit", str(log), "--mode", "protocol"]) == 3
+
+    def test_report_warnings_go_to_stderr(self, city_log_csv, tmp_path, capsys):
+        assert main(["fit", str(city_log_csv), "--mode", "joint"]) == 0
+        anchored = capsys.readouterr()
+        (tmp_path / "no-anchor").mkdir()
+        log = write_log_csv(tmp_path / "no-anchor" / "city.csv", without_anchor(synthetic_log(CITY)))
+        assert main(["fit", str(log), "--mode", "joint"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: anchor samples missing; joint fit seeded by log-domain regression\n"
+        assert anchored.err == ""
+        assert captured.out.splitlines()[0] == anchored.out.splitlines()[0]
+        assert parse_table(captured.out).keys() == parse_table(anchored.out).keys()
+        assert float(parse_table(captured.out)["R_max"]) == pytest.approx(2379.0, rel=1e-6)
 
     def test_deterministic_output(self, city_log_csv, capsys):
         assert main(["fit", str(city_log_csv)]) == 0

@@ -18,6 +18,7 @@ from starq import (
     QrModel,
     QualityParams,
     RateParams,
+    ResolutionRef,
 )
 from starq.fileio import (
     ModelFile,
@@ -269,6 +270,31 @@ class TestModelFiles:
     def test_missing_fields(self, tmp_path):
         with pytest.raises(InvalidParameterError):
             read_model_file(write(tmp_path, "model.json", json.dumps({"rate": {"a": 1.0}})))
+
+    @pytest.mark.parametrize("section", ["rate", "quality"])
+    def test_sections_share_the_model_reference(self, section):
+        # Written under the model's reference, a section on another one
+        # would read back re-referenced.
+        other = ResolutionRef(q_min=REF.q_min, s_max=REF.s_max, t_max=60.0)
+        params = {
+            "rate": RateParams(1.0, 1.0, 1.0, 100.0, ref=other),
+            "quality": QualityParams(alpha_q=7.25, alpha_s_tilde=3.52, alpha_t=4.10, ref=other),
+        }[section]
+        with pytest.raises(InvalidParameterError, match="model's reference"):
+            ModelFile(ref=REF, **{section: params})
+
+    def test_scenario_defaults_to_empty(self):
+        doc = model_to_dict(ModelFile(ref=REF))
+        del doc["scenario"]
+        assert model_from_dict(doc).scenario == ""
+
+    @pytest.mark.parametrize("value", [None, 3, [1, 2], {"name": "city"}], ids=["null", "number", "list", "object"])
+    def test_scenario_must_be_a_json_string(self, tmp_path, value):
+        doc = dict(model_to_dict(ModelFile(ref=REF)), scenario=value)
+        path = write(tmp_path, "model.json", json.dumps(doc))
+        with pytest.raises(InvalidParameterError) as err:
+            read_model_file(path)
+        assert str(err.value).startswith(f"{path}: scenario must be a JSON string")
 
 
 class TestConfigs:

@@ -13,6 +13,7 @@ from sequences import (
     LAYER_T,
     REF,
     SEQUENCES,
+    enumerate_discrete,
     quality_params,
     rate_params,
 )
@@ -31,7 +32,6 @@ from starq import (
     ResolutionRef,
     Star,
     evaluate_qr,
-    evaluate_quality,
     evaluate_rate,
     feasible_q,
     fit_qr,
@@ -170,23 +170,6 @@ class TestContinuous:
                 optimize_continuous(CITY, CITY_Q, 500.0, grid=bad)
         default = optimize_continuous(CITY, CITY_Q, 500.0)
         assert optimize_continuous(CITY, CITY_Q, 500.0, grid=np.int64(64)) == default
-
-
-def enumerate_discrete(rp, qp, sets, budget):
-    """Independent brute-force enumerator with the documented tie-breaking."""
-    best = None
-    best_key = None
-    for s in sets.s_values:
-        for t in sets.t_values:
-            q = max(feasible_q(rp, s, t, budget), sets.q_range[0])
-            if q > sets.q_range[1] * (1 + 1e-9):
-                continue
-            quality = evaluate_quality(qp, Star(q, s, t))
-            key = (quality, -q, t, s)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = Star(q, s, t)
-    return best
 
 
 class TestDiscrete:

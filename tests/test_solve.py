@@ -129,6 +129,31 @@ class TestLeastSquaresBox:
         result = least_squares_box(_exp_model(self.lt, self.ls, measured), [-1.0, 1.0, 500.0], [0.0, 0.0, 1e-9])
         np.testing.assert_allclose(result.x, [0.6, 0.9, 800.0], rtol=1e-9)
 
+    def test_ends_at_start_when_accepted_steps_raise_the_sum(self):
+        # Steps within rounding of the sum that lower the gradient are taken,
+        # so the loop can end a few ulps above its start; it returns the start.
+        calls = []
+
+        def jac_resid(x):
+            calls.append(x)
+            rows = ([1.0, 1.0], [0.5, 1.0 + 1e-15], [0.0, 1.0 + 1e-15])
+            return np.array([rows[min(len(calls), 3) - 1]])
+
+        result = least_squares_box(jac_resid, [1.0], [0.0])
+        assert result.x.tolist() == [1.0]
+        assert (result.sse, result.nit, result.status) == (1.0, 2, "converged")
+        assert calls[-1] == [0.0]
+
+    def test_stalls_at_start_when_no_pivot_is_positive(self):
+        result = least_squares_box(lambda x: np.array([[math.nan, 1.0], [1.0, 2.0]]), [1.0], [0.0])
+        assert result.x.tolist() == [1.0]
+        assert (result.sse, result.nit, result.status) == (5.0, 0, "stalled")
+
+
+@pytest.mark.parametrize("pivot", [-1.0, math.nan])
+def test_damped_solve_rejects_a_non_positive_pivot(pivot):
+    assert _solve._damped_solve([[pivot]], 1e-3, [1.0]) is None
+
 
 def test_import_loads_no_scipy():
     src = str(Path(starq.__file__).resolve().parent.parent)
