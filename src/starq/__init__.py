@@ -2,130 +2,47 @@
 of quantization stepsize, frame size and frame rate, plus the workflows they
 enable: parameter fitting from encode logs, parameter prediction from content
 features, rate-constrained operating-point selection and scalable-layer
-ordering."""
+ordering.
 
-from .errors import (
-    DegenerateDataError,
-    InfeasibleError,
-    InsufficientDataError,
-    InvalidParameterError,
-    OutOfRangeError,
-    StarqError,
-)
-from .features import (
-    BUILTIN_PREDICTORS,
-    SL2,
-    SVC1,
-    FeatureVector,
-    ParamPrediction,
-    PredictorMatrix,
-    predict_params,
-)
-from .fitting import (
-    EncodeLog,
-    FitReport,
-    RateSample,
-    fit_power_exponent,
-    fit_rate_params,
-    normalize_nrq,
-    normalize_nrs,
-    normalize_nrt,
-    pearson,
-)
-from .models import (
-    CIF,
-    CIF4,
-    QCIF,
-    QrModel,
-    QualityParams,
-    RateParams,
-    ResolutionRef,
-    Star,
-    evaluate_qr,
-    evaluate_quality,
-    evaluate_rate,
-    qp_from_stepsize,
-    qr_surface,
-    quality_surface,
-    rate_surface,
-    stepsize_from_qp,
-)
-from .optimizer import (
-    FeasibleSets,
-    OptimizationResult,
-    QrFit,
-    feasible_q,
-    fit_qr,
-    optimal_quality_curve,
-    optimize_continuous,
-    optimize_discrete,
-)
-from .ordering import (
-    LayerGrid,
-    OrderedPath,
-    PathStep,
-    build_layer_grid,
-    max_rate_gap,
-    order_backward,
-    order_forward,
-    path_quality_loss,
-)
+Importing the package is lazy: ``import starq`` loads no submodule, and each
+public name (or submodule) is imported from its home module on first access,
+so a process loads only the modules it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_PREDICTORS",
-    "CIF",
-    "CIF4",
-    "DegenerateDataError",
-    "EncodeLog",
-    "FeasibleSets",
-    "FeatureVector",
-    "FitReport",
-    "InfeasibleError",
-    "InsufficientDataError",
-    "InvalidParameterError",
-    "LayerGrid",
-    "OptimizationResult",
-    "OrderedPath",
-    "OutOfRangeError",
-    "ParamPrediction",
-    "PathStep",
-    "PredictorMatrix",
-    "QCIF",
-    "QrFit",
-    "QrModel",
-    "QualityParams",
-    "RateParams",
-    "RateSample",
-    "ResolutionRef",
-    "SL2",
-    "SVC1",
-    "Star",
-    "StarqError",
-    "build_layer_grid",
-    "evaluate_qr",
-    "evaluate_quality",
-    "evaluate_rate",
-    "feasible_q",
-    "fit_power_exponent",
-    "fit_qr",
-    "fit_rate_params",
-    "max_rate_gap",
-    "normalize_nrq",
-    "normalize_nrs",
-    "normalize_nrt",
-    "optimal_quality_curve",
-    "optimize_continuous",
-    "optimize_discrete",
-    "order_backward",
-    "order_forward",
-    "path_quality_loss",
-    "pearson",
-    "predict_params",
-    "qp_from_stepsize",
-    "qr_surface",
-    "quality_surface",
-    "rate_surface",
-    "stepsize_from_qp",
-]
+# The home module of every public name.
+_HOMES = {
+    "errors": "DegenerateDataError InfeasibleError InsufficientDataError InvalidParameterError "
+              "OutOfRangeError StarqError",
+    "features": "BUILTIN_PREDICTORS SL2 SVC1 FeatureVector ParamPrediction PredictorMatrix "
+                "predict_params",
+    "fitting": "EncodeLog FitReport RateSample fit_power_exponent fit_rate_params normalize_nrq "
+               "normalize_nrs normalize_nrt pearson",
+    "models": "CIF CIF4 QCIF QrModel QualityParams RateParams ResolutionRef Star evaluate_qr "
+              "evaluate_quality evaluate_rate qp_from_stepsize qr_surface quality_surface "
+              "rate_surface stepsize_from_qp",
+    "optimizer": "FeasibleSets OptimizationResult QrFit feasible_q fit_qr optimal_quality_curve "
+                 "optimize_continuous optimize_discrete",
+    "ordering": "LayerGrid OrderedPath PathStep build_layer_grid max_rate_gap order_backward "
+                "order_forward path_quality_loss",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Called only for names not yet in the package globals (PEP 562).
+    if name in _HOMES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_HOMES})

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+# Each command imports the engine module it runs, so a call loads no other engine.
 from .errors import InfeasibleError, InsufficientDataError, StarqError
-from .features import BUILTIN_PREDICTORS, FeatureVector, predict_params
 from .fileio import (
     ModelFile,
     parse_frame_size,
@@ -29,10 +29,7 @@ from .fileio import (
     read_sets_config,
     write_model_file,
 )
-from .fitting import fit_rate_params
 from .models import ResolutionRef, Star, _check, evaluate_rate
-from .optimizer import optimize_continuous, optimize_discrete
-from .ordering import build_layer_grid, max_rate_gap, order_backward, order_forward
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -59,6 +56,8 @@ def _print_param_table(label: str, params, rrmse: float | None, pc: float | None
 
 
 def cmd_fit(args) -> int:
+    from .fitting import fit_rate_params
+
     log, warnings = read_encode_log(args.log)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -137,6 +136,8 @@ def _result_doc(result, mode: str, budget: float) -> dict:
 
 
 def cmd_optimize(args) -> int:
+    from .optimizer import optimize_continuous, optimize_discrete
+
     rp, qp = _load_rate_and_quality(args)
     if args.mode == "dyadic":
         if not args.sets:
@@ -163,6 +164,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_order(args) -> int:
+    from .ordering import build_layer_grid, max_rate_gap, order_backward, order_forward
+
     rp, qp = _load_rate_and_quality(args)
     s_levels, t_levels, q_levels = read_levels_config(args.levels)
     grid = build_layer_grid(rp, qp, s_levels, t_levels, q_levels)
@@ -194,6 +197,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_predict_params(args) -> int:
+    from .features import BUILTIN_PREDICTORS, FeatureVector, predict_params
+
     scenario = args.scenario.upper().replace("#", "")
     if scenario not in BUILTIN_PREDICTORS:
         raise StarqError(

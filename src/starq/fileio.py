@@ -13,10 +13,9 @@ import functools
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParameterError, StarqError
-from .features import FeatureVector
-from .fitting import EncodeLog, RateSample
 from .models import (
     FRAME_SIZE_NAMES,
     QrModel,
@@ -28,7 +27,13 @@ from .models import (
     _check_ladder,
     stepsize_from_qp,
 )
-from .optimizer import FeasibleSets
+
+# The readers that build these types import them when called, so reading a
+# model document never loads fitting, features or the optimizer.
+if TYPE_CHECKING:
+    from .features import FeatureVector
+    from .fitting import EncodeLog
+    from .optimizer import FeasibleSets
 
 # Encode-log columns besides the stepsize, which is a q or a qp column.
 _LOG_COLUMNS = ("width", "height", "fps", "rate_kbps")
@@ -77,6 +82,8 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     present qp wins, with a warning, since qp is what encoders log. Returns
     the log and any warnings.
     """
+    from .fitting import EncodeLog, RateSample
+
     index, line, rows = _read_csv(path)
     if index is None:
         raise InvalidParameterError("empty file, expected a CSV header")
@@ -189,6 +196,8 @@ def write_model_file(path, model: ModelFile) -> None:
 @_reader
 def read_sets_config(path) -> FeasibleSets:
     """Feasible-set config: keys s_values, t_values and q_range."""
+    from .optimizer import FeasibleSets
+
     return _build(FeasibleSets, _read_json(path))
 
 
@@ -205,6 +214,8 @@ def read_levels_config(path) -> tuple[tuple[float, ...], tuple[float, ...], tupl
 def read_features(path) -> FeatureVector:
     """Content features from a JSON object or from the first record of a CSV
     file, under the keys mu_dfd, sigma_mvm and sigma_mda."""
+    from .features import FeatureVector
+
     if path.suffix.lower() != ".csv":
         return _build(FeatureVector, _read_json(path))
     index, _, rows = _read_csv(path)

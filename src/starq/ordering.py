@@ -12,12 +12,13 @@ drop and tends to spread the achievable rates more evenly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, OutOfRangeError
 from .models import (
     QrModel,
     QualityParams,
@@ -96,7 +97,9 @@ class OrderedPath:
     ``nonpositive_gain_steps``, the indices of the steps that did not improve
     quality, is derived from the steps; a value passed in must equal it. It
     is empty for grids built from the analytic surfaces. ``slopes[i - 1]`` is
-    step ``i``'s quality change per rate increase over step ``i - 1``.
+    step ``i``'s quality change per rate increase over step ``i - 1``; a
+    slope that overflows the float range, as over subnormal rate steps,
+    raises :class:`~starq.errors.OutOfRangeError`.
     """
 
     steps: tuple[PathStep, ...]
@@ -135,7 +138,12 @@ class OrderedPath:
                 raise InvalidParameterError("path violates the monotonicity constraint")
             if rate1 <= rate0:
                 raise InvalidParameterError("rate must increase strictly along the path")
-            slopes.append((quality1 - quality0) / (rate1 - rate0))
+            slope = (quality1 - quality0) / (rate1 - rate0)
+            if not math.isfinite(slope):
+                raise OutOfRangeError(
+                    f"step {len(slopes) + 1}: quality change per rate increase is {slope}"
+                )
+            slopes.append(slope)
         flags = tuple(i for i in range(1, len(quality)) if quality[i] <= quality[i - 1])
         passed = self.nonpositive_gain_steps
         if passed is not None and passed != flags:

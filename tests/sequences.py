@@ -135,6 +135,15 @@ def synthetic_log(params: RateParams, noise: float = 0.0, seed: int = 0) -> Enco
     return EncodeLog(samples=tuple(samples), ref=params.ref)
 
 
+def write_log_csv(path, log: EncodeLog):
+    """Write ``log`` as a CSV encode log at ``path`` and return the path. The
+    frame size is written as a one-row-high frame, so it reads back exactly."""
+    lines = ["q,width,height,fps,rate_kbps"]
+    lines += [f"{x.star.q!r},{x.star.s!r},1,{x.star.t!r},{x.rate!r}" for x in log.samples]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def without_anchor(log: EncodeLog) -> EncodeLog:
     """The log less its sample at the reference point, which leaves it to the
     joint fit's log-domain seed."""

@@ -4,23 +4,13 @@ import json
 
 import pytest
 
-from sequences import REF, rate_params, quality_params, synthetic_log, without_anchor
+from sequences import REF, rate_params, quality_params, synthetic_log, without_anchor, write_log_csv
 from starq.cli import main
 from starq.fileio import ModelFile, write_model_file
-from starq import QualityParams, ResolutionRef
+from starq import QualityParams, RateParams, ResolutionRef
 
 CITY = rate_params("city")
 CITY_Q = quality_params("city")
-
-
-def write_log_csv(path, log):
-    lines = ["q,width,height,fps,rate_kbps"]
-    for sample in log.samples:
-        star = sample.star
-        # frame size is width*height; emit a 1-row-wide frame to keep it exact
-        lines.append(f"{star.q!r},{star.s!r},1,{star.t!r},{sample.rate!r}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 @pytest.fixture
@@ -242,6 +232,19 @@ class TestOrder:
     def test_decreasing_size_list_is_input_error(self, city_model_json, tmp_path):
         levels = self.write_levels(tmp_path, ["4cif", "cif", "qcif"])
         assert main(["order", str(city_model_json), "--levels", str(levels)]) == 2
+
+    def test_overflowing_slope_is_input_error(self, tmp_path, capsys):
+        # Subnormal rate steps give slopes past the float range, which JSON
+        # cannot carry.
+        model = tmp_path / "tiny.json"
+        tiny = RateParams(a=1.0, b=1.0, c=1.0, r_max=1e-307, ref=REF)
+        write_model_file(model, ModelFile(ref=REF, rate=tiny, quality=CITY_Q))
+        levels = self.write_levels(tmp_path, ["qcif", "cif", "4cif"])
+        for direction in ("forward", "backward"):
+            assert main(["order", str(model), "--levels", str(levels), "--direction", direction]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: step 1: quality change per rate increase is inf\n"
 
     def test_byte_identical_reruns(self, city_model_json, tmp_path, capsys):
         levels = self.write_levels(tmp_path, ["qcif", "cif", "4cif"])

@@ -21,7 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sequences import LAYER_Q, LAYER_S, LAYER_T, REF, quality_params, rate_params, synthetic_log
+from sequences import (
+    LAYER_Q,
+    LAYER_S,
+    LAYER_T,
+    REF,
+    quality_params,
+    rate_params,
+    synthetic_log,
+    write_log_csv,
+)
 import starq
 from starq.cli import MAX_SWEEP, main
 from starq.fileio import ModelFile, write_model_file
@@ -38,11 +47,7 @@ def files(tmp_path_factory):
         d / "model.json",
         ModelFile(ref=REF, scenario="city", rate=rate_params("city"), quality=quality_params("city")),
     )
-    lines = ["q,width,height,fps,rate_kbps"] + [
-        f"{x.star.q!r},{x.star.s!r},1,{x.star.t!r},{x.rate!r}"
-        for x in synthetic_log(rate_params("city")).samples
-    ]
-    (d / "log.csv").write_text("\n".join(lines) + "\n")
+    write_log_csv(d / "log.csv", synthetic_log(rate_params("city")))
     (d / "sets.json").write_text(
         json.dumps({"s_values": list(LAYER_S), "t_values": list(LAYER_T), "q_range": [16, 104]})
     )

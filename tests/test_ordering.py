@@ -13,6 +13,7 @@ from starq import (
     OutOfRangeError,
     PathStep,
     QrModel,
+    RateParams,
     Star,
     build_layer_grid,
     evaluate_quality,
@@ -261,6 +262,20 @@ class TestOrderedPathInvariants:
         assert path.slopes == ((b.quality - a.quality) / (b.rate - a.rate),
                                (c.quality - b.quality) / (c.rate - b.rate))
         assert OrderedPath(steps=(a,), direction="forward").slopes == ()
+
+    def test_overflowing_slope_rejected(self):
+        # A quality rise over a subnormal rate step overflows to inf.
+        a = PathStep(0, 0, 0, 1.0, 1.0, 4.0, 1e-310, 0.2)
+        b = PathStep(1, 0, 0, 2.0, 1.0, 4.0, 2e-310, 0.5)
+        with pytest.raises(OutOfRangeError, match="step 1: .* is inf"):
+            OrderedPath(steps=(a, b), direction="forward")
+
+    @pytest.mark.parametrize("order", [order_forward, order_backward])
+    def test_subnormal_rate_steps_out_of_range(self, order):
+        rp = RateParams(a=1.0, b=1.0, c=1.0, r_max=1e-307, ref=REF)
+        grid = build_layer_grid(rp, CITY_Q, LAYER_S, LAYER_T, LAYER_Q)
+        with pytest.raises(OutOfRangeError, match="quality change per rate increase is inf"):
+            order(grid)
 
     @pytest.mark.parametrize("flags", [(7,), (), (1,), (2, 1)])
     def test_passed_flags_must_match_steps(self, flags):
