@@ -19,12 +19,12 @@ _HOMES = {
               "OutOfRangeError StarqError",
     "features": "BUILTIN_PREDICTORS SL2 SVC1 FeatureVector ParamPrediction PredictorMatrix "
                 "predict_params",
-    "fitting": "EncodeLog FitReport RateSample fit_power_exponent fit_rate_params normalize_nrq "
-               "normalize_nrs normalize_nrt pearson",
+    "fitting": "EncodeLog FitReport QrFit RateSample fit_power_exponent fit_qr fit_rate_params "
+               "normalize_nrq normalize_nrs normalize_nrt pearson",
     "models": "CIF CIF4 QCIF QrModel QualityParams RateParams ResolutionRef Star evaluate_qr "
               "evaluate_quality evaluate_rate qp_from_stepsize qr_surface quality_surface "
               "rate_surface stepsize_from_qp",
-    "optimizer": "FeasibleSets OptimizationResult QrFit feasible_q fit_qr optimal_quality_curve "
+    "optimizer": "FeasibleSets OptimizationResult feasible_q optimal_quality_curve "
                  "optimize_continuous optimize_discrete",
     "ordering": "LayerGrid OrderedPath PathStep build_layer_grid max_rate_gap order_backward "
                 "order_forward path_quality_loss",

@@ -79,16 +79,19 @@ def _print_csv(header: str, rows) -> None:
         print(",".join(_fmt(x) for x in row))
 
 
-def _read_part(path, part: str):
-    # One parameter set ("rate" or "quality") of a model document that must hold it.
-    params = getattr(read_model_file(path), part)
+def _part(model: ModelFile, path, part: str):
+    # One parameter set ("rate" or "quality") of the model document read from
+    # ``path``, which must hold it.
+    params = getattr(model, part)
     if params is None:
         raise StarqError(f"{path}: model document has no {part} parameters")
     return params
 
 
 def cmd_predict_rate(args) -> int:
-    rp = _read_part(args.model, "rate")
+    if args.sweep and args.log:
+        raise StarqError("--sweep and --log cannot be combined")
+    rp = _part(read_model_file(args.model), args.model, "rate")
 
     if args.sweep:
         ends = (args.sweep_from, args.sweep_to)
@@ -119,7 +122,12 @@ def cmd_predict_rate(args) -> int:
 
 
 def _load_rate_and_quality(args) -> tuple:
-    return _read_part(args.model, "rate"), _read_part(args.quality_model or args.model, "quality")
+    # Each model document is read once, also when it holds both parameter sets.
+    model = read_model_file(args.model)
+    rp = _part(model, args.model, "rate")
+    if args.quality_model:
+        model = read_model_file(args.quality_model)
+    return rp, _part(model, args.quality_model or args.model, "quality")
 
 
 def _result_doc(result, mode: str, budget: float) -> dict:
@@ -138,6 +146,8 @@ def _result_doc(result, mode: str, budget: float) -> dict:
 def cmd_optimize(args) -> int:
     from .optimizer import optimize_continuous, optimize_discrete
 
+    if args.budget is not None and args.budget_sweep is not None:
+        raise StarqError("--budget and --budget-sweep cannot be combined")
     rp, qp = _load_rate_and_quality(args)
     if args.mode == "dyadic":
         if not args.sets:
@@ -252,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-from", type=float)
     p.add_argument("--sweep-to", type=float)
     p.add_argument("--points", type=int, default=25)
-    p.add_argument("--log", type=Path, help="also print measured vs predicted for this log")
+    p.add_argument("--log", type=Path, help="print measured vs predicted rates for this log")
     p.set_defaults(func=cmd_predict_rate)
 
     p = sub.add_parser("optimize", help="pick the best operating point under a budget")

@@ -1,10 +1,13 @@
-"""Estimate rate-surface parameters from measured encode logs.
+"""Every parameter fit of the package.
 
-The protocol fit mirrors how the parameters are defined: each exponent is
-recovered from bit rates normalized along its own axis (NRQ, NRT, NRS) and
-``r_max`` is the measured rate at the reference point. The joint fit refines
-all four parameters together against the raw rates and is available for logs
-that lack the exact anchor measurements.
+Rate-surface parameters come from measured encode logs. The protocol fit
+mirrors how the parameters are defined: each exponent is recovered from bit
+rates normalized along its own axis (NRQ, NRT, NRS) and ``r_max`` is the
+measured rate at the reference point. The joint fit refines all four
+parameters together against the raw rates and is available for logs that
+lack the exact anchor measurements. ``fit_qr`` fits ``kappa``, the one
+parameter of the quality-versus-rate summary, to a curve such as
+``starq.optimizer.optimal_quality_curve`` gives.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ import numpy as np
 
 from ._solve import least_squares_box, minimize_bounded
 from .errors import DegenerateDataError, InsufficientDataError, InvalidParameterError
-from .models import RateParams, ResolutionRef, Star, _check, _check_fields, _close, _mean, _rate
+from .models import (
+    QrModel, RateParams, ResolutionRef, Star, _check, _check_fields, _close, _mean, _qr,
+    _qr_powered, _rate,
+)
 
 _EXPONENT_MAX = 4.0
 
@@ -214,6 +220,52 @@ def _exponent_sse(ratios, values, sign: float):
         return float(np.add.reduce(d))
 
     return sse
+
+
+@dataclass(frozen=True)
+class QrFit:
+    """Fitted rate-quality summary and its root-mean-square error."""
+
+    model: QrModel
+    rmse: float
+
+
+def fit_qr(curve, r_max: float) -> QrFit:
+    """Fit the one-parameter quality-versus-rate summary to a curve of
+    ``(rate, quality)`` points by bracketed scalar minimization of the RMSE.
+
+    ``curve`` is any iterable of at least three pairs; a point that is not a
+    pair raises :class:`InvalidParameterError`.
+    """
+    points = list(curve)
+    n = len(points)
+    if n < 3:
+        raise InsufficientDataError("need at least three curve points")
+    try:
+        shape = np.shape(points)
+    except ValueError:  # ragged points
+        shape = ()
+    if shape != (n, 2):
+        raise InvalidParameterError("curve points must be (rate, quality) pairs")
+    rates, qualities = zip(*points)
+    powered = _qr_powered(r_max, rates, "curve rates")
+    qualities = _check("curve qualities", qualities, -np.inf, array=True)
+    if np.all(qualities == qualities[0]):
+        raise DegenerateDataError("curve is flat; no summary parameter fits it")
+    result = minimize_bounded(_qr_rmse(powered, qualities), 1e-6, 50.0)
+    return QrFit(model=QrModel(kappa=result.x, r_max=r_max), rmse=result.fun)
+
+
+def _qr_rmse(powered, qualities):
+    # fit_qr's objective: the RMSE of the Q(R) summary at the powered rate
+    # ratios against the qualities, as a function of kappa.
+    def rmse(kappa: float) -> float:
+        d = _qr(kappa, powered)
+        d -= qualities
+        d *= d
+        return math.sqrt(_mean(d))
+
+    return rmse
 
 
 def pearson(x, y) -> float:

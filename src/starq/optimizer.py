@@ -5,27 +5,20 @@ point of maximum quality whose rate stays within a budget. The stepsize that
 exactly meets the budget at a given frame size and frame rate has a closed
 form, so the search runs over (frame size, frame rate) only: either a
 geometric grid standing in for the continuous range, or explicit discrete
-ladders. A one-parameter inverted exponential summarizes the resulting
-optimal quality-versus-rate curve.
+ladders. ``optimal_quality_curve`` traces the best quality against the
+budget, the curve whose one-parameter summary ``starq.fitting.fit_qr`` fits.
+This module fits no parameters: every fit lives in ``starq.fitting``.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._solve import minimize_bounded
-from .errors import (
-    DegenerateDataError,
-    InfeasibleError,
-    InsufficientDataError,
-    InvalidParameterError,
-)
+from .errors import InfeasibleError, InvalidParameterError
 from .models import (
-    QrModel,
     QualityParams,
     RateParams,
     Star,
@@ -35,10 +28,7 @@ from .models import (
     _check_q_limit,
     _check_shared_ref,
     _close,
-    _mean,
     _positive_arrays,
-    _qr,
-    _qr_powered,
     _quality,
     _rate,
 )
@@ -62,6 +52,17 @@ class FeasibleSets:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The operating point an optimizer chose.
+
+    ``star`` holds its stepsize, frame size and frame rate, ``quality`` the
+    quality surface there and ``rate`` the rate surface there in kbps. The
+    stepsize comes from the budget equation in floating point, so ``rate``
+    may exceed the budget by rounding: ``optimize_discrete`` returns a rate
+    of 500.00000000000006 at a 500 kbps budget on the city/svc1 parameters
+    and the 3 x 4 layer ladder. Every result keeps
+    ``rate <= budget * (1 + 1e-9)``.
+    """
+
     star: Star
     quality: float
     rate: float
@@ -222,52 +223,6 @@ def optimize_discrete(
     )
 
 
-@dataclass(frozen=True)
-class QrFit:
-    """Fitted rate-quality summary and its root-mean-square error."""
-
-    model: QrModel
-    rmse: float
-
-
-def fit_qr(curve, r_max: float) -> QrFit:
-    """Fit the one-parameter quality-versus-rate summary to a curve of
-    ``(rate, quality)`` points by bracketed scalar minimization of the RMSE.
-
-    ``curve`` is any iterable of at least three pairs; a point that is not a
-    pair raises :class:`InvalidParameterError`.
-    """
-    points = list(curve)
-    n = len(points)
-    if n < 3:
-        raise InsufficientDataError("need at least three curve points")
-    try:
-        shape = np.shape(points)
-    except ValueError:  # ragged points
-        shape = ()
-    if shape != (n, 2):
-        raise InvalidParameterError("curve points must be (rate, quality) pairs")
-    rates, qualities = zip(*points)
-    powered = _qr_powered(r_max, rates, "curve rates")
-    qualities = _check("curve qualities", qualities, -np.inf, array=True)
-    if np.all(qualities == qualities[0]):
-        raise DegenerateDataError("curve is flat; no summary parameter fits it")
-    result = minimize_bounded(_qr_rmse(powered, qualities), 1e-6, 50.0)
-    return QrFit(model=QrModel(kappa=result.x, r_max=r_max), rmse=result.fun)
-
-
-def _qr_rmse(powered, qualities):
-    # fit_qr's objective: the RMSE of the Q(R) summary at the powered rate
-    # ratios against the qualities, as a function of kappa.
-    def rmse(kappa: float) -> float:
-        d = _qr(kappa, powered)
-        d -= qualities
-        d *= d
-        return math.sqrt(_mean(d))
-
-    return rmse
-
-
 def optimal_quality_curve(rp: RateParams, qp: QualityParams) -> list[tuple[float, float]]:
     """Optimal quality at 50 log-spaced budgets in ``[0.1 * r_max, r_max]``.
 
@@ -275,7 +230,7 @@ def optimal_quality_curve(rp: RateParams, qp: QualityParams) -> list[tuple[float
     three coded formats (a 3-point geometric axis over a 16x span), 64
     frame rates over the same span, no local refinement, and budgets over
     the top decade of the rate range. Returns ``(budget, quality)`` pairs
-    suitable for :func:`fit_qr`.
+    suitable for :func:`starq.fitting.fit_qr`.
     """
     _check_shared_ref(rp, qp)
     budgets = _geomspace(np.array([0.1 * rp.r_max]), np.array([rp.r_max]), 50)[0]

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from sequences import REF, rate_params, quality_params, synthetic_log, without_anchor, write_log_csv
+from starq import cli
 from starq.cli import main
-from starq.fileio import ModelFile, write_model_file
+from starq.fileio import ModelFile, read_model_file, write_model_file
 from starq import QualityParams, RateParams, ResolutionRef
 
 CITY = rate_params("city")
@@ -173,6 +174,47 @@ class TestOptimize:
         assert rc == 4
 
 
+# A command's argv after the model path, and whether it also names a
+# separate quality document.
+READ_CASES = [
+    (["predict-rate", "--q", "16", "--s", "4cif", "--t", "30"], False),
+    (["optimize", "--budget", "500"], False),
+    (["optimize", "--budget", "500"], True),
+    (["order", "--levels", "levels.json"], False),
+    (["order", "--levels", "levels.json"], True),
+]
+
+
+@pytest.mark.parametrize(
+    "command, separate_quality",
+    READ_CASES,
+    ids=[command[0] + " --quality-model" * separate for command, separate in READ_CASES],
+)
+def test_each_model_document_is_read_once(
+    city_model_json, tmp_path, monkeypatch, command, separate_quality
+):
+    (tmp_path / "levels.json").write_text(
+        json.dumps({"s_values": ["cif", "4cif"], "t_values": [15, 30], "q_levels": [26, 16]})
+    )
+    quality_doc = tmp_path / "quality.json"
+    write_model_file(quality_doc, ModelFile(ref=REF, quality=CITY_Q))
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_model_file(path)
+
+    monkeypatch.setattr(cli, "read_model_file", counting_read)
+    argv = [command[0], str(city_model_json)]
+    argv += [str(tmp_path / a) if a == "levels.json" else a for a in command[1:]]
+    expected = [city_model_json]
+    if separate_quality:
+        argv += ["--quality-model", str(quality_doc)]
+        expected.append(quality_doc)
+    assert main(argv) == 0
+    assert reads == expected
+
+
 SWEEP_T = ["--q", "16", "--s", "4cif", "--sweep", "t", "--sweep-to", "30"]
 
 
@@ -190,9 +232,15 @@ SWEEP_T = ["--q", "16", "--s", "4cif", "--sweep", "t", "--sweep-to", "30"]
         (["optimize", "--budget", "500", "--grid", "4097"], "grid must"),
         (["predict-rate", "--t", "30", "--sweep", "q", "--sweep-from", "16", "--sweep-to", "64"],
          "sweeping q requires a fixed --s"),
+        # Two outputs asked for at once: neither wins.
+        (["predict-rate", *SWEEP_T, "--sweep-from", "1.875", "--log", "log.csv"],
+         "--sweep and --log cannot be combined"),
+        (["optimize", "--budget", "500", "--budget-sweep", "3"],
+         "--budget and --budget-sweep cannot be combined"),
     ],
     ids=["sweep-from-zero", "sweep-from-negative", "zero-points", "zero-budget-sweep",
-         "points-above-cap", "budget-sweep-above-cap", "grid-above-cap", "sweep-without-s"],
+         "points-above-cap", "budget-sweep-above-cap", "grid-above-cap", "sweep-without-s",
+         "sweep-with-log", "budget-with-budget-sweep"],
 )
 def test_bad_sweep_arguments_are_input_errors(city_model_json, capsys, extra, message):
     argv = [extra[0], str(city_model_json), *extra[1:]]

@@ -1,0 +1,21 @@
+"""The command line's stdout, stderr and exit code against the golden files
+in ``golden/cli``, byte for byte. ``golden/regen.py`` lists the cases and
+rewrites the files."""
+
+from __future__ import annotations
+
+import pytest
+
+from golden.regen import CASES, golden, run_case, write_inputs
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    write_inputs(d)
+    return d
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_matches_golden(inputs, name):
+    assert run_case(name, inputs) == golden(name)

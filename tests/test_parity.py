@@ -101,10 +101,10 @@ from starq import (
 )
 from starq import _solve, fileio, fitting
 from starq.fileio import _number, _read_csv, _reader, read_encode_log
-from starq.fitting import EncodeLog, RateSample, _exponent_sse
+from starq.fitting import EncodeLog, QrFit, RateSample, _exponent_sse, _qr_rmse
 from starq._solve import minimize_bounded
 from starq.models import _REL_TOL, _check, _check_q_limit, _quality, _rate, stepsize_from_qp
-from starq.optimizer import QrFit, _budget_q, _geomspace, _qr_rmse
+from starq.optimizer import _budget_q, _geomspace
 
 GRIDS = (2, 3, 5, 64, 128)
 DYADIC = FeasibleSets(s_values=LAYER_S, t_values=LAYER_T, q_range=(16.0, 104.0))
