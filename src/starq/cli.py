@@ -6,6 +6,9 @@ solve rate-constrained operating-point selection, and order scalable layers.
 Machine-readable output goes to stdout; warnings and summaries go to stderr.
 
 Exit codes: 0 success, 2 input error, 3 insufficient data, 4 infeasible.
+A subcommand accepts exactly the options its chosen mode reads: any other
+given option, or a missing one the mode needs, is an input error raised
+before any file is opened.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 # Each command imports the engine module it runs, so a call loads no other engine.
-from .errors import InfeasibleError, InsufficientDataError, StarqError
+from .errors import InfeasibleError, InsufficientDataError, OutOfRangeError, StarqError
 from .fileio import (
     ModelFile,
     parse_frame_size,
@@ -55,19 +58,39 @@ def _print_param_table(label: str, params, rrmse: float | None, pc: float | None
         print(f"{'PC':<10}{_fmt(pc)}")
 
 
-def cmd_fit(args) -> int:
+class _Given:
+    """The options given to one subcommand. Its command takes each option the
+    chosen mode reads (required unless ``take`` has a default), then ``done``
+    rejects the rest: the reading code alone says where an option applies."""
+
+    def __init__(self, given: dict) -> None:
+        self.mode, self.left = given.pop("command"), given
+
+    def take(self, name: str, default=...):
+        if default is ... and name not in self.left:
+            raise StarqError(f"{self.mode} needs --{name.replace('_', '-')}")
+        return self.left.pop(name, default)
+
+    def done(self) -> None:
+        for name in self.left:
+            raise StarqError(f"--{name.replace('_', '-')} does not apply to {self.mode}")
+
+
+def cmd_fit(opts: _Given) -> int:
     from .fitting import fit_rate_params
 
-    log, warnings = read_encode_log(args.log)
+    path, mode, out = opts.take("log"), opts.take("mode", "protocol"), opts.take("out", None)
+    opts.done()
+    log, warnings = read_encode_log(path)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    report = fit_rate_params(log, mode=args.mode)
+    report = fit_rate_params(log, mode=mode)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    _print_param_table(Path(args.log).stem, report.params, report.rrmse, report.pc)
-    if args.out:
-        model = ModelFile(ref=report.params.ref, scenario=Path(args.log).stem, rate=report.params)
-        write_model_file(args.out, model)
+    _print_param_table(Path(path).stem, report.params, report.rrmse, report.pc)
+    if out:
+        model = ModelFile(ref=report.params.ref, scenario=Path(path).stem, rate=report.params)
+        write_model_file(out, model)
     return EXIT_OK
 
 
@@ -88,98 +111,90 @@ def _part(model: ModelFile, path, part: str):
     return params
 
 
-def cmd_predict_rate(args) -> int:
-    if args.sweep and args.log:
-        raise StarqError("--sweep and --log cannot be combined")
-    rp = _part(read_model_file(args.model), args.model, "rate")
-
-    if args.sweep:
-        ends = (args.sweep_from, args.sweep_to)
+def cmd_predict_rate(opts: _Given) -> int:
+    path, axis = opts.take("model"), opts.take("sweep", None)
+    log_path = None if axis else opts.take("log", None)
+    mode = f"--sweep {axis}" if axis else "--log" if log_path else "at one point"
+    opts.mode = f"predict-rate {mode}"
+    if axis:
+        ends = (opts.take("sweep_from"), opts.take("sweep_to"))
         lo, hi = (_check("--sweep-from and --sweep-to", v) for v in ends)
-        fixed = {"q": args.q, "s": args.s, "t": args.t}
-        for axis, value in fixed.items():
-            if axis != args.sweep and value is None:
-                raise StarqError(f"sweeping {args.sweep} requires a fixed --{axis}")
-        if not 1 <= args.points <= MAX_SWEEP:
-            raise StarqError(f"--points must be in [1, {MAX_SWEEP}], got {args.points}")
-        stars = (Star(**{**fixed, args.sweep: float(v)}) for v in np.geomspace(lo, hi, args.points))
-        _print_csv("q,s,t,rate_kbps", ((x.q, x.s, x.t, evaluate_rate(rp, x)) for x in stars))
-        return EXIT_OK
+        points = opts.take("points", 25)
+        if not 1 <= points <= MAX_SWEEP:
+            raise StarqError(f"--points must be in [1, {MAX_SWEEP}], got {points}")
+    fixed = {} if log_path else {a: opts.take(a) for a in "qst" if a != axis}
+    opts.done()
+    rp = _part(read_model_file(path), path, "rate")
 
-    if args.log:
-        log, warnings = read_encode_log(args.log)
+    if axis:
+        stars = (Star(**{**fixed, axis: float(v)}) for v in np.geomspace(lo, hi, points))
+        _print_csv("q,s,t,rate_kbps", ((x.q, x.s, x.t, evaluate_rate(rp, x)) for x in stars))
+    elif log_path:
+        log, warnings = read_encode_log(log_path)
         for w in warnings:
             print(f"warning: {w}", file=sys.stderr)
         _print_csv("q,s,t,measured_kbps,predicted_kbps", (
             (x.star.q, x.star.s, x.star.t, x.rate, evaluate_rate(rp, x.star)) for x in log.samples
         ))
-        return EXIT_OK
-
-    if args.q is None or args.s is None or args.t is None:
-        raise StarqError("need --q, --s and --t (or --sweep / --log)")
-    print(_fmt(evaluate_rate(rp, Star(q=args.q, s=args.s, t=args.t))))
+    else:
+        print(_fmt(evaluate_rate(rp, Star(**fixed))))
     return EXIT_OK
 
 
-def _load_rate_and_quality(args) -> tuple:
+def _load_rate_and_quality(path, quality_path) -> tuple:
     # Each model document is read once, also when it holds both parameter sets.
-    model = read_model_file(args.model)
-    rp = _part(model, args.model, "rate")
-    if args.quality_model:
-        model = read_model_file(args.quality_model)
-    return rp, _part(model, args.quality_model or args.model, "quality")
+    model = read_model_file(path)
+    rp = _part(model, path, "rate")
+    if quality_path:
+        model = read_model_file(quality_path)
+    return rp, _part(model, quality_path or path, "quality")
 
 
-def _result_doc(result, mode: str, budget: float) -> dict:
-    return {
-        "mode": mode,
-        "budget_kbps": budget,
-        "q": result.star.q,
-        "s": result.star.s,
-        "t": result.star.t,
-        "rate_kbps": result.rate,
-        "quality": result.quality,
-        "feasible": True,
-    }
-
-
-def cmd_optimize(args) -> int:
+def cmd_optimize(opts: _Given) -> int:
     from .optimizer import optimize_continuous, optimize_discrete
 
-    if args.budget is not None and args.budget_sweep is not None:
-        raise StarqError("--budget and --budget-sweep cannot be combined")
-    rp, qp = _load_rate_and_quality(args)
-    if args.mode == "dyadic":
-        if not args.sets:
-            raise StarqError("dyadic mode requires --sets")
-        sets = read_sets_config(args.sets)
-        solve = lambda budget: optimize_discrete(rp, qp, sets, budget)
+    mode, n = opts.take("mode", "continuous"), opts.take("budget_sweep", None)
+    opts.mode = f"optimize --mode {mode}" + " --budget-sweep" * (n is not None)
+    if n is not None and not 1 <= n <= MAX_SWEEP:
+        raise StarqError(f"--budget-sweep must be in [1, {MAX_SWEEP}], got {n}")
+    budget = opts.take("budget") if n is None else None
+    sets_path = opts.take("sets") if mode == "dyadic" else None
+    grid = opts.take("grid", 64) if mode == "continuous" else None
+    paths = opts.take("model"), opts.take("quality_model", None)
+    opts.done()
+    rp, qp = _load_rate_and_quality(*paths)
+    if mode == "dyadic":
+        sets = read_sets_config(sets_path)
+        solve = lambda b: optimize_discrete(rp, qp, sets, b)
     else:
-        solve = lambda budget: optimize_continuous(rp, qp, budget, grid=args.grid)
+        solve = lambda b: optimize_continuous(rp, qp, b, grid=grid)
 
-    if args.budget_sweep is not None:
-        if not 1 <= args.budget_sweep <= MAX_SWEEP:
-            raise StarqError(f"--budget-sweep must be in [1, {MAX_SWEEP}], got {args.budget_sweep}")
-        budgets = np.geomspace(0.01 * rp.r_max, rp.r_max, args.budget_sweep)
+    if n is not None:
+        if not 0.01 * rp.r_max:
+            raise OutOfRangeError(f"--budget-sweep: 0.01 * R_max rounds to 0 at R_max {rp.r_max!r}")
+        budgets = np.geomspace(0.01 * rp.r_max, rp.r_max, n)
         results = ((b, solve(float(b))) for b in budgets)
         _print_csv("budget_kbps,q,s,t,rate_kbps,quality",
                    ((b, r.star.q, r.star.s, r.star.t, r.rate, r.quality) for b, r in results))
         return EXIT_OK
 
-    if args.budget is None:
-        raise StarqError("need --budget (or --budget-sweep)")
-    result = solve(args.budget)
-    print(json.dumps(_result_doc(result, args.mode, args.budget), sort_keys=True))
+    r = solve(budget)
+    doc = {"mode": mode, "budget_kbps": budget, "q": r.star.q, "s": r.star.s, "t": r.star.t,
+           "rate_kbps": r.rate, "quality": r.quality, "feasible": True}
+    print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_order(args) -> int:
+def cmd_order(opts: _Given) -> int:
     from .ordering import build_layer_grid, max_rate_gap, order_backward, order_forward
 
-    rp, qp = _load_rate_and_quality(args)
-    s_levels, t_levels, q_levels = read_levels_config(args.levels)
+    paths = opts.take("model"), opts.take("quality_model", None)
+    levels, direction = opts.take("levels"), opts.take("direction", "forward")
+    opts.done()
+    rp, qp = _load_rate_and_quality(*paths)
+    s_levels, t_levels, q_levels = read_levels_config(levels)
     grid = build_layer_grid(rp, qp, s_levels, t_levels, q_levels)
-    path = order_forward(grid) if args.direction == "forward" else order_backward(grid)
+    path = order_forward(grid) if direction == "forward" else order_backward(grid)
 
     steps = []
     for i, step in enumerate(path.steps):
@@ -198,44 +213,34 @@ def cmd_order(args) -> int:
         "flagged_steps": list(path.nonpositive_gain_steps),
     }
     print(json.dumps(doc, sort_keys=True))
-    print(
-        f"{path.direction} path: {len(path.steps)} layers, "
-        f"max rate gap {gap:.6g} kbps ({100 * gap / top_rate:.6g}% of top rate)",
-        file=sys.stderr,
-    )
+    summary = f"max rate gap {gap:.6g} kbps ({100 * gap / top_rate:.6g}% of top rate)"
+    print(f"{path.direction} path: {len(path.steps)} layers, {summary}", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_predict_params(args) -> int:
+def cmd_predict_params(opts: _Given) -> int:
     from .features import BUILTIN_PREDICTORS, FeatureVector, predict_params
 
-    scenario = args.scenario.upper().replace("#", "")
+    name = opts.take("scenario")
+    scenario = name.upper().replace("#", "")
     if scenario not in BUILTIN_PREDICTORS:
-        raise StarqError(
-            f"unknown scenario {args.scenario!r}; choose from {sorted(BUILTIN_PREDICTORS)}"
-        )
-    if args.features:
-        features = read_features(args.features)
-    else:
-        if args.mu_dfd is None or args.sigma_mvm is None or args.sigma_mda is None:
-            raise StarqError("need --features or all of --mu-dfd --sigma-mvm --sigma-mda")
-        features = FeatureVector(
-            mu_dfd=args.mu_dfd, sigma_mvm=args.sigma_mvm, sigma_mda=args.sigma_mda
-        )
-    ref = ResolutionRef(
-        q_min=args.q_min, s_max=parse_frame_size(args.s_max), t_max=args.t_max
-    )
+        raise StarqError(f"unknown scenario {name!r}; choose from {sorted(BUILTIN_PREDICTORS)}")
+    path = opts.take("features", None)
+    opts.mode = "predict-params " + ("--features" if path else "without --features")
+    values = {} if path else {k: opts.take(k) for k in ("mu_dfd", "sigma_mvm", "sigma_mda")}
+    q_min, s_max = opts.take("q_min", 16.0), opts.take("s_max", "4cif")
+    t_max, out = opts.take("t_max", 30.0), opts.take("out", None)
+    opts.done()
+    features = read_features(path) if path else FeatureVector(**values)
+    ref = ResolutionRef(q_min=q_min, s_max=parse_frame_size(s_max), t_max=t_max)
     prediction = predict_params(BUILTIN_PREDICTORS[scenario], features, ref)
     if prediction.out_of_domain:
-        print(
-            "warning: prediction out of domain, clamped: "
-            + ", ".join(prediction.clamped_fields),
-            file=sys.stderr,
-        )
+        fields = ", ".join(prediction.clamped_fields)
+        print(f"warning: prediction out of domain, clamped: {fields}", file=sys.stderr)
     _print_param_table(scenario, prediction.params, None, None)
-    if args.out:
+    if out:
         model = ModelFile(ref=ref, scenario=scenario, rate=prediction.params)
-        write_model_file(args.out, model)
+        write_model_file(out, model)
     return EXIT_OK
 
 
@@ -247,62 +252,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", help="fit rate parameters from a CSV encode log")
+    def add(name: str, func, help: str) -> argparse.ArgumentParser:
+        # Only the options given on the command line reach the namespace.
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("fit", cmd_fit, "fit rate parameters from a CSV encode log")
     p.add_argument("log", type=Path)
-    p.add_argument("--mode", choices=("protocol", "joint"), default="protocol")
+    p.add_argument("--mode", choices=("protocol", "joint"), help="default protocol")
     p.add_argument("--out", type=Path, help="write the fitted model JSON here")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict-rate", help="evaluate a fitted rate model")
+    p = add("predict-rate", cmd_predict_rate, "evaluate a fitted rate model")
     p.add_argument("model", type=Path)
-    p.add_argument("--q", type=float)
-    p.add_argument("--s", type=parse_frame_size)
-    p.add_argument("--t", type=float)
-    p.add_argument("--sweep", choices=("q", "s", "t"))
-    p.add_argument("--sweep-from", type=float)
-    p.add_argument("--sweep-to", type=float)
-    p.add_argument("--points", type=int, default=25)
-    p.add_argument("--log", type=Path, help="print measured vs predicted rates for this log")
-    p.set_defaults(func=cmd_predict_rate)
+    g = p.add_argument_group("one point, or the two fixed axes of --sweep")
+    g.add_argument("--q", type=float)
+    g.add_argument("--s", type=parse_frame_size)
+    g.add_argument("--t", type=float)
+    g = p.add_argument_group("--sweep mode")
+    g.add_argument("--sweep", choices=("q", "s", "t"), help="the axis to sweep")
+    g.add_argument("--sweep-from", type=float)
+    g.add_argument("--sweep-to", type=float)
+    g.add_argument("--points", type=int, help="number of rows (default 25)")
+    g = p.add_argument_group("--log mode")
+    g.add_argument("--log", type=Path, help="print measured vs predicted rates for this log")
 
-    p = sub.add_parser("optimize", help="pick the best operating point under a budget")
+    p = add("optimize", cmd_optimize, "pick the best operating point under a budget")
     p.add_argument("model", type=Path)
     p.add_argument("--quality-model", type=Path, help="defaults to the rate model file")
-    p.add_argument("--budget", type=float, help="rate budget in kbps")
+    p.add_argument("--budget", type=float, help="rate budget in kbps (without --budget-sweep)")
     p.add_argument("--budget-sweep", type=int, metavar="N", help="emit a CSV over N budgets")
-    p.add_argument("--mode", choices=("continuous", "dyadic"), default="continuous")
-    p.add_argument("--sets", type=Path, help="feasible-sets JSON (dyadic mode)")
-    p.add_argument("--grid", type=int, default=64, help="search resolution (continuous mode)")
-    p.set_defaults(func=cmd_optimize)
+    p.add_argument("--mode", choices=("continuous", "dyadic"), help="default continuous")
+    g = p.add_argument_group("dyadic mode")
+    g.add_argument("--sets", type=Path, help="feasible-sets JSON (required)")
+    g = p.add_argument_group("continuous mode")
+    g.add_argument("--grid", type=int, help="search resolution (default 64)")
 
-    p = sub.add_parser("order", help="order scalable layers into a monotone path")
+    p = add("order", cmd_order, "order scalable layers into a monotone path")
     p.add_argument("model", type=Path)
-    p.add_argument("--quality-model", type=Path)
+    p.add_argument("--quality-model", type=Path, help="defaults to the rate model file")
     p.add_argument("--levels", type=Path, required=True, help="layer-levels JSON")
-    p.add_argument("--direction", choices=("forward", "backward"), default="forward")
-    p.set_defaults(func=cmd_order)
+    p.add_argument("--direction", choices=("forward", "backward"), help="default forward")
 
-    p = sub.add_parser("predict-params", help="predict rate parameters from content features")
+    p = add("predict-params", cmd_predict_params, "predict rate parameters from content features")
     p.add_argument("--scenario", required=True, help="SVC1 or SL2")
-    p.add_argument("--features", type=Path, help="JSON with mu_dfd, sigma_mvm, sigma_mda")
-    p.add_argument("--mu-dfd", type=float)
-    p.add_argument("--sigma-mvm", type=float)
-    p.add_argument("--sigma-mda", type=float)
-    p.add_argument("--q-min", type=float, default=16.0)
-    p.add_argument("--s-max", default="4cif")
-    p.add_argument("--t-max", type=float, default=30.0)
+    p.add_argument("--q-min", type=float, help="default 16")
+    p.add_argument("--s-max", help="default 4cif")
+    p.add_argument("--t-max", type=float, help="default 30")
     p.add_argument("--out", type=Path)
-    p.set_defaults(func=cmd_predict_params)
+    g = p.add_argument_group("--features mode")
+    g.add_argument("--features", type=Path, help="JSON or CSV with mu_dfd, sigma_mvm, sigma_mda")
+    g = p.add_argument_group("without --features (all three required)")
+    g.add_argument("--mu-dfd", type=float)
+    g.add_argument("--sigma-mvm", type=float)
+    g.add_argument("--sigma-mda", type=float)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    given = vars(build_parser().parse_args(argv))
+    func = given.pop("func")
     try:
         # Results are checked and reported as errors, so numpy warnings add nothing.
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return func(_Given(given))
     except (StarqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, InsufficientDataError):

@@ -15,8 +15,17 @@ Rewrite the files, from the root of a checkout, with
     python tests/golden/regen.py
 
 and only for a change that means to alter the output. ``PLATFORM`` names the
-machine, Python and numpy the files came from: the last bits of some numbers
-follow the SIMD loops numpy dispatches to.
+machine, Python and numpy the files came from.
+
+The last bits of some numbers follow the SIMD loops numpy dispatches to, so
+the files hold one output per dispatch. ``cli/`` holds every case on all the
+dispatch targets this machine enables. The script then reruns the cases in a
+child process with the highest targets switched off, one more at a time down
+to numpy's baseline loops, as a CPU without them would run. Each distinct
+output that differs from ``cli/`` goes, for the differing cases only, into
+one more set, ``cli-baseline/`` for the baseline loops' own output.
+``PLATFORM`` has one ``loops`` line per dispatch: the set it reads, then its
+enabled targets. A dispatch with no line reads ``cli/``.
 """
 
 from __future__ import annotations
@@ -24,7 +33,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import platform
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +46,11 @@ if __name__ == "__main__":
     sys.path[:0] = [str(HERE.parent), str(HERE.parent.parent / "src")]
 
 import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _umath
 
 from sequences import (
     LAYER_Q,
@@ -95,30 +112,82 @@ def run_case(name: str, d: Path) -> tuple[str, str, str]:
     return tuple(s.replace(str(d), PLACEHOLDER) for s in (out.getvalue(), err.getvalue(), f"{code}\n"))
 
 
-def golden(name: str) -> tuple[str, str, str]:
-    """The stored stdout, stderr and exit code of case ``name``."""
-    return tuple(
-        (GOLDEN / f"{name}.{stream}").read_text(encoding="utf-8")
-        for stream in ("stdout", "stderr", "exit")
-    )
+STREAMS = ("stdout", "stderr", "exit")
 
 
-def regenerate() -> None:
-    GOLDEN.mkdir(exist_ok=True)
+def dispatch() -> list[str]:
+    """The SIMD dispatch targets numpy enables in this process, lowest first."""
+    return [t for t in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(t)]
+
+
+def golden_set(targets: list[str]) -> Path:
+    """The directory of the file set recorded for the dispatch ``targets``."""
+    for line in (HERE / "PLATFORM").read_text(encoding="utf-8").splitlines():
+        key, *words = line.split()
+        if key == "loops" and words[1:] == targets:
+            return HERE / words[0]
+    return GOLDEN
+
+
+def golden(name: str, files: Path = GOLDEN) -> tuple[str, str, str]:
+    """The stored stdout, stderr and exit code of case ``name`` in the set
+    ``files``; a case that set does not hold reads ``cli/``."""
+    paths = (files / f"{name}.{stream}" for stream in STREAMS)
+    return tuple((p if p.is_file() else GOLDEN / p.name).read_text(encoding="utf-8") for p in paths)
+
+
+def all_outputs() -> dict[str, tuple[str, str, str]]:
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         write_inputs(d)
-        for name in CASES:
-            for stream, text in zip(("stdout", "stderr", "exit"), run_case(name, d)):
-                (GOLDEN / f"{name}.{stream}").write_text(text, encoding="utf-8")
+        return {name: run_case(name, d) for name in CASES}
+
+
+def outputs_without(targets: list[str]) -> dict[str, list[str]]:
+    """Every case's output in a child process with ``targets`` switched off."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    child = subprocess.run([sys.executable, __file__, "--print"], env=env, check=True,
+                           capture_output=True, text=True)
+    return json.loads(child.stdout)
+
+
+def write_set(files: Path, outputs) -> None:
+    files.mkdir(exist_ok=True)
+    for name, texts in outputs.items():
+        for stream, text in zip(STREAMS, texts):
+            (files / f"{name}.{stream}").write_text(text, encoding="utf-8")
+
+
+def regenerate() -> None:
+    outputs, targets = all_outputs(), dispatch()
+    write_set(GOLDEN, outputs)
+    # From the baseline loops up: the set each dispatch reads, and each
+    # distinct set's differing cases.
+    loops, sets = [], {}
+    for n in range(len(targets)):
+        differ = {name: out for name, out in outputs_without(targets[n:]).items()
+                  if tuple(out) != outputs[name]}
+        label = "-".join(targets[:n]).lower() or "baseline"
+        key = json.dumps(differ, sort_keys=True)
+        name = sets.setdefault(key, f"cli-{label}") if differ else "cli"
+        loops.append(" ".join(["loops", name, *targets[:n]]))
+    loops.append(" ".join(["loops", "cli", *targets]))
+    for stale in HERE.glob("cli-*"):
+        shutil.rmtree(stale)
+    for key, name in sets.items():
+        write_set(HERE / name, json.loads(key))
     (HERE / "PLATFORM").write_text(
         f"machine {platform.machine()}\n"
         f"system {platform.platform()}\n"
         f"python {platform.python_version()}\n"
-        f"numpy {np.__version__}\n",
+        f"numpy {np.__version__}\n"
+        + "".join(f"{line}\n" for line in reversed(loops)),
         encoding="utf-8",
     )
 
 
 if __name__ == "__main__":
-    regenerate()
+    if sys.argv[1:] == ["--print"]:
+        print(json.dumps(all_outputs()))
+    else:
+        regenerate()

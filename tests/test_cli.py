@@ -231,12 +231,12 @@ SWEEP_T = ["--q", "16", "--s", "4cif", "--sweep", "t", "--sweep-to", "30"]
         (["optimize", "--budget-sweep", "100001"], "--budget-sweep must"),
         (["optimize", "--budget", "500", "--grid", "4097"], "grid must"),
         (["predict-rate", "--t", "30", "--sweep", "q", "--sweep-from", "16", "--sweep-to", "64"],
-         "sweeping q requires a fixed --s"),
+         "error: predict-rate --sweep q needs --s\n"),
         # Two outputs asked for at once: neither wins.
         (["predict-rate", *SWEEP_T, "--sweep-from", "1.875", "--log", "log.csv"],
-         "--sweep and --log cannot be combined"),
+         "error: --log does not apply to predict-rate --sweep t\n"),
         (["optimize", "--budget", "500", "--budget-sweep", "3"],
-         "--budget and --budget-sweep cannot be combined"),
+         "error: --budget does not apply to optimize --mode continuous --budget-sweep\n"),
     ],
     ids=["sweep-from-zero", "sweep-from-negative", "zero-points", "zero-budget-sweep",
          "points-above-cap", "budget-sweep-above-cap", "grid-above-cap", "sweep-without-s",
@@ -398,6 +398,28 @@ def test_rate_outside_float_range_is_input_error(city_model_json, capsys, extra)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: rate must be a finite real > 0")
+
+
+@pytest.mark.parametrize("mode", ["continuous", "dyadic"])
+def test_budget_sweep_below_smallest_float_is_out_of_range(tmp_path, capsys, mode):
+    # 0.01 * 5e-324 rounds to 0, so the sweep has no positive lowest budget;
+    # 1e-320 still gives one.
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps(
+        {"s_values": ["qcif", "cif", "4cif"], "t_values": [3.75, 7.5, 15, 30], "q_range": [16, 104]}
+    ))
+    argv = ["--budget-sweep", "3", "--mode", mode] + ["--sets", str(sets)] * (mode == "dyadic")
+    for r_max in (5e-324, 1e-320):
+        model = tmp_path / f"{r_max}.json"
+        tiny = RateParams(a=1.0, b=1.0, c=1.0, r_max=r_max, ref=REF)
+        write_model_file(model, ModelFile(ref=REF, rate=tiny, quality=CITY_Q))
+        code = main(["optimize", str(model), *argv])
+        out, err = capsys.readouterr()
+        if r_max == 1e-320:
+            assert code == 0 and len(out.splitlines()) == 4
+        else:
+            assert code == 2 and out == ""
+            assert err == "error: --budget-sweep: 0.01 * R_max rounds to 0 at R_max 5e-324\n"
 
 
 def test_optimize_needs_quality_parameters(tmp_path, capsys):

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from sequences import (
     write_log_csv,
 )
 import starq
+from golden.regen import CASES, write_inputs
 from starq.cli import MAX_SWEEP, main
 from starq.fileio import ModelFile, write_model_file
 
@@ -93,14 +95,14 @@ def resolve(files: Path, argv) -> list[str]:
     return [str(files / a) if a in names else a for a in argv]
 
 
-def run_main(argv) -> tuple[int, str]:
+def run_main(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 BAD_FILE_CASES = [
@@ -183,6 +185,22 @@ OPTIONS = {
 }
 
 
+# The options each mode of a command reads (README "Command line"). Options
+# drawn from one mode's list mostly pass the option rule and reach the file
+# readers and the arithmetic; options drawn from all of a command's break it.
+SHARED = {"optimize": ["--quality-model", "--budget", "--budget-sweep", "--mode"],
+          "predict-params": ["--scenario", "--q-min", "--s-max", "--t-max", "--out"]}
+MODES = {
+    "fit": [["--mode", "--out"]],
+    "predict-rate": [["--q", "--s", "--t"], ["--log"],
+                     ["--sweep", "--sweep-from", "--sweep-to", "--points", "--q", "--s", "--t"]],
+    "optimize": [[*SHARED["optimize"], "--grid"], [*SHARED["optimize"], "--sets"]],
+    "order": [["--quality-model", "--levels", "--direction"]],
+    "predict-params": [[*SHARED["predict-params"], "--features"],
+                       [*SHARED["predict-params"], "--mu-dfd", "--sigma-mvm", "--sigma-mda"]],
+}
+
+
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(OPTIONS)))
@@ -190,7 +208,8 @@ def argvs(draw):
     if command != "predict-params":
         argv.append(draw(st.sampled_from(["model.json", "log.csv"]) | FILES))
     options = OPTIONS[command]
-    for name in draw(st.lists(st.sampled_from(sorted(options)), max_size=6)):
+    names = draw(st.sampled_from([sorted(options), *MODES[command]]))
+    for name in draw(st.lists(st.sampled_from(names), max_size=6)):
         argv += [name, draw(options[name])]
     return argv
 
@@ -199,6 +218,88 @@ def argvs(draw):
 @given(argv=argvs())
 def test_any_argv_keeps_exit_contract(files, argv):
     argv = resolve(files, argv)
-    code, err = run_main(argv)
+    code, _, err = run_main(argv)
     assert code in CONTRACT, (argv, code, err)
     assert "Traceback" not in err
+
+
+# The option rule: a subcommand accepts exactly the options its chosen mode
+# reads. For each golden case, the options of its subcommand that its mode
+# does not read, with values their types accept and their checks pass; the
+# fit and order cases read every option of their subcommand. Appending one
+# of them makes that option (or, for --budget-sweep, which selects the sweep
+# mode, the --budget it replaces) the argv's only fault.
+FLOATS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+UNREAD = {
+    "predict-rate": {"--t": FLOATS, "--log": FILES},
+    "optimize": {"--sets": FILES, "--budget-sweep": st.integers(1, MAX_SWEEP).map(str)},
+    "optimize-dyadic": {"--grid": st.integers().map(str),
+                        "--budget-sweep": st.integers(1, MAX_SWEEP).map(str)},
+    "budget-sweep": {"--budget": FLOATS, "--sets": FILES},
+    "predict-params": {"--mu-dfd": FLOATS, "--sigma-mvm": FLOATS, "--sigma-mda": FLOATS},
+}
+NOT_APPLIED = re.compile(r"error: (--[a-z-]+) does not apply to [^\n]+\n")
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden-inputs")
+    write_inputs(d)
+    return d
+
+
+def in_dir(d: Path, argv) -> list[str]:
+    """argv with every name of a file in ``d`` replaced by its path."""
+    return [str(d / a) if (d / a).is_file() else a for a in argv]
+
+
+def test_unread_options_cover_the_golden_cases():
+    assert set(UNREAD) | {"fit-protocol", "fit-joint", "order-forward", "order-backward",
+                          "order-flat"} == set(CASES)
+
+
+@st.composite
+def with_unread_option(draw):
+    name = draw(st.sampled_from(sorted(UNREAD)))
+    option = draw(st.sampled_from(sorted(UNREAD[name])))
+    # "--opt=value" keeps a value such as "-1e-05" from reading as an option.
+    return [*CASES[name], f"{option}={draw(UNREAD[name][option])}"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=with_unread_option())
+def test_option_outside_its_mode_is_input_error(golden_inputs, argv):
+    code, out, err = run_main(in_dir(golden_inputs, argv))
+    assert (code, out) == (2, ""), err
+    named = NOT_APPLIED.fullmatch(err)
+    assert named and any(a.split("=")[0] == named[1] for a in argv), err
+
+
+# The argv that ignored an option before the rule, and the message each
+# gets now. Every input file name in them is replaced by a fixture path.
+IGNORED_BEFORE = [
+    (["predict-rate", "model.json", "--log", "log.csv", "--q", "9999", "--s", "1", "--t", "1"],
+     "--q does not apply to predict-rate --log"),
+    (["optimize", "model.json", "--mode", "dyadic", "--sets", "sets.json", "--budget", "700",
+      "--grid", "3"], "--grid does not apply to optimize --mode dyadic"),
+    (["optimize", "model.json", "--budget", "700", "--sets", "nonexistent.json"],
+     "--sets does not apply to optimize --mode continuous"),
+    (["predict-params", "--scenario", "SVC1", "--features", "features.json", "--mu-dfd", "3"],
+     "--mu-dfd does not apply to predict-params --features"),
+    (["predict-rate", "model.json", "--sweep", "t", "--sweep-from", "1.875", "--sweep-to", "30",
+      "--q", "26", "--s", "4cif", "--t", "5"], "--t does not apply to predict-rate --sweep t"),
+]
+IGNORED_IDS = ["log-with-point", "dyadic-with-grid", "continuous-with-sets", "features-with-values",
+               "sweep-with-swept-axis"]
+
+
+@pytest.mark.parametrize("argv, message", IGNORED_BEFORE, ids=IGNORED_IDS)
+def test_formerly_ignored_option_is_input_error(golden_inputs, argv, message):
+    assert run_main(in_dir(golden_inputs, argv)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", IGNORED_BEFORE, ids=IGNORED_IDS)
+def test_option_error_comes_before_any_file_is_opened(tmp_path, argv, message):
+    # Every input file is missing, and the option error is reported, not the file error.
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    assert run_main(argv) == (2, "", f"error: {message}\n")
