@@ -1,4 +1,4 @@
-"""Golden outputs of the ``starq`` command line.
+"""Golden outputs of the ``starq`` command line and of the model-build chain.
 
 ``cli/`` holds, for each case in ``CASES``, the stdout (``<case>.stdout``),
 stderr (``<case>.stderr``) and exit code (``<case>.exit``) of one
@@ -9,6 +9,16 @@ tie-break order alone picks the path. The inputs are written by the
 ``sequences.py`` helpers into a temporary directory, whose path reads
 ``<tmp>`` in the stored stderr. ``tests/test_golden.py`` reruns every case
 and compares byte for byte.
+
+``lib/`` holds, for each case in ``LIB_CASES``, one ``<case>.txt`` of
+``repr`` lines from the library calls that build a model: a CSV encode log
+read by ``read_encode_log``, its three normalized curves, their exponent fits
+and the protocol and joint ``FitReport`` (per scenario and sequence, for a
+noiseless log, a log with 1% noise and that noisy log without its anchor
+sample); the rate and quality tables of ``build_layer_grid`` and both
+orderings (per sequence, on the 3x4x4 ladder and on an 8x8x8 lattice); and
+``optimal_quality_curve`` with its ``fit_qr`` (per sequence). An error is
+recorded as its type and message.
 
 Rewrite the files, from the root of a checkout, with
 
@@ -23,9 +33,10 @@ dispatch targets this machine enables. The script then reruns the cases in a
 child process with the highest targets switched off, one more at a time down
 to numpy's baseline loops, as a CPU without them would run. Each distinct
 output that differs from ``cli/`` goes, for the differing cases only, into
-one more set, ``cli-baseline/`` for the baseline loops' own output.
-``PLATFORM`` has one ``loops`` line per dispatch: the set it reads, then its
-enabled targets. A dispatch with no line reads ``cli/``.
+one more set, ``cli-baseline/`` for the baseline loops' own output, and
+likewise ``lib-*`` sets beside ``lib/``. ``PLATFORM`` has one ``loops`` line
+per kind of file set and dispatch: the set it reads, then its enabled
+targets. A dispatch with no line reads ``cli/`` or ``lib/``.
 """
 
 from __future__ import annotations
@@ -56,17 +67,35 @@ from sequences import (
     LAYER_Q,
     LAYER_S,
     LAYER_T,
+    QCIF,
+    RATE_TABLES,
     REF,
+    SEQUENCES,
     quality_params,
     rate_params,
     synthetic_log,
+    without_anchor,
     write_log_csv,
 )
-from starq import QualityParams
+from starq import (
+    QualityParams,
+    build_layer_grid,
+    fit_power_exponent,
+    fit_qr,
+    fit_rate_params,
+    normalize_nrq,
+    normalize_nrs,
+    normalize_nrt,
+    optimal_quality_curve,
+    order_backward,
+    order_forward,
+)
 from starq.cli import main
-from starq.fileio import ModelFile, write_model_file
+from starq.errors import StarqError
+from starq.fileio import ModelFile, read_encode_log, write_model_file
 
 GOLDEN = HERE / "cli"
+LIB = HERE / "lib"
 PLACEHOLDER = "<tmp>"
 
 # Case name -> argv; an argument naming an input file is replaced by its path.
@@ -112,7 +141,66 @@ def run_case(name: str, d: Path) -> tuple[str, str, str]:
     return tuple(s.replace(str(d), PLACEHOLDER) for s in (out.getvalue(), err.getvalue(), f"{code}\n"))
 
 
-STREAMS = ("stdout", "stderr", "exit")
+# An 8x8x8 layer lattice inside the reference: frame sizes 1 to 16 QCIF.
+FINE = (
+    tuple(QCIF * k for k in (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)),
+    (1.875, 2.5, 3.75, 5.0, 7.5, 10.0, 15.0, 30.0),
+    (64.0, 52.0, 40.0, 32.0, 26.0, 22.0, 19.0, 16.0),
+)
+LATTICES = {"ladder": (LAYER_S, LAYER_T, LAYER_Q), "fine": FINE}
+
+LIB_CASES = (
+    [f"fit-{scenario}-{sequence}" for scenario in RATE_TABLES for sequence in SEQUENCES]
+    + [f"order-{lattice}-{sequence}" for lattice in LATTICES for sequence in SEQUENCES]
+    + [f"qr-{sequence}" for sequence in SEQUENCES]
+)
+
+
+def _outcome(call, *args, **kwargs) -> str:
+    # The repr of a call's result, or its error's type and message.
+    try:
+        return repr(call(*args, **kwargs))
+    except StarqError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _fit_lines(path: Path) -> list[str]:
+    # Every step of a build's fits from the CSV encode log at ``path``.
+    log, warnings = read_encode_log(path)
+    lines = [f"warnings {warnings!r}", f"ref {log.ref!r}"]
+    for curve, direction in ((normalize_nrq, "decreasing"), (normalize_nrt, "increasing"),
+                             (normalize_nrs, "increasing")):
+        lines.append(f"{curve.__name__} {_outcome(curve, log)}")
+        lines.append(f"exponent {_outcome(lambda: fit_power_exponent(curve(log), direction))}")
+    return lines + [f"{mode} {_outcome(fit_rate_params, log, mode=mode)}"
+                    for mode in ("protocol", "joint")]
+
+
+def lib_case(name: str, d: Path) -> tuple[str]:
+    """The text of library case ``name``, using the directory ``d`` for files."""
+    kind, *key = name.split("-")
+    lines = []
+    if kind == "fit":
+        scenario, sequence = key
+        noisy = synthetic_log(rate_params(sequence, scenario), noise=0.01, seed=1)
+        logs = {"noiseless": synthetic_log(rate_params(sequence, scenario)),
+                "noise 0.01": noisy, "noise 0.01 without anchor": without_anchor(noisy)}
+        for label, log in logs.items():
+            lines += [f"[{label}]", *_fit_lines(write_log_csv(d / f"{name}.csv", log))]
+    else:
+        rp, qp = rate_params(key[-1]), quality_params(key[-1])
+        if kind == "order":
+            grid = build_layer_grid(rp, qp, *LATTICES[key[0]])
+            lines += [f"rate {grid.rate.tolist()!r}", f"quality {grid.quality.tolist()!r}",
+                      f"forward {order_forward(grid)!r}", f"backward {order_backward(grid)!r}"]
+        else:
+            curve = optimal_quality_curve(rp, qp)
+            lines += [f"curve {curve!r}", f"fit_qr {_outcome(fit_qr, curve, rp.r_max)}"]
+    return ("".join(f"{line}\n" for line in lines),)
+
+
+# The file streams of each kind of set: a CLI case's three, a library case's one.
+STREAMS = {"cli": ("stdout", "stderr", "exit"), "lib": ("txt",)}
 
 
 def dispatch() -> list[str]:
@@ -120,30 +208,35 @@ def dispatch() -> list[str]:
     return [t for t in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(t)]
 
 
-def golden_set(targets: list[str]) -> Path:
-    """The directory of the file set recorded for the dispatch ``targets``."""
+def golden_set(targets: list[str], kind: str = "cli") -> Path:
+    """The directory of the ``kind`` file set recorded for the dispatch ``targets``."""
     for line in (HERE / "PLATFORM").read_text(encoding="utf-8").splitlines():
         key, *words = line.split()
-        if key == "loops" and words[1:] == targets:
+        if key == "loops" and words[0].split("-")[0] == kind and words[1:] == targets:
             return HERE / words[0]
-    return GOLDEN
+    return HERE / kind
 
 
-def golden(name: str, files: Path = GOLDEN) -> tuple[str, str, str]:
-    """The stored stdout, stderr and exit code of case ``name`` in the set
-    ``files``; a case that set does not hold reads ``cli/``."""
-    paths = (files / f"{name}.{stream}" for stream in STREAMS)
-    return tuple((p if p.is_file() else GOLDEN / p.name).read_text(encoding="utf-8") for p in paths)
+def golden(name: str, files: Path = GOLDEN) -> tuple[str, ...]:
+    """The stored streams of case ``name`` in the set ``files``: stdout,
+    stderr and exit code for a CLI case, the text for a library case. A case
+    that set does not hold reads ``cli/`` or ``lib/``."""
+    kind = files.name.split("-")[0]
+    paths = (files / f"{name}.{stream}" for stream in STREAMS[kind])
+    return tuple((p if p.is_file() else HERE / kind / p.name).read_text(encoding="utf-8")
+                 for p in paths)
 
 
-def all_outputs() -> dict[str, tuple[str, str, str]]:
+def all_outputs() -> dict[str, dict[str, tuple[str, ...]]]:
+    """Every case's output, by kind of set."""
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         write_inputs(d)
-        return {name: run_case(name, d) for name in CASES}
+        return {"cli": {name: run_case(name, d) for name in CASES},
+                "lib": {name: lib_case(name, d) for name in LIB_CASES}}
 
 
-def outputs_without(targets: list[str]) -> dict[str, list[str]]:
+def outputs_without(targets: list[str]) -> dict[str, dict[str, list[str]]]:
     """Every case's output in a child process with ``targets`` switched off."""
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
     child = subprocess.run([sys.executable, __file__, "--print"], env=env, check=True,
@@ -154,34 +247,37 @@ def outputs_without(targets: list[str]) -> dict[str, list[str]]:
 def write_set(files: Path, outputs) -> None:
     files.mkdir(exist_ok=True)
     for name, texts in outputs.items():
-        for stream, text in zip(STREAMS, texts):
+        for stream, text in zip(STREAMS[files.name.split("-")[0]], texts):
             (files / f"{name}.{stream}").write_text(text, encoding="utf-8")
 
 
 def regenerate() -> None:
     outputs, targets = all_outputs(), dispatch()
-    write_set(GOLDEN, outputs)
-    # From the baseline loops up: the set each dispatch reads, and each
-    # distinct set's differing cases.
-    loops, sets = [], {}
-    for n in range(len(targets)):
-        differ = {name: out for name, out in outputs_without(targets[n:]).items()
-                  if tuple(out) != outputs[name]}
-        label = "-".join(targets[:n]).lower() or "baseline"
-        key = json.dumps(differ, sort_keys=True)
-        name = sets.setdefault(key, f"cli-{label}") if differ else "cli"
-        loops.append(" ".join(["loops", name, *targets[:n]]))
-    loops.append(" ".join(["loops", "cli", *targets]))
-    for stale in HERE.glob("cli-*"):
-        shutil.rmtree(stale)
-    for key, name in sets.items():
-        write_set(HERE / name, json.loads(key))
+    below = [outputs_without(targets[n:]) for n in range(len(targets))]
+    loops = []
+    for kind, ours in outputs.items():
+        write_set(HERE / kind, ours)
+        # From the baseline loops up: the set each dispatch reads, and each
+        # distinct set's differing cases.
+        kind_loops, sets = [], {}
+        for n, theirs in enumerate(below):
+            differ = {name: out for name, out in theirs[kind].items() if tuple(out) != ours[name]}
+            label = "-".join(targets[:n]).lower() or "baseline"
+            key = json.dumps(differ, sort_keys=True)
+            name = sets.setdefault(key, f"{kind}-{label}") if differ else kind
+            kind_loops.append(" ".join(["loops", name, *targets[:n]]))
+        kind_loops.append(" ".join(["loops", kind, *targets]))
+        loops += reversed(kind_loops)
+        for stale in HERE.glob(f"{kind}-*"):
+            shutil.rmtree(stale)
+        for key, name in sets.items():
+            write_set(HERE / name, json.loads(key))
     (HERE / "PLATFORM").write_text(
         f"machine {platform.machine()}\n"
         f"system {platform.platform()}\n"
         f"python {platform.python_version()}\n"
         f"numpy {np.__version__}\n"
-        + "".join(f"{line}\n" for line in reversed(loops)),
+        + "".join(f"{line}\n" for line in loops),
         encoding="utf-8",
     )
 
