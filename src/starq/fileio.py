@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -97,21 +98,24 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     if q_column == "qp" and "q" in index:
         warnings.append("log has both 'q' and 'qp' columns; using 'qp'")
 
-    at_q, at_width, at_height, at_fps, at_rate = (index[c] for c in (q_column, *_LOG_COLUMNS))
-    at_label = index.get("label")
+    at_q, at_label = index[q_column], index.get("label")
+    at_rest = itemgetter(*(index[c] for c in _LOG_COLUMNS))
     samples: list[RateSample] = []
     for num, row in rows:
+        # Each cell is converted once, in column order: the stepsize (from qp
+        # if need be), then the rest, where a cell that is not a number names
+        # its column.
         try:
             q = _number(row[at_q], q_column)
             if q_column == "qp":
                 q = stepsize_from_qp(q)
-            width = _number(row[at_width], "width")
-            height = _number(row[at_height], "height")
-            fps = _number(row[at_fps], "fps")
-            rate = _number(row[at_rate], "rate_kbps")
-            star = Star(q=q, s=width * height, t=fps)
-            tag = "" if at_label is None else row[at_label]
-            samples.append(RateSample(star=star, rate=rate, tag=tag))
+            cells = at_rest(row)
+            try:
+                width, height, fps, rate = map(float, cells)
+            except ValueError:
+                width, height, fps, rate = map(_number, cells, _LOG_COLUMNS)
+            star = Star(q, width * height, fps)
+            samples.append(RateSample(star, rate, "" if at_label is None else row[at_label]))
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"line {num}: {exc}") from None
     if not samples:
@@ -242,13 +246,15 @@ def _read_csv(path: Path) -> tuple[dict[str, int] | None, int, list[tuple[int, l
             if header is None:
                 return None, reader.line_num, []
             index = _named_once((name, i) for i, name in enumerate(map(str.strip, header)) if name)
-            header_line, rows = reader.line_num, []
+            header_line, rows, width = reader.line_num, [], len(header)
             for row in reader:
                 if row:
                     cells = list(map(str.strip, row))
-                    if any(cells[len(header):]):
-                        raise InvalidParameterError(f"non-empty cell past column {len(header)}")
-                    rows.append((reader.line_num, cells + [""] * (len(header) - len(cells))))
+                    if len(cells) < width:
+                        cells += [""] * (width - len(cells))
+                    elif any(cells[width:]):
+                        raise InvalidParameterError(f"non-empty cell past column {width}")
+                    rows.append((reader.line_num, cells))
         except (csv.Error, InvalidParameterError) as exc:
             raise InvalidParameterError(f"line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:

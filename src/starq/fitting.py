@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -43,15 +43,21 @@ class RateSample:
 
 
 def _samples(samples) -> tuple[RateSample, ...]:
-    # The samples as a tuple, each checked to be a RateSample.
+    # The samples as a tuple, each checked to be a RateSample; a tuple of
+    # exact RateSamples takes one pass over the element types.
     try:
         samples = tuple(samples)
     except TypeError:
         raise InvalidParameterError(f"samples must be an iterable, got {samples!r}") from None
-    for sample in samples:
-        if not isinstance(sample, RateSample):
-            raise InvalidParameterError(f"samples must be RateSample objects, got {sample!r}")
+    if list(map(type, samples)).count(RateSample) != len(samples):
+        for sample in samples:
+            if not isinstance(sample, RateSample):
+                raise InvalidParameterError(f"samples must be RateSample objects, got {sample!r}")
     return samples
+
+
+# Readers of a sample's operating point and rate, and of a point's (q, s, t).
+_star_of, _rate_of, _coords = attrgetter("star"), attrgetter("rate"), attrgetter("q", "s", "t")
 
 
 @dataclass(frozen=True)
@@ -68,15 +74,16 @@ class EncodeLog:
             raise InvalidParameterError(f"ref must be a ResolutionRef, got {self.ref!r}")
         if not samples:
             raise InvalidParameterError("encode log is empty")
+        points = list(map(_coords, map(_star_of, samples)))
+        if len(set(points)) == len(points):  # no operating point repeats
+            return
         seen: dict[tuple[float, float, float], float] = {}
-        for sample in samples:
-            key = (sample.star.q, sample.star.s, sample.star.t)
-            if key in seen and seen[key] != sample.rate:
+        for key, rate in zip(points, map(_rate_of, samples)):
+            if key in seen and seen[key] != rate:
                 raise InvalidParameterError(
-                    f"conflicting rates for duplicate operating point {key}: "
-                    f"{seen[key]} vs {sample.rate}"
+                    f"conflicting rates for duplicate operating point {key}: {seen[key]} vs {rate}"
                 )
-            seen[key] = sample.rate
+            seen[key] = rate
 
     @classmethod
     def from_samples(cls, samples) -> "EncodeLog":
@@ -108,34 +115,31 @@ class FitReport:
 
 
 def _normalize(samples, group, axis: str, anchor: float, missing: str):
-    # Rates divided by the rate measured at ``axis == anchor`` within each
-    # group of samples, groups in sorted order and each group sorted along
-    # ``axis``. Groups without an anchor measurement are skipped.
+    # The ratios ``axis / anchor`` and the rates divided by the rate measured
+    # at ``axis == anchor`` within each group of samples, as two lists:
+    # groups in sorted order, each sorted along ``axis``. Groups without an
+    # anchor measurement are skipped.
     groups: dict = {}
     for sample in samples:
         x = sample.star
         groups.setdefault(group(x), []).append((getattr(x, axis), sample.rate))
-    points: list[tuple[float, float]] = []
+    ratios: list[float] = []
+    values: list[float] = []
     for key in sorted(groups):
         members = groups[key]
         for candidate, base in members:
             if _close(candidate, anchor):
                 members.sort(key=itemgetter(0))  # stable: ties keep the log's order
-                points += [(value / anchor, rate / base) for value, rate in members]
+                for value, rate in members:
+                    ratios.append(value / anchor)
+                    values.append(rate / base)
                 break
-    if not points:
+    if not ratios:
         raise InsufficientDataError(missing)
-    return points
+    return ratios, values
 
 
-def normalize_nrq(log: EncodeLog) -> list[tuple[float, float]]:
-    """Rates at ``s_max`` normalized by the rate at ``q_min``, pooled over
-    every frame rate measured there.
-
-    Returns ``(q / q_min, rate ratio)`` pairs, anchor included. Frame rates
-    lacking a ``q_min`` measurement at ``s_max`` cannot be normalized and are
-    skipped.
-    """
+def _nrq(log: EncodeLog):
     ref = log.ref
     at_smax = [s for s in log.samples if _close(s.star.s, ref.s_max)]
     return _normalize(
@@ -144,11 +148,7 @@ def normalize_nrq(log: EncodeLog) -> list[tuple[float, float]]:
     )
 
 
-def normalize_nrt(log: EncodeLog) -> list[tuple[float, float]]:
-    """Rates at ``(q_min, s_max)`` normalized by the rate at ``t_max``.
-
-    Returns ``(t / t_max, rate ratio)`` pairs.
-    """
+def _nrt(log: EncodeLog):
     ref = log.ref
     curve = [
         s for s in log.samples if _close(s.star.q, ref.q_min) and _close(s.star.s, ref.s_max)
@@ -159,6 +159,32 @@ def normalize_nrt(log: EncodeLog) -> list[tuple[float, float]]:
     )
 
 
+def _nrs(log: EncodeLog):
+    return _normalize(
+        log.samples, lambda x: (x.q, x.t), "s", log.ref.s_max,
+        "no rate measured at the reference frame size",
+    )
+
+
+def normalize_nrq(log: EncodeLog) -> list[tuple[float, float]]:
+    """Rates at ``s_max`` normalized by the rate at ``q_min``, pooled over
+    every frame rate measured there.
+
+    Returns ``(q / q_min, rate ratio)`` pairs, anchor included. Frame rates
+    lacking a ``q_min`` measurement at ``s_max`` cannot be normalized and are
+    skipped.
+    """
+    return list(zip(*_nrq(log)))
+
+
+def normalize_nrt(log: EncodeLog) -> list[tuple[float, float]]:
+    """Rates at ``(q_min, s_max)`` normalized by the rate at ``t_max``.
+
+    Returns ``(t / t_max, rate ratio)`` pairs.
+    """
+    return list(zip(*_nrt(log)))
+
+
 def normalize_nrs(log: EncodeLog) -> list[tuple[float, float]]:
     """Rates normalized by the rate at ``s_max`` within each ``(q, t)`` pair,
     pooled over all pairs.
@@ -166,10 +192,7 @@ def normalize_nrs(log: EncodeLog) -> list[tuple[float, float]]:
     Returns ``(s / s_max, rate ratio)`` pairs. Pairs without an ``s_max``
     measurement are skipped.
     """
-    return _normalize(
-        log.samples, lambda x: (x.q, x.t), "s", log.ref.s_max,
-        "no rate measured at the reference frame size",
-    )
+    return list(zip(*_nrs(log)))
 
 
 def fit_power_exponent(points, direction: str) -> float:
@@ -183,16 +206,16 @@ def fit_power_exponent(points, direction: str) -> float:
     """
     if direction not in ("decreasing", "increasing"):
         raise InvalidParameterError(f"unknown direction {direction!r}")
-    return _fit_exponent(points, -1.0 if direction == "decreasing" else 1.0)[0]
-
-
-def _fit_exponent(points, sign: float) -> tuple[float, bool]:
-    # The exponent of fit_power_exponent, with ``sign`` -1 for a decreasing
-    # curve, and whether the search stopped at its upper bound.
     pairs = _check("normalized points", list(points), array=True)
     if len(pairs) < 2 or pairs.shape[1:] != (2,):
         raise InvalidParameterError("need at least two (ratio, normalized rate) pairs")
-    ratios, values = pairs.T.copy()
+    return _fit_exponent(*pairs.T.copy(), -1.0 if direction == "decreasing" else 1.0)[0]
+
+
+def _fit_exponent(ratios, values, sign: float) -> tuple[float, bool]:
+    # The exponent of fit_power_exponent through the checked points
+    # ``(ratios, values)``, with ``sign`` -1 for a decreasing curve, and
+    # whether the search stopped at its upper bound.
     if all(math.isclose(r, 1.0, rel_tol=1e-12) for r in ratios.tolist()):
         raise DegenerateDataError("all ratios equal 1; exponent is unidentifiable")
     log_r = np.log(ratios)
@@ -297,8 +320,10 @@ def _find_anchor(log: EncodeLog) -> RateSample:
     )
 
 
-def _informative(points, axis: str) -> list[tuple[float, float]]:
-    if len(points) < 2 or all(math.isclose(r, 1.0, rel_tol=1e-12) for r, _ in points):
+def _informative(points, axis: str):
+    # The ratios and values of a normalized curve, if they can fit an exponent.
+    ratios = points[0]
+    if len(ratios) < 2 or all(math.isclose(r, 1.0, rel_tol=1e-12) for r in ratios):
         raise InsufficientDataError(f"not enough distinct {axis} measurements to fit")
     return points
 
@@ -308,11 +333,12 @@ def _protocol_fit(log: EncodeLog, warnings: list[str]) -> RateParams:
     exponents = []
     bound_hits = []
     for curve, axis, sign, name in (
-        (normalize_nrq, "stepsize", -1.0, "a"),
-        (normalize_nrt, "frame-rate", 1.0, "b"),
-        (normalize_nrs, "frame-size", 1.0, "c"),
+        (_nrq, "stepsize", -1.0, "a"),
+        (_nrt, "frame-rate", 1.0, "b"),
+        (_nrs, "frame-size", 1.0, "c"),
     ):
-        value, at_bound = _fit_exponent(_informative(curve(log), axis), sign)
+        points = _check("normalized points", _informative(curve(log), axis), array=True)
+        value, at_bound = _fit_exponent(*points, sign)
         exponents.append(value)
         if at_bound:
             bound_hits.append(

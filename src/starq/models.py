@@ -45,6 +45,10 @@ def _check(name, value, low=0.0, strict=True, *, array=False, error=InvalidParam
     finite and ``> low`` (``>= low`` unless ``strict``); else raises ``error``.
     Every numeric input rule of the package goes through here."""
     if array:
+        flat = _floats(value, low, strict)
+        if flat is not None:  # nothing left to discover or check
+            arr = np.fromiter(flat, float, len(flat))
+            return arr if flat is value else arr.reshape(len(value), -1)
         try:
             arr = np.asarray(value)
         except (TypeError, ValueError):  # a ragged sequence
@@ -54,7 +58,10 @@ def _check(name, value, low=0.0, strict=True, *, array=False, error=InvalidParam
             ok = np.isfinite(arr) & ((arr > low) if strict else (arr >= low))
             if np.count_nonzero(ok) == ok.size:  # cheaper than ok.all() on small arrays
                 return arr
-    elif type(value) is float or (isinstance(value, Real) and type(value) is not bool):
+    elif type(value) is float:  # already a float: finite exactly when x - x is 0
+        if value - value == 0.0 and (value > low if strict else value >= low):
+            return value
+    elif isinstance(value, Real) and type(value) is not bool:
         try:
             v = float(value)
         except OverflowError:  # an int beyond the float range
@@ -65,6 +72,28 @@ def _check(name, value, low=0.0, strict=True, *, array=False, error=InvalidParam
     if array:
         raise error(f"{name} must hold finite reals{bound}")
     raise error(f"{name} must be a finite real{bound}, got {value!r}")
+
+
+def _floats(values, low=0.0, strict=True) -> list | tuple | None:
+    # ``values`` as a flat list or tuple when it is a list or tuple of Python
+    # floats, or of equal-length lists or tuples of them (rows), and
+    # every float is finite and ``> low`` (``>= low`` unless ``strict``), all
+    # that _check asks of them; else None, for _check to decide. Told without
+    # numpy: a sum of floats is finite only when every term is, and one that
+    # overflows leaves the question to _check.
+    if type(values) not in (list, tuple) or not values:
+        return None
+    row = type(values[0])
+    if row in (list, tuple):
+        if list(map(type, values)).count(row) != len(values) or len(set(map(len, values))) > 1:
+            return None
+        values = list(chain.from_iterable(values))
+    if not values or list(map(type, values)).count(float) != len(values):
+        return None
+    if not math.isfinite(sum(values)):
+        return None
+    least = min(values)
+    return values if (least > low if strict else least >= low) else None
 
 
 def _holds_bool(value) -> bool:
@@ -81,12 +110,14 @@ def _holds_bool(value) -> bool:
 
 
 def _check_fields(obj, names, strict=True) -> None:
-    # Checks the named fields of a frozen dataclass and stores them as floats.
+    # Checks the named fields of a frozen dataclass and stores them as floats;
+    # a field holding a finite Python float in range is stored as it is.
     for name in names:
         value = getattr(obj, name)
-        checked = _check(name, value, strict=strict)
-        if checked is not value:
-            object.__setattr__(obj, name, checked)
+        if type(value) is not float or not (
+            value - value == 0.0 and (value > 0.0 if strict else value >= 0.0)
+        ):
+            object.__setattr__(obj, name, _check(name, value, strict=strict))
 
 
 def _check_ladder(name: str, values, increasing: bool = True) -> tuple[float, ...]:

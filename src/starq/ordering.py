@@ -26,11 +26,16 @@ from .models import (
     _check,
     _check_ladder,
     _check_shared_ref,
+    _floats,
     _qr,
     _qr_powered,
     quality_surface,
     rate_surface,
 )
+
+# The index changes of a single-coordinate step: +1 along one axis.
+_MOVES = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
 
 @dataclass(frozen=True)
 class LayerGrid:
@@ -119,18 +124,24 @@ class OrderedPath:
                 raise InvalidParameterError(f"path steps must be PathStep, got {type(x).__name__}")
         l, m, n, s, t, q, rate, quality = zip(*steps)
         index = l + m + n
-        _check("step indices l, m, n", index, 0.0, strict=False, array=True)
-        if np.asarray(index).dtype.kind not in "iu":
-            raise InvalidParameterError("step indices l, m, n must be integers")
-        _check("step s, t, q, rate", s + t + q + rate, array=True)
-        _check("step quality", quality, -np.inf, array=True)
+        # Python ints in numpy's int64 range, at least 0, pass both index
+        # checks, and _floats tells the other two without numpy.
+        if (list(map(type, index)).count(int) != len(index)
+                or not 0 <= min(index) <= max(index) < 2**63):
+            _check("step indices l, m, n", index, 0.0, strict=False, array=True)
+            if np.asarray(index).dtype.kind not in "iu":
+                raise InvalidParameterError("step indices l, m, n must be integers")
+        if _floats(s + t + q + rate) is None:
+            _check("step s, t, q, rate", s + t + q + rate, array=True)
+        if _floats(quality, -math.inf) is None:
+            _check("step quality", quality, -np.inf, array=True)
         pairs = zip(l, l[1:], m, m[1:], n, n[1:], s, s[1:], t, t[1:], q, q[1:],
                     rate, rate[1:], quality, quality[1:])
-        slopes = []
+        slopes, flags = [], []
         for (l0, l1, m0, m1, n0, n1, s0, s1, t0, t1, q0, q1,
              rate0, rate1, quality0, quality1) in pairs:
             deltas = (l1 - l0, m1 - m0, n1 - n0)
-            if sorted(deltas) != [0, 0, 1]:
+            if deltas not in _MOVES:
                 raise InvalidParameterError(
                     f"consecutive steps must differ by +1 in one coordinate, got {deltas}"
                 )
@@ -144,7 +155,9 @@ class OrderedPath:
                     f"step {len(slopes) + 1}: quality change per rate increase is {slope}"
                 )
             slopes.append(slope)
-        flags = tuple(i for i in range(1, len(quality)) if quality[i] <= quality[i - 1])
+            if quality1 <= quality0:
+                flags.append(len(slopes))
+        flags = tuple(flags)
         passed = self.nonpositive_gain_steps
         if passed is not None and passed != flags:
             raise InvalidParameterError(f"nonpositive_gain_steps must be {flags}, got {passed!r}")
