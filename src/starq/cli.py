@@ -123,6 +123,8 @@ def cmd_predict_rate(opts: _Given) -> int:
         if not 1 <= points <= MAX_SWEEP:
             raise StarqError(f"--points must be in [1, {MAX_SWEEP}], got {points}")
     fixed = {} if log_path else {a: opts.take(a) for a in "qst" if a != axis}
+    if "s" in fixed:
+        fixed["s"] = parse_frame_size(fixed["s"])
     opts.done()
     rp = _part(read_model_file(path), path, "rate")
 
@@ -244,8 +246,21 @@ def cmd_predict_params(opts: _Given) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads any word ``float`` accepts, such as
+    ``-1e-05`` or ``-inf``, as a value and never as an option name; its
+    subcommand parsers are of this class too."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="starq",
         description="Rate and quality modeling of compressed video over "
         "stepsize, frame size and frame rate.",
@@ -267,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", type=Path)
     g = p.add_argument_group("one point, or the two fixed axes of --sweep")
     g.add_argument("--q", type=float)
-    g.add_argument("--s", type=parse_frame_size)
+    g.add_argument("--s")
     g.add_argument("--t", type=float)
     g = p.add_argument_group("--sweep mode")
     g.add_argument("--sweep", choices=("q", "s", "t"), help="the axis to sweep")

@@ -139,6 +139,8 @@ def _normalize(samples, group, axis: str, anchor: float, missing: str):
     return ratios, values
 
 
+# The NRQ, NRT and NRS curves as (ratios, values) lists; the public
+# normalize_* functions give them as pairs.
 def _nrq(log: EncodeLog):
     ref = log.ref
     at_smax = [s for s in log.samples if _close(s.star.s, ref.s_max)]

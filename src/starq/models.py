@@ -75,12 +75,10 @@ def _check(name, value, low=0.0, strict=True, *, array=False, error=InvalidParam
 
 
 def _floats(values, low=0.0, strict=True) -> list | tuple | None:
-    # ``values`` as a flat list or tuple when it is a list or tuple of Python
-    # floats, or of equal-length lists or tuples of them (rows), and
-    # every float is finite and ``> low`` (``>= low`` unless ``strict``), all
-    # that _check asks of them; else None, for _check to decide. Told without
-    # numpy: a sum of floats is finite only when every term is, and one that
-    # overflows leaves the question to _check.
+    # ``values`` flattened, if it is a list or tuple of Python floats or of
+    # equal-length rows of them, each finite and ``> low`` (``>= low`` unless
+    # ``strict``); else None, for _check's numpy path to decide. A sum of
+    # floats is finite only when every term is; one that overflows says None.
     if type(values) not in (list, tuple) or not values:
         return None
     row = type(values[0])

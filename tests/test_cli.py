@@ -252,6 +252,40 @@ def test_bad_sweep_arguments_are_input_errors(city_model_json, capsys, extra, me
     assert "Traceback" not in captured.err
 
 
+# A negative number written with an exponent, as infinity or with digit
+# groups is an option's value, not an option name: each reaches its domain
+# check and prints that check's one error line.
+NEGATIVE_VALUES = [
+    (["predict-rate", "MODEL", "--q", "-1e-05", "--s", "cif", "--t", "30"],
+     "q must be a finite real > 0, got -1e-05"),
+    (["predict-rate", "MODEL", "--q", "16", "--s", "cif", "--t", "-1E3"],
+     "t must be a finite real > 0, got -1000.0"),
+    (["predict-rate", "MODEL", "--q", "16", "--s", "-1e5", "--t", "30"],
+     "frame size must be a finite real > 0, got -100000.0"),
+    (["predict-rate", "MODEL", *SWEEP_T, "--sweep-from", "-inf"],
+     "--sweep-from and --sweep-to must be a finite real > 0, got -inf"),
+    (["predict-rate", "MODEL", *SWEEP_T, "--sweep-from", "1.875", "--points", "-1_000"],
+     "--points must be in [1, 100000], got -1000"),
+    (["optimize", "MODEL", "--budget", "-1e+300"], "budget must be a finite real > 0, got -1e+300"),
+    (["optimize", "MODEL", "--budget-sweep", "-1_0"], "--budget-sweep must be in [1, 100000], got -10"),
+    (["optimize", "MODEL", "--budget", "500", "--grid", "-2_0"],
+     "grid must be an integer in [2, 4096], got -20"),
+    (["predict-params", "--scenario", "SVC1", "--mu-dfd", "-1e3", "--sigma-mvm", "1",
+      "--sigma-mda", "1"], "mu_dfd must be a finite real >= 0, got -1000.0"),
+    (["predict-params", "--scenario", "SVC1", "--mu-dfd", "1", "--sigma-mvm", "1",
+      "--sigma-mda", "1", "--t-max", "-Infinity"], "t_max must be a finite real > 0, got -inf"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NEGATIVE_VALUES,
+                         ids=["q", "t", "s", "sweep-from", "points", "budget", "budget-sweep",
+                              "grid", "mu-dfd", "t-max"])
+def test_negative_number_is_a_value(city_model_json, capsys, argv, message):
+    argv = [str(city_model_json) if a == "MODEL" else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestOrder:
     def write_levels(self, tmp_path, s_values):
         levels = tmp_path / "levels.json"

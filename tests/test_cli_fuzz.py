@@ -141,15 +141,18 @@ def test_unreadable_file_is_input_error(files, template):
     assert proc.stdout == ""
 
 
+# Values follow their option as the next word, so the negative ones written
+# with an exponent, as infinity or with digit groups must read as values.
 NUMBERS = st.sampled_from(
-    ["0", "-1", "1", "1.875", "16", "30", "500", "2379", "1e-300", "1e300",
-     "nan", "inf", "-inf", "abc", "", "qcif", "cif", "4cif"]
+    ["0", "-1", "1", "1.875", "16", "30", "500", "2379", "1e-300", "1e300", "-1e-05",
+     "-1e+300", "-1E3", "-1_000", "nan", "-nan", "inf", "-inf", "abc", "", "qcif", "cif", "4cif"]
 ) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
 
 
 def sizes(cap: int):
     # Integer option values: small ones, or ones above the option's cap.
-    return (st.integers(min_value=-3, max_value=40) | st.integers(min_value=cap + 1)).map(str)
+    return (st.integers(min_value=-3, max_value=40) | st.integers(min_value=cap + 1)).map(str) | (
+        st.sampled_from(["-1_000", "-1e3"]))
 
 
 FILE_NAMES = (
@@ -185,19 +188,32 @@ OPTIONS = {
 }
 
 
-# The options each mode of a command reads (README "Command line"). Options
-# drawn from one mode's list mostly pass the option rule and reach the file
-# readers and the arithmetic; options drawn from all of a command's break it.
-SHARED = {"optimize": ["--quality-model", "--budget", "--budget-sweep", "--mode"],
-          "predict-params": ["--scenario", "--q-min", "--s-max", "--t-max", "--out"]}
+# The modes of each command (README "Command line"): the options a mode
+# needs, then the others it reads. An "--option=value" word selects the mode
+# and is given as it is. A draw gives its mode's needed options and then up
+# to four more, from that mode's list or from all of the command's, so most
+# draws pass the option rule and reach the file readers and the arithmetic,
+# and the rest break it.
 MODES = {
-    "fit": [["--mode", "--out"]],
-    "predict-rate": [["--q", "--s", "--t"], ["--log"],
-                     ["--sweep", "--sweep-from", "--sweep-to", "--points", "--q", "--s", "--t"]],
-    "optimize": [[*SHARED["optimize"], "--grid"], [*SHARED["optimize"], "--sets"]],
-    "order": [["--quality-model", "--levels", "--direction"]],
-    "predict-params": [[*SHARED["predict-params"], "--features"],
-                       [*SHARED["predict-params"], "--mu-dfd", "--sigma-mvm", "--sigma-mda"]],
+    "fit": [([], ["--mode", "--out"])],
+    "predict-rate": [
+        (["--q", "--s", "--t"], ["--q", "--s", "--t"]),
+        (["--log"], ["--log"]),
+        *(([f"--sweep={axis}", "--sweep-from", "--sweep-to", *fixed], ["--points", *fixed])
+          for axis, fixed in (("q", ["--s", "--t"]), ("s", ["--q", "--t"]), ("t", ["--q", "--s"]))),
+    ],
+    "optimize": [
+        (["--budget"], ["--quality-model", "--mode=continuous", "--grid"]),
+        (["--budget-sweep"], ["--quality-model", "--mode=continuous", "--grid"]),
+        (["--mode=dyadic", "--sets", "--budget"], ["--quality-model"]),
+        (["--mode=dyadic", "--sets", "--budget-sweep"], ["--quality-model"]),
+    ],
+    "order": [(["--levels"], ["--quality-model", "--direction"])],
+    "predict-params": [
+        (["--scenario", "--features"], ["--q-min", "--s-max", "--t-max", "--out"]),
+        (["--scenario", "--mu-dfd", "--sigma-mvm", "--sigma-mda"],
+         ["--q-min", "--s-max", "--t-max", "--out"]),
+    ],
 }
 
 
@@ -208,9 +224,10 @@ def argvs(draw):
     if command != "predict-params":
         argv.append(draw(st.sampled_from(["model.json", "log.csv"]) | FILES))
     options = OPTIONS[command]
-    names = draw(st.sampled_from([sorted(options), *MODES[command]]))
-    for name in draw(st.lists(st.sampled_from(names), max_size=6)):
-        argv += [name, draw(options[name])]
+    needed, reads = draw(st.sampled_from(MODES[command]))
+    extras = draw(st.sampled_from([reads, sorted(options)]))
+    for name in needed + draw(st.lists(st.sampled_from(extras), max_size=4)):
+        argv += [name] if "=" in name else [name, draw(options[name])]
     return argv
 
 
