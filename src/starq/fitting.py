@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,10 +56,6 @@ def _samples(samples) -> tuple[RateSample, ...]:
     return samples
 
 
-# Readers of a sample's operating point and rate, and of a point's (q, s, t).
-_star_of, _rate_of, _coords = attrgetter("star"), attrgetter("rate"), attrgetter("q", "s", "t")
-
-
 @dataclass(frozen=True)
 class EncodeLog:
     """An ordered collection of rate measurements plus reference resolutions."""
@@ -74,16 +70,17 @@ class EncodeLog:
             raise InvalidParameterError(f"ref must be a ResolutionRef, got {self.ref!r}")
         if not samples:
             raise InvalidParameterError("encode log is empty")
-        points = list(map(_coords, map(_star_of, samples)))
+        points = [(x.star.q, x.star.s, x.star.t) for x in samples]
         if len(set(points)) == len(points):  # no operating point repeats
             return
         seen: dict[tuple[float, float, float], float] = {}
-        for key, rate in zip(points, map(_rate_of, samples)):
-            if key in seen and seen[key] != rate:
+        for key, sample in zip(points, samples):
+            if key in seen and seen[key] != sample.rate:
                 raise InvalidParameterError(
-                    f"conflicting rates for duplicate operating point {key}: {seen[key]} vs {rate}"
+                    f"conflicting rates for duplicate operating point {key}: "
+                    f"{seen[key]} vs {sample.rate}"
                 )
-            seen[key] = rate
+            seen[key] = sample.rate
 
     @classmethod
     def from_samples(cls, samples) -> "EncodeLog":

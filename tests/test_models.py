@@ -28,6 +28,7 @@ from starq import (
     stepsize_from_qp,
 )
 from starq.fileio import ModelFile, model_to_dict
+from starq.models import _check
 
 CITY = rate_params("city")
 CITY_Q = quality_params("city")
@@ -263,3 +264,34 @@ class TestQrModel:
 def test_resolution_ref_validation():
     with pytest.raises(InvalidParameterError):
         ResolutionRef(q_min=16.0, s_max=0.0, t_max=30.0)
+
+
+def check_outcome(value, low, strict):
+    # What _check(array=True) gives: the float array's shape and values, or
+    # the error's type and message.
+    try:
+        arr = _check("x", value, low, strict, array=True)
+    except InvalidParameterError as exc:
+        return type(exc), str(exc)
+    return arr.dtype, arr.shape, arr.tolist()
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 1e308])
+
+
+@given(
+    values=st.lists(FLOATS, min_size=1, max_size=12)
+    | st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=6)
+    | st.lists(st.tuples(FLOATS) | st.tuples(FLOATS, FLOATS), min_size=1, max_size=4),
+    low=st.sampled_from([0.0, 1.0, -math.inf]),
+    strict=st.booleans(),
+)
+def test_float_sequence_check_matches_numpy_path(values, low, strict):
+    # A list or tuple of Python floats, or of rows of them, takes _check's
+    # path without numpy. The same numbers as numpy scalars take numpy's
+    # path, which the check had for every sequence before. Both accept and
+    # reject alike (ragged rows included), with the same message.
+    scalars = [tuple(map(np.float64, v)) if type(v) is tuple else np.float64(v) for v in values]
+    expected = check_outcome(scalars, low, strict)
+    assert check_outcome(values, low, strict) == expected
+    assert check_outcome(tuple(values), low, strict) == expected
