@@ -95,7 +95,6 @@ from starq.errors import StarqError
 from starq.fileio import ModelFile, read_encode_log, write_model_file
 
 GOLDEN = HERE / "cli"
-LIB = HERE / "lib"
 PLACEHOLDER = "<tmp>"
 
 # Case name -> argv; an argument naming an input file is replaced by its path.

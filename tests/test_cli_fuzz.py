@@ -150,9 +150,10 @@ NUMBERS = st.sampled_from(
 
 
 def sizes(cap: int):
-    # Integer option values: small ones, or ones above the option's cap.
-    return (st.integers(min_value=-3, max_value=40) | st.integers(min_value=cap + 1)).map(str) | (
-        st.sampled_from(["-1_000", "-1e3"]))
+    # Integer option values: small ones, ones above the option's cap, and two
+    # negative words, one that int() reads and one that it does not.
+    ints = st.integers(min_value=-3, max_value=40) | st.integers(min_value=cap + 1)
+    return ints.map(str) | st.sampled_from(["-1_000", "-1e3"])
 
 
 FILE_NAMES = (
