@@ -16,9 +16,12 @@ read by ``read_encode_log``, its three normalized curves, their exponent fits
 and the protocol and joint ``FitReport`` (per scenario and sequence, for a
 noiseless log, a log with 1% noise and that noisy log without its anchor
 sample); the rate and quality tables of ``build_layer_grid`` and both
-orderings (per sequence, on the 3x4x4 ladder and on an 8x8x8 lattice); and
-``optimal_quality_curve`` with its ``fit_qr`` (per sequence). An error is
-recorded as its type and message.
+orderings (per sequence, on the 3x4x4 ladder and on an 8x8x8 lattice);
+``optimal_quality_curve`` with its ``fit_qr`` (per sequence); and the budget
+decisions (per sequence): ``optimize_continuous`` at grids 2, 32, 64 and 128
+and ``optimize_discrete`` on the dyadic 3x4 ladder, at 40 geometric budgets
+from 0.005 to 1.5 ``r_max``, which reach infeasible and ``q_min``-clamped
+points. An error is recorded as its type and message.
 
 Rewrite the files, from the root of a checkout, with
 
@@ -78,6 +81,7 @@ from sequences import (
     write_log_csv,
 )
 from starq import (
+    FeasibleSets,
     QualityParams,
     build_layer_grid,
     fit_power_exponent,
@@ -87,6 +91,8 @@ from starq import (
     normalize_nrs,
     normalize_nrt,
     optimal_quality_curve,
+    optimize_continuous,
+    optimize_discrete,
     order_backward,
     order_forward,
 )
@@ -147,11 +153,15 @@ FINE = (
     (64.0, 52.0, 40.0, 32.0, 26.0, 22.0, 19.0, 16.0),
 )
 LATTICES = {"ladder": (LAYER_S, LAYER_T, LAYER_Q), "fine": FINE}
+DYADIC = FeasibleSets(s_values=LAYER_S, t_values=LAYER_T, q_range=(16.0, 104.0))
+# Budgets as fractions of r_max, geometric from 0.005 to 1.5, in Python floats.
+BUDGET_FRACS = [0.005 * 300.0 ** (k / 39) for k in range(40)]
 
 LIB_CASES = (
     [f"fit-{scenario}-{sequence}" for scenario in RATE_TABLES for sequence in SEQUENCES]
     + [f"order-{lattice}-{sequence}" for lattice in LATTICES for sequence in SEQUENCES]
     + [f"qr-{sequence}" for sequence in SEQUENCES]
+    + [f"opt-{sequence}" for sequence in SEQUENCES]
 )
 
 
@@ -192,6 +202,12 @@ def lib_case(name: str, d: Path) -> tuple[str]:
             grid = build_layer_grid(rp, qp, *LATTICES[key[0]])
             lines += [f"rate {grid.rate.tolist()!r}", f"quality {grid.quality.tolist()!r}",
                       f"forward {order_forward(grid)!r}", f"backward {order_backward(grid)!r}"]
+        elif kind == "opt":
+            for budget in (rp.r_max * frac for frac in BUDGET_FRACS):
+                lines.append(f"budget {budget!r}")
+                lines += [f"grid {n} {_outcome(optimize_continuous, rp, qp, budget, grid=n)}"
+                          for n in (2, 32, 64, 128)]
+                lines.append(f"dyadic {_outcome(optimize_discrete, rp, qp, DYADIC, budget)}")
         else:
             curve = optimal_quality_curve(rp, qp)
             lines += [f"curve {curve!r}", f"fit_qr {_outcome(fit_qr, curve, rp.r_max)}"]
