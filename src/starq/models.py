@@ -156,7 +156,8 @@ def _times(x, y):
     a, b = (x, y) if size <= x.size else (y, x)
     # Operands of one rank and two sizes, such as a lattice's (L, 1, 1) and
     # (1, M, 1) axes, have their shapes tested: a failed write costs more.
-    if size != x.size and getattr(y, "ndim", 0) == x.ndim:
+    # Without a unit axis, a takes the product's shape or none at all.
+    if size != x.size and getattr(y, "ndim", 0) == x.ndim and 1 in a.shape:
         if np.broadcast(a, b).shape != a.shape:
             return x * y
     try:
@@ -258,7 +259,10 @@ class QualityParams:
     def _minus_alpha_s(self, q):
         # alpha_s with the sign in the coefficient, bit for bit: -c * x is -(c * x).
         x = _qp(q)
-        x = np.maximum(x, self.qp_clamp, out=x if type(x) is np.ndarray else None)
+        if type(x) is np.ndarray:
+            np.maximum(x, self.qp_clamp, out=x)
+        elif x < self.qp_clamp:  # a numpy scalar: np.maximum's value, without its call
+            x = np.float64(self.qp_clamp)
         x *= self.nu1
         x += self.nu2
         x *= -self.alpha_s_tilde

@@ -127,17 +127,22 @@ def _axes(ref, n_s: int, n_t: int):
 
 
 def _best_cells(rp: RateParams, qp: QualityParams, budget, s, t):
-    # Per budget (shape (B, 1, 1)), the best cell of the grid s x t (1-d
-    # axes): its quality, clamped stepsize and s and t indices. Cells at
-    # stepsizes >= q_limit score <= 0 and all others > 0, so the best cell
+    # The best cell of the grid s x t (1-d axes) per budget: its quality,
+    # clamped stepsize and flat index i * t.size + j. One budget, a 0-d array,
+    # gives Python numbers; budgets of shape (B, 1, 1) give arrays of B. Cells
+    # at stepsizes >= q_limit score <= 0 and all others > 0, so the best cell
     # lies at or above q_limit only when every cell does; callers check it.
     s, t = s[:, None], t[None, :]
     q = _budget_q(rp, s, t, budget)
     np.maximum(q, rp.ref.q_min, out=q)
     quality = _quality(qp, q, s, t)
-    i, j = divmod(quality.reshape(len(budget), -1).argmax(axis=1), t.size)
+    if not budget.ndim:
+        k = int(quality.argmax())
+        return quality.item(k), q.item(k), k
+    quality, q = quality.reshape(len(budget), -1), q.reshape(len(budget), -1)
+    k = quality.argmax(axis=1)
     rows = np.arange(len(budget))
-    return quality[rows, i, j], q[rows, i, j], i, j
+    return quality[rows, k], q[rows, k], k
 
 
 def optimize_continuous(
@@ -159,18 +164,20 @@ def optimize_continuous(
     _check_shared_ref(rp, qp)
     budget = _check("budget", budget)
     n = _grid_size(grid)
-    budgets = np.array(budget).reshape(1, 1, 1)
+    # A 0-d array, so that the budget equation divides by it as numpy does.
+    budgets = np.array(budget)
     s_axis, t_axis = _axes(rp.ref, n, n)
-    (quality,), (q,), (i,), (j,) = _best_cells(rp, qp, budgets, s_axis, t_axis)
-    s, t = s_axis[i], t_axis[j]
+    quality, q, k = _best_cells(rp, qp, budgets, s_axis, t_axis)
+    i, j = divmod(k, n)
+    s, t = s_axis.item(i), t_axis.item(j)
     # One grid-halving pass: 5 x 5 points spanning the best cell's neighbours.
-    lo = np.array([s_axis[max(i - 1, 0)], t_axis[max(j - 1, 0)]])
-    hi = np.array([s_axis[min(i + 1, n - 1)], t_axis[min(j + 1, n - 1)]])
+    lo = np.array([s_axis.item(max(i - 1, 0)), t_axis.item(max(j - 1, 0))])
+    hi = np.array([s_axis.item(min(i + 1, n - 1)), t_axis.item(min(j + 1, n - 1))])
     s_fine, t_fine = _geomspace(lo, hi, 5)
-    (fine_quality,), (fine_q,), (fi,), (fj,) = _best_cells(rp, qp, budgets, s_fine, t_fine)
+    fine_quality, fine_q, k = _best_cells(rp, qp, budgets, s_fine, t_fine)
     if fine_quality > quality:
-        quality, q, s, t = fine_quality, fine_q, s_fine[fi], t_fine[fj]
-    quality, q, s, t = float(quality), float(q), float(s), float(t)
+        i, j = divmod(k, 5)
+        quality, q, s, t = fine_quality, fine_q, s_fine.item(i), t_fine.item(j)
     _check_q_limit(q, budget)
     return OptimizationResult(
         star=Star(q=q, s=s, t=t), quality=quality, rate=float(_rate(rp, q, s, t))
@@ -203,22 +210,25 @@ def optimize_discrete(
         raise InvalidParameterError("largest frame rate must equal the reference frame rate")
 
     # Every (frame size, frame rate) pair, frame size varying slowest.
-    s = np.repeat(sets.s_values, len(sets.t_values))
+    s = np.array(sets.s_values).repeat(len(sets.t_values))
     t = np.array(sets.t_values * len(sets.s_values))
-    q = np.maximum(_budget_q(rp, s, t, budget), q_lo)
+    q = _budget_q(rp, s, t, budget)
+    np.maximum(q, q_lo, out=q)
     feasible = q <= q_hi * (1.0 + _REL_TOL)
-    if not feasible.any():
+    count = np.count_nonzero(feasible)
+    if not count:
         raise InfeasibleError(
             f"budget {budget} kbps is unreachable even at the coarsest stepsize"
         )
-    q, s, t = q[feasible], s[feasible], t[feasible]
+    if count < q.size:
+        q, s, t = q[feasible], s[feasible], t[feasible]
     quality = _quality(qp, q, s, t)
     # lexsort sorts by its last key first, so the best pair comes last.
     k = np.lexsort((s, t, -q, quality))[-1]
-    _check_q_limit(float(q[k]), budget)
+    _check_q_limit(q.item(k), budget)
     return OptimizationResult(
-        star=Star(q=float(q[k]), s=float(s[k]), t=float(t[k])),
-        quality=float(quality[k]),
+        star=Star(q=q.item(k), s=s.item(k), t=t.item(k)),
+        quality=quality.item(k),
         rate=float(_rate(rp, q[k], s[k], t[k])),
     )
 
@@ -234,7 +244,7 @@ def optimal_quality_curve(rp: RateParams, qp: QualityParams) -> list[tuple[float
     """
     _check_shared_ref(rp, qp)
     budgets = _geomspace(np.array([0.1 * rp.r_max]), np.array([rp.r_max]), 50)[0]
-    quality, q, _, _ = _best_cells(rp, qp, budgets[:, None, None], *_axes(rp.ref, 3, 64))
+    quality, q, _ = _best_cells(rp, qp, budgets[:, None, None], *_axes(rp.ref, 3, 64))
     k = q.argmax()
     _check_q_limit(float(q[k]), float(budgets[k]))
     return [(float(b), float(v)) for b, v in zip(budgets, quality)]

@@ -220,6 +220,31 @@ class TestDiscrete:
             optimize_discrete(CITY, CITY_Q, short_t, 500.0)
 
 
+# Both optimizers, called with a budget of 500 kbps in some form.
+OPTIMIZERS = {
+    "continuous": lambda budget: optimize_continuous(CITY, CITY_Q, budget),
+    "discrete": lambda budget: optimize_discrete(CITY, CITY_Q, DYADIC, budget),
+}
+
+
+class TestBudgetInput:
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    @pytest.mark.parametrize("budget", [500, np.float64(500.0), np.int64(500)])
+    def test_real_numbers_read_as_the_float(self, optimizer, budget):
+        assert OPTIMIZERS[optimizer](budget) == OPTIMIZERS[optimizer](500.0)
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    @pytest.mark.parametrize(
+        "budget, shown",
+        [(True, "True"), (float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0"),
+         ("500", "'500'"), (np.array(500.0), "array(500.)")],
+    )
+    def test_anything_else_is_rejected(self, optimizer, budget, shown):
+        message = f"budget must be a finite real > 0, got {shown}"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            OPTIMIZERS[optimizer](budget)
+
+
 class TestFitQr:
     def test_noiseless_self_recovery(self):
         model = QrModel(kappa=3.0, r_max=1000.0)

@@ -41,7 +41,8 @@ must find nothing better: a sum of squares no more than 1e-12 relative
 below, parameters within 1e-9. The reference's small-step test keeps an
 absolute 1e-26 term that the loop's relative test dropped; with ``r_max`` of
 10 or more it never decides. One log on which the loop stalls keeps the end
-point and sum of squares it has always reached, bit for bit.
+point and sum of squares it has always reached, bit for bit; the sum of
+squares is pinned per SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from golden.regen import dispatch
 from sequences import (
     JOINT_FIT_CASES,
     LAYER_Q,
@@ -946,6 +948,14 @@ def test_joint_fit_matches_reference_on_any_log(a, b, c, r_max, noise, seed, anc
     assert_joint_fit_matches_reference(log if anchors else without_anchor(log))
 
 
+# The stall log's sum of squares per SIMD dispatch (the targets numpy enables,
+# as golden/regen.py's ``dispatch`` lists them): its last bits follow the
+# loops numpy dispatches to. Each key is a dispatch regen.py steps through
+# on an x86-64 host with every target up to AVX512_SPR; without X86_V4 the
+# sum reads other bits. Any dispatch not listed reads the default's.
+STALL_SSE = {(): "0x1.9e16db7f1e60ap-8", ("X86_V3",): "0x1.9e16db7f1e60ap-8"}
+
+
 def test_joint_fit_on_stall_log_keeps_its_bits():
     # Near its end no damped step up to damping 1e16 lowers the sum of
     # squares or, within rounding of it, the scaled gradient, so the loop
@@ -957,4 +967,4 @@ def test_joint_fit_on_stall_log_keeps_its_bits():
         float.fromhex(h)
         for h in ("0x1.0030637517994p+0", "0x1.fffbadcf98452p-1", "0x1.001f6953ffa8bp+0", "0x1.6e3705255a79ep+7")
     ]
-    assert result.sse == float.fromhex("0x1.9e16db7f1e329p-8")
+    assert result.sse == float.fromhex(STALL_SSE.get(tuple(dispatch()), "0x1.9e16db7f1e329p-8"))
