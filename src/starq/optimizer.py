@@ -164,7 +164,8 @@ def optimize_continuous(
     _check_shared_ref(rp, qp)
     budget = _check("budget", budget)
     n = _grid_size(grid)
-    # A 0-d array, so that the budget equation divides by it as numpy does.
+    # The budget as a 0-d array: the budget equation divides by it with
+    # numpy's floating-point errors, as by a batch of budgets.
     budgets = np.array(budget)
     s_axis, t_axis = _axes(rp.ref, n, n)
     quality, q, k = _best_cells(rp, qp, budgets, s_axis, t_axis)

@@ -202,6 +202,26 @@ class TestDiscrete:
             result = optimize_discrete(rp, qp, DYADIC, float(budget))
             assert result.star == enumerate_discrete(rp, qp, DYADIC, float(budget))
 
+    def test_ties_go_to_smaller_stepsize_then_larger_rate_then_larger_size(self):
+        # Every quality factor saturates at 1.0 on the ladder, so every
+        # feasible pair ties on quality and the tie-break alone decides.
+        flat = QualityParams(alpha_q=1000.0, alpha_s_tilde=1000.0, alpha_t=1000.0, ref=REF)
+        for budget in np.geomspace(0.01 * CITY.r_max, CITY.r_max, 20).tolist():
+            result = optimize_discrete(CITY, flat, DYADIC, budget)
+            assert result.quality == 1.0
+            assert result.star == enumerate_discrete(CITY, flat, DYADIC, budget)
+
+    def test_stepsize_a_rounding_above_the_cap_is_feasible(self):
+        # At the rate of the cheapest pair at the stepsize cap, the budget
+        # equation returns a stepsize a rounding above the cap; the
+        # reference tolerance keeps that pair.
+        rp = rate_params("city", "svc2")
+        floor = evaluate_rate(rp, Star(104.0, float(QCIF), 3.75))
+        assert feasible_q(rp, float(QCIF), 3.75, floor) > 104.0
+        result = optimize_discrete(rp, CITY_Q, DYADIC, floor)
+        assert (result.star.s, result.star.t) == (float(QCIF), 3.75)
+        assert result.star.q == pytest.approx(104.0, rel=1e-12)
+
     def test_sets_validation(self):
         with pytest.raises(InvalidParameterError):
             FeasibleSets((), LAYER_T, (16.0, 104.0))
