@@ -300,9 +300,12 @@ def stepsize_from_qp(qp: float) -> float:
     """Inverse of :func:`qp_from_stepsize`."""
     qp = _check("qp", qp, -math.inf)
     try:
-        return 2.0 ** ((qp - 4.0) / 6.0)
+        q = 2.0 ** ((qp - 4.0) / 6.0)
     except OverflowError:
         raise InvalidParameterError(f"qp {qp!r} gives a stepsize beyond the float range") from None
+    if q == 0.0:  # below the smallest subnormal: no stepsize > 0
+        raise InvalidParameterError(f"qp {qp!r} gives a stepsize that underflows to 0")
+    return q
 
 
 def _rate(p: RateParams, q, s, t):
@@ -406,5 +409,7 @@ def qr_surface(m: QrModel, r):
 
 
 def evaluate_qr(m: QrModel, r: float) -> float:
-    """Summary quality at rate ``r`` kbps."""
+    """Summary quality at one rate ``r`` kbps; :func:`qr_surface` takes arrays."""
+    if isinstance(r, (list, tuple)) or np.ndim(r) != 0:
+        raise InvalidParameterError(f"rate must be a scalar, got {r!r}")
     return float(qr_surface(m, r))

@@ -124,6 +124,12 @@ class TestCheckerGaps:
         with pytest.raises(InvalidParameterError):
             stepsize_from_qp(1e10)
 
+    def test_qp_whose_stepsize_underflows_is_an_input_error(self):
+        with pytest.raises(InvalidParameterError, match=r"^qp -6500\.0 gives a stepsize that underflows to 0$"):
+            stepsize_from_qp(-6500.0)
+        # A subnormal stepsize is still > 0.
+        assert stepsize_from_qp(-6440.0) == 5e-324
+
     @pytest.mark.parametrize(
         "s_values",
         [(), (NAN, 1.0), (2.0, 1.0), (1.0, 1.0), ((1.0, 2.0),), (True, 2.0), (np.True_, 4.0),

@@ -20,6 +20,7 @@ from starq import (
     RateParams,
     ResolutionRef,
 )
+from starq.cli import main
 from starq.fileio import (
     ModelFile,
     model_from_dict,
@@ -145,6 +146,18 @@ class TestEncodeLogCsv:
         with pytest.raises(InvalidParameterError) as err:
             read_encode_log(path)
         assert str(err.value) == f"{path}: line 3: non-empty cell past column 5"
+
+    def test_nameless_columns_not_read(self, tmp_path):
+        text = "q,,width,height, ,fps,rate_kbps\n16,x,704,576,y,30,2379\n"
+        log, _ = read_encode_log(write(tmp_path, "log.csv", text))
+        assert [sample.rate for sample in log.samples] == [2379.0]
+
+    def test_row_of_only_commas_is_not_blank(self, tmp_path, capsys):
+        text = "q,width,height,fps,rate_kbps\n16,704,576,30,2379\n,,,,\n64,704,576,30,344.4\n"
+        path = write(tmp_path, "log.csv", text)
+        assert main(["fit", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: line 3: q must be a number, got ''\n")
 
     def test_empty_cells_past_the_header_allowed(self, tmp_path):
         text = "q,width,height,fps,rate_kbps\n16,704,576,30,2379,\n64,704,576,30,344.4, ,\n"

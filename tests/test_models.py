@@ -257,6 +257,19 @@ class TestQrModel:
         with pytest.raises(OutOfRangeError):
             evaluate_qr(m, 1000.0001)
 
+    @pytest.mark.parametrize("r", [[1.0, 2.0], np.array([3.0]), (5.0,), [[1.0]], [1.0, [2.0]]],
+                             ids=["list", "1-element-array", "tuple", "nested", "ragged"])
+    def test_non_scalar_rate_is_an_input_error(self, r):
+        with pytest.raises(InvalidParameterError, match="rate must be a scalar"):
+            evaluate_qr(QrModel(kappa=5.0, r_max=1000.0), r)
+
+    def test_scalar_rates_of_any_type(self):
+        m = QrModel(kappa=5.0, r_max=1000.0)
+        assert evaluate_qr(m, np.array(500.0)) == evaluate_qr(m, np.float64(500.0)) == evaluate_qr(m, 500)
+        for r in (0, math.nan, True, "x", 2000.0):
+            with pytest.raises(OutOfRangeError):
+                evaluate_qr(m, r)
+
     def test_exponent_fixed(self):
         assert QrModel.exponent == 0.55
 

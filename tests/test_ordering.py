@@ -155,6 +155,14 @@ class TestBackward:
         path = order_backward(hand_grid())
         assert [(s.l, s.m, s.n) for s in path.steps] == [(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1)]
 
+    def test_equal_drops_prefer_amplitude(self):
+        # Both drops from the top cell lose exactly 1/64 quality per unit rate.
+        rate = np.array([[[16.0, 48.0]], [[32.0, 64.0]]])
+        quality = np.array([[[0.25, 0.75]], [[0.5, 1.0]]])
+        grid = LayerGrid((1.0, 2.0), (1.0,), (4.0, 2.0), rate, quality)
+        path = order_backward(grid)
+        assert (path.steps[1].l, path.steps[1].m, path.steps[1].n) == (1, 0, 0)
+
     def test_returned_in_increasing_rate_order(self):
         path = order_backward(city_grid())
         rates = [s.rate for s in path.steps]
@@ -221,6 +229,11 @@ class TestOrderedPathInvariants:
     def test_every_step_field_checked(self, field, value):
         step = PathStep(0, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2)._replace(**{field: value})
         with pytest.raises(InvalidParameterError, match=field):
+            OrderedPath(steps=(step,), direction="forward")
+
+    def test_step_index_past_int64_rejected(self):
+        step = PathStep(2**63, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2)
+        with pytest.raises(InvalidParameterError, match="step indices l, m, n"):
             OrderedPath(steps=(step,), direction="forward")
 
     @pytest.mark.parametrize(
@@ -295,6 +308,19 @@ class TestOrderedPathInvariants:
         with pytest.raises(InvalidParameterError, match="monotonicity"):
             OrderedPath(steps=(a, b), direction="forward")
 
+    def test_monotonicity_checked_before_rate(self):
+        # Both the frame size and the rate fall.
+        a = PathStep(0, 0, 0, 2.0, 1.0, 4.0, 30.0, 0.2)
+        b = PathStep(1, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.5)
+        with pytest.raises(InvalidParameterError, match="monotonicity"):
+            OrderedPath(steps=(a, b), direction="forward")
+
+    def test_frame_rate_must_not_fall_along_the_path(self):
+        a = PathStep(0, 0, 0, 1.0, 2.0, 4.0, 10.0, 0.2)
+        b = PathStep(0, 1, 0, 1.0, 1.0, 4.0, 30.0, 0.5)
+        with pytest.raises(InvalidParameterError, match="monotonicity"):
+            OrderedPath(steps=(a, b), direction="forward")
+
     def test_one_step_path_has_no_rate_gap(self):
         path = OrderedPath(steps=(PathStep(0, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2),), direction="forward")
         assert max_rate_gap(path) == 0.0
@@ -361,6 +387,12 @@ class TestPathStep:
         with pytest.raises(AttributeError):
             step.rate = 600.0
         assert hash(step) == hash(tuple(step))
+
+    def test_repr(self):
+        step = PathStep(0, 1, 2, 101376.0, 15.0, 26.0, 512.5, 0.75)
+        assert repr(step) == (
+            "PathStep(l=0, m=1, n=2, s=101376.0, t=15.0, q=26.0, rate=512.5, quality=0.75)"
+        )
 
 
 class TestPathQualityLoss:

@@ -1,5 +1,9 @@
-"""The decision path returns the bits of its plain numpy form, and the layer
-walk the steps of its first form.
+"""The decision and fit paths return the bits of their plain numpy forms.
+
+Each test here runs a sped-up path and its plain form, the reference, on the
+same machine and compares them. Their last bits follow the SIMD loops numpy
+dispatches to (``expm1``, ``log2``, ``power``, sums), so the golden files
+need one set per dispatch while these comparisons hold under any dispatch.
 
 ``optimize_continuous``, ``optimize_discrete``, ``optimal_quality_curve``,
 ``build_layer_grid`` and ``evaluate_quality`` build their axes without
@@ -12,22 +16,12 @@ expressions, and every other reference is built on them, so a fault in the
 in-place forms cannot cancel out. For Python-float, 0-d, 1-d and broadcast
 inputs the in-place forms must give the same bits, the same first
 floating-point error under numpy's raise mode and the same warnings, and
-leave their inputs as they were. The reference functions below are that
-plain form. ``order_forward`` and ``order_backward`` walk flat cell indices
-and let ``OrderedPath`` derive the flagged steps; the reference walk builds
-a ``PathStep`` per move from a move table and flags the steps itself.
-``OrderedPath`` checks its steps on columns taken with one ``zip``;
-``reference_path_flags`` is the check as first written, reading each step's
-fields by attribute, and the two must flag the same steps or raise the same
-error on walk paths with one or two fields replaced. The
-fit path's scalar-search objectives (the exponent fit's squared error, the
-Q(R) fit's RMSE) reduce in place without numpy's Python-level wrappers,
-and the CSV reader indexes ``csv.reader`` rows instead of building a dict
-per row; the references are their first forms. Results must be equal with
-``==``, not to a tolerance. The CSV reader also keeps rules of its own
-where csv.DictReader had quirks (a name given twice, a non-empty cell past
-the header, the line of a csv error, blank lines before the header);
-generated texts those rules decide are checked against the rules.
+leave their inputs as they were. ``_geomspace`` must give the bits of
+``np.geomspace``, its outside specification. The fit path's scalar-search
+objectives (the exponent fit's squared error, the Q(R) fit's RMSE) reduce in
+place without numpy's Python-level wrappers; the references, and the fits
+around them, are their first forms. Results must be equal with ``==``, not
+to a tolerance.
 
 The joint fit's least-squares loop reads ``JᵀJ``, ``Jᵀr`` and ``rᵀr`` from
 one product of ``[J | r]`` with itself and steps on Python floats;
@@ -47,10 +41,7 @@ squares is pinned per SIMD dispatch.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-import re
 import warnings
 
 import numpy as np
@@ -78,11 +69,7 @@ from starq import (
     FeasibleSets,
     InfeasibleError,
     InsufficientDataError,
-    LayerGrid,
     OptimizationResult,
-    OrderedPath,
-    PathStep,
-    InvalidParameterError,
     QrModel,
     RateParams,
     Star,
@@ -96,16 +83,13 @@ from starq import (
     optimal_quality_curve,
     optimize_continuous,
     optimize_discrete,
-    order_backward,
-    order_forward,
     quality_surface,
     rate_surface,
 )
-from starq import _solve, fileio, fitting
-from starq.fileio import _number, _read_csv, _reader, read_encode_log
-from starq.fitting import EncodeLog, QrFit, RateSample, _exponent_sse, _qr_rmse
+from starq import _solve, fitting
+from starq.fitting import QrFit, _exponent_sse, _qr_rmse
 from starq._solve import minimize_bounded
-from starq.models import _REL_TOL, _check, _check_q_limit, _quality, _rate, stepsize_from_qp
+from starq.models import _REL_TOL, _check, _check_q_limit, _quality, _rate
 from starq.optimizer import _budget_q, _geomspace
 
 GRIDS = (2, 3, 5, 64, 128)
@@ -355,171 +339,6 @@ def test_geomspace_is_numpy_geomspace(pairs, n):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-# The layer walk as it was written first: a move table per direction, one
-# PathStep built per visited point, flags computed beside the path.
-MOVES = {
-    "forward": ((2, (0, 0, 1)), (1, (0, 1, 0)), (0, (1, 0, 0))),
-    "backward": ((2, (0, 0, -1)), (1, (0, -1, 0)), (0, (-1, 0, 0))),
-}
-
-
-def reference_step_at(grid, idx):
-    l, m, n = idx
-    return PathStep(
-        l=l, m=m, n=n, s=grid.s_levels[l], t=grid.t_levels[m], q=grid.q_levels[n],
-        rate=float(grid.rate[l, m, n]), quality=float(grid.quality[l, m, n]),
-    )
-
-
-def reference_flag_nonpositive(steps):
-    return tuple(i for i in range(1, len(steps)) if steps[i].quality <= steps[i - 1].quality)
-
-
-def reference_walk(grid, direction):
-    # (steps, flagged step indices) of the greedy walk.
-    forward = direction == "forward"
-    L, M, N = grid.shape
-    top = (L - 1, M - 1, N - 1)
-    pos, end = ((0, 0, 0), top) if forward else (top, (0, 0, 0))
-    visited = [reference_step_at(grid, pos)]
-    while pos != end:
-        rate0 = grid.rate[pos]
-        quality0 = grid.quality[pos]
-        best_slope = best_pos = None
-        for axis, (dl, dm, dn) in MOVES[direction]:
-            if pos[axis] == end[axis]:
-                continue
-            nxt = (pos[0] + dl, pos[1] + dm, pos[2] + dn)
-            slope = (grid.quality[nxt] - quality0) / (grid.rate[nxt] - rate0)
-            if best_pos is None or (slope > best_slope if forward else slope < best_slope):
-                best_slope = slope
-                best_pos = nxt
-        pos = best_pos
-        visited.append(reference_step_at(grid, pos))
-    steps = tuple(visited if forward else reversed(visited))
-    return steps, reference_flag_nonpositive(steps)
-
-
-def assert_walks_match(grid):
-    for order, direction in ((order_forward, "forward"), (order_backward, "backward")):
-        path = order(grid)
-        assert path.direction == direction
-        assert (path.steps, path.nonpositive_gain_steps) == reference_walk(grid, direction)
-
-
-def fine_levels(shape):
-    # Geometric ladders over a 16x span of frame size and frame rate, and
-    # stepsizes from 104 down to q_min.
-    n_s, n_t, n_q = shape
-    return (np.geomspace(REF.s_max / 16.0, REF.s_max, n_s).tolist(),
-            np.geomspace(REF.t_max / 16.0, REF.t_max, n_t).tolist(),
-            np.geomspace(104.0, REF.q_min, n_q).tolist())
-
-
-@pytest.mark.parametrize("sequence", SEQUENCES)
-def test_layer_walk_matches_reference(sequence):
-    rp, qp = rate_params(sequence), quality_params(sequence)
-    assert_walks_match(build_layer_grid(rp, qp, LAYER_S, LAYER_T, LAYER_Q))
-    for shape in ((8, 8, 8), (24, 24, 24), (12, 20, 9), (1, 1, 1), (1, 5, 1)):
-        assert_walks_match(build_layer_grid(rp, qp, *fine_levels(shape)))
-
-
-@st.composite
-def lattices(draw):
-    # Rate tables strictly increasing along every axis (cumulative sums of
-    # positive increments); quality tables of any finite values, with ties
-    # drawn often so that flat steps and equal slopes occur.
-    shape = tuple(draw(st.integers(1, 6)) for _ in range(3))
-    size = int(np.prod(shape))
-    cells = dict(min_size=size, max_size=size)
-    rate = np.reshape(draw(st.lists(st.floats(0.01, 100.0), **cells)), shape)
-    for axis in range(3):
-        rate = np.cumsum(rate, axis=axis)
-    qualities = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-1e3, 1e3))
-    quality = np.reshape(draw(st.lists(qualities, **cells)), shape)
-    s, t, q = (tuple(float(k) for k in range(1, n + 1)) for n in shape)
-    return LayerGrid(s, t, q[::-1], rate, quality)
-
-
-@given(grid=lattices())
-def test_layer_walk_matches_reference_on_any_lattice(grid):
-    assert_walks_match(grid)
-
-
-# The path check as first written: every step's fields read by attribute into
-# flat lists, then one loop over pairs of consecutive steps. It returns the
-# flagged steps or raises what OrderedPath raises.
-def reference_path_flags(steps, direction, passed=None):
-    if not steps:
-        raise InvalidParameterError("ordered path has no steps")
-    if direction not in ("forward", "backward"):
-        raise InvalidParameterError(f"unknown path direction {direction!r}")
-    index = [i for x in steps for i in (x.l, x.m, x.n)]
-    _check("step indices l, m, n", index, 0.0, strict=False, array=True)
-    if np.asarray(index).dtype.kind not in "iu":
-        raise InvalidParameterError("step indices l, m, n must be integers")
-    _check("step s, t, q, rate", [v for x in steps for v in (x.s, x.t, x.q, x.rate)], array=True)
-    _check("step quality", [x.quality for x in steps], -np.inf, array=True)
-    for prev, cur in zip(steps, steps[1:]):
-        deltas = (cur.l - prev.l, cur.m - prev.m, cur.n - prev.n)
-        if sorted(deltas) != [0, 0, 1]:
-            raise InvalidParameterError(
-                f"consecutive steps must differ by +1 in one coordinate, got {deltas}"
-            )
-        if cur.s < prev.s or cur.t < prev.t or cur.q > prev.q:
-            raise InvalidParameterError("path violates the monotonicity constraint")
-        if cur.rate <= prev.rate:
-            raise InvalidParameterError("rate must increase strictly along the path")
-    flags = tuple(i for i in range(1, len(steps)) if steps[i].quality <= steps[i - 1].quality)
-    if passed is not None and passed != flags:
-        raise InvalidParameterError(f"nonpositive_gain_steps must be {flags}, got {passed!r}")
-    return flags
-
-
-@st.composite
-def mutated_paths(draw):
-    # A walk of a drawn lattice with one field of one or two steps replaced:
-    # indices moved by a non-unit amount or onto another axis, copied from a
-    # neighbour, or made a float, negative or bool; levels, rates and
-    # qualities scaled (falling s or t, rising q, falling rate), copied from a
-    # neighbour (equal rates, quality ties), or made NaN, infinite, zero or
-    # negative. Two replacements also decide which check fires first.
-    grid = draw(lattices())
-    direction = draw(st.sampled_from(("forward", "backward")))
-    steps = list((order_forward if direction == "forward" else order_backward)(grid).steps)
-    for _ in range(draw(st.integers(1, 2))):
-        i = draw(st.integers(0, len(steps) - 1))
-        field = draw(st.sampled_from(PathStep._fields))
-        value = getattr(steps[i], field)
-        neighbour = getattr(steps[i - 1 if i else min(1, len(steps) - 1)], field)
-        if field in ("l", "m", "n"):
-            choices = (value + 1, value - 1, value + 2, neighbour, -1, float(value), True, False)
-        else:
-            choices = (math.nan, math.inf, 0.0, -abs(value), neighbour, np.float64(value), "scaled")
-        new = draw(st.sampled_from(choices))
-        if isinstance(new, str):
-            new = value * draw(st.floats(0.25, 4.0))
-        steps[i] = steps[i]._replace(**{field: new})
-    passed = draw(st.sampled_from((None, (), (1,))))
-    return tuple(steps), direction, passed
-
-
-@settings(max_examples=500, deadline=None)
-@given(path=mutated_paths())
-def test_path_check_matches_reference(path):
-    def checked(*args):
-        return OrderedPath(*args).nonpositive_gain_steps
-
-    assert outcome(checked, *path) == outcome(reference_path_flags, *path)
-
-
-def test_path_step_repr():
-    step = PathStep(0, 1, 2, 101376.0, 15.0, 26.0, 512.5, 0.75)
-    assert repr(step) == (
-        "PathStep(l=0, m=1, n=2, s=101376.0, t=15.0, q=26.0, rate=512.5, quality=0.75)"
-    )
-
-
 # The fit path's scalar objectives as first written, and the objectives the
 # fits now search, called with the same arguments.
 def reference_sse(ratios, values, sign, x):
@@ -622,175 +441,6 @@ def test_fit_power_exponent_matches_reference(points, direction):
                       max_size=60, unique_by=lambda p: p[1]))
 def test_fit_qr_matches_reference(curve):
     assert fit_qr(curve, 1000.0) == reference_fit_qr(curve, 1000.0)
-
-
-# The CSV reader and encode-log reader as first written: a dict per row.
-def reference_read_csv(path):
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle, restval="")
-        try:
-            columns = reader.fieldnames and [name.strip() for name in reader.fieldnames]
-            rows = []
-            for row in reader:
-                cells = {k.strip(): v.strip() for k, v in row.items() if k}
-                rows.append((reader.line_num, cells))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise InvalidParameterError(f"line {reader.line_num}: {exc}") from None
-    return columns, rows
-
-
-@_reader
-def reference_read_encode_log(path):
-    columns, rows = reference_read_csv(path)
-    if columns is None:
-        raise InvalidParameterError("empty file, expected a CSV header")
-    missing = [c for c in fileio._LOG_COLUMNS if c not in columns]
-    if missing:
-        raise InvalidParameterError(f"line 1: missing columns {missing}")
-    q_column = "qp" if "qp" in columns else "q"
-    if q_column not in columns:
-        raise InvalidParameterError("line 1: need a 'q' or 'qp' column")
-    warnings = []
-    if q_column == "qp" and "q" in columns:
-        warnings.append("log has both 'q' and 'qp' columns; using 'qp'")
-    samples = []
-    for num, row in rows:
-        try:
-            q = _number(row[q_column], q_column)
-            if q_column == "qp":
-                q = stepsize_from_qp(q)
-            width = _number(row["width"], "width")
-            height = _number(row["height"], "height")
-            fps = _number(row["fps"], "fps")
-            rate = _number(row["rate_kbps"], "rate_kbps")
-            star = Star(q=q, s=width * height, t=fps)
-            samples.append(RateSample(star=star, rate=rate, tag=row.get("label", "")))
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(f"line {num}: {exc}") from None
-    if not samples:
-        raise InvalidParameterError("no data rows")
-    return EncodeLog.from_samples(samples), warnings
-
-
-def csv_outcome(read, path):
-    try:
-        return read(path)
-    except StarqError as exc:
-        return type(exc), str(exc)
-
-
-def csv_view(read, path, reference):
-    # What a caller can read from either CSV reader: the non-empty column
-    # names (None for an empty file) and each row's line number and cells by
-    # non-empty name; or the type and message of the error raised.
-    try:
-        result = read(path)
-    except StarqError as exc:
-        return type(exc), str(exc)
-    names, rows = result[0], result[-1]
-    if names is None:
-        return None, rows
-    if reference:
-        rows = [(num, {k: v for k, v in cells.items() if k}) for num, cells in rows]
-    else:
-        rows = [(num, {k: cells[i] for k, i in names.items()}) for num, cells in rows]
-    return sorted(k for k in set(names) if k), rows
-
-
-def assert_readers_match(path):
-    assert csv_view(_read_csv, path, False) == csv_view(reference_read_csv, path, True)
-    assert csv_outcome(read_encode_log, path) == csv_outcome(reference_read_encode_log, path)
-
-
-def own_rule_error(text):
-    # The error the reader's own rules give a text, or None for a text they
-    # leave as csv.DictReader read it: a stripped name given twice, a
-    # non-empty cell past the header's last column, a csv error on the line
-    # the reader stopped on, or a fault of a header that spans lines, on the
-    # line where it ends.
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader, [])
-        header_line = reader.line_num
-        names = [name.strip() for name in header if name.strip()]
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                return f"line {reader.line_num}: {name!r} is named twice"
-        for row in reader:
-            if any(cell.strip() for cell in row[len(header):]):
-                return f"line {reader.line_num}: non-empty cell past column {len(header)}"
-    except csv.Error as exc:
-        return f"line {reader.line_num}: {exc}"
-    missing = [c for c in fileio._LOG_COLUMNS if c not in names]
-    if header_line > 1 and missing:
-        return f"line {header_line}: missing columns {missing}"
-    if header_line > 1 and "q" not in names and "qp" not in names:
-        return f"line {header_line}: need a 'q' or 'qp' column"
-    return None
-
-
-NAMES = ["q", "qp", "width", "height", "fps", "rate_kbps", "label", " q", "width ", " fps ",
-         "", " ", "x", "mu_dfd"]
-CELLS = ["16", "26.5", " 704 ", "576", "1", "30", "2379.5", "x", "", " ", "nan", "-3", "1e400",
-         "40", "64", "7.5", '"1,5"', '"a\nb"', "\t12\t", "\u00a030"]
-
-
-@st.composite
-def csv_texts(draw):
-    header = draw(st.lists(st.sampled_from(NAMES), max_size=8))
-    if draw(st.booleans()):
-        header = ["q", "width", "height", "fps", "rate_kbps"] + header
-    if draw(st.booleans()):
-        # Half the headers name each column once, as the reader requires.
-        stripped = [name.strip() for name in header]
-        header = [name for i, name in enumerate(header)
-                  if not stripped[i] or stripped[i] not in stripped[:i]]
-    lines = [",".join(header)] if draw(st.integers(0, 9)) else []
-    # Half the texts keep their rows within the header's width.
-    width = len(header) if draw(st.booleans()) else 9
-    for _ in range(draw(st.integers(0, 6))):
-        cells = draw(st.lists(st.sampled_from(CELLS), max_size=width))
-        lines.append(",".join(cells))
-    ending = draw(st.sampled_from(["\n", "\r\n", ""]))
-    return ending.join(lines) + (ending if draw(st.booleans()) else "")
-
-
-@pytest.fixture(scope="module")
-def csv_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("csv") / "log.csv"
-
-
-@settings(max_examples=300, deadline=None)
-@given(text=csv_texts())
-@example(text="q,width,height,fps,rate_kbps\n\n\n16,704,576,x,1\n")
-@example(text="q, q,q,width,height,fps,rate_kbps,width \n16,17,18,1,2,3,4\n")
-@example(text="qp,q,width,height,fps,rate_kbps,label\n26,16,704,576,30,99, city \n")
-@example(text="q,width,height,fps,rate_kbps,rate_kbps\n16,704,576,30,100,5\n")
-@example(text="q,width,height,fps,rate_kbps\n16,704,576,15,1,\n16,704,576,30,2,383.1\n")
-@example(text="\nq,width\n1,2\n")
-@example(text='"a\nb"')
-@example(text="")
-def test_csv_reader_matches_reference(csv_path, text):
-    blank = re.match(r"(?:\r\n|\r|\n)*", text).group()
-    if blank:
-        # Blank lines before the header are skipped: the text reads as it
-        # does without them, with each line number shifted by their count.
-        csv_path.write_text(text[len(blank):], newline="")
-        expected = csv_outcome(read_encode_log, csv_path)
-        if isinstance(expected[1], str):
-            lines = len(re.findall(r"\r\n|\r|\n", blank))
-            message = re.sub(r"line (\d+):", lambda m: f"line {int(m[1]) + lines}:", expected[1])
-            expected = (expected[0], message)
-        csv_path.write_text(text, newline="")
-        assert csv_outcome(read_encode_log, csv_path) == expected
-        return
-    csv_path.write_text(text, newline="")
-    expected = own_rule_error(text)
-    if expected is None:
-        assert_readers_match(csv_path)
-    else:
-        error = (InvalidParameterError, f"{csv_path}: {expected}")
-        assert csv_outcome(read_encode_log, csv_path) == error
 
 
 # The joint fit's least-squares loop as first written: it takes the residual
