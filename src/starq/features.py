@@ -93,12 +93,11 @@ def predict_params(h: PredictorMatrix, f: FeatureVector, ref: ResolutionRef) -> 
     affected field names are reported so callers can treat the result as
     out of domain.
     """
-    vec = h.as_array() @ np.array([1.0, f.mu_dfd, f.sigma_mvm, f.sigma_mda])
-    a, b, c, r_max = (float(v) for v in vec)
-    raw = (a, b, c, r_max)
+    raw = tuple(map(float, h.as_array() @ np.array([1.0, f.mu_dfd, f.sigma_mvm, f.sigma_mda])))
 
     clamped = [name for name, v in zip("abc", raw) if v < 0]
     a, b, c = (max(v, 0.0) for v in raw[:3])
+    r_max = raw[3]
     if r_max <= 0:
         r_max, clamped = 1.0, clamped + ["r_max"]
 

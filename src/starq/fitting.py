@@ -208,15 +208,15 @@ def fit_power_exponent(points, direction: str) -> float:
     pairs = _check("normalized points", list(points), array=True)
     if len(pairs) < 2 or pairs.shape[1:] != (2,):
         raise InvalidParameterError("need at least two (ratio, normalized rate) pairs")
+    if all(math.isclose(r, 1.0, rel_tol=1e-12) for r in pairs[:, 0].tolist()):
+        raise DegenerateDataError("all ratios equal 1; exponent is unidentifiable")
     return _fit_exponent(*pairs.T.copy(), -1.0 if direction == "decreasing" else 1.0)[0]
 
 
 def _fit_exponent(ratios, values, sign: float) -> tuple[float, bool]:
     # The exponent of fit_power_exponent through the checked points
     # ``(ratios, values)``, with ``sign`` -1 for a decreasing curve, and
-    # whether the search stopped at its upper bound.
-    if all(math.isclose(r, 1.0, rel_tol=1e-12) for r in ratios.tolist()):
-        raise DegenerateDataError("all ratios equal 1; exponent is unidentifiable")
+    # whether the search stopped at its upper bound; the ratios are not all 1.
     log_r = np.log(ratios)
     log_v = np.log(values)
     dr = log_r - _mean(log_r)
@@ -270,6 +270,7 @@ def fit_qr(curve, r_max: float) -> QrFit:
     if shape != (n, 2):
         raise InvalidParameterError("curve points must be (rate, quality) pairs")
     rates, qualities = zip(*points)
+    r_max = _check("r_max", r_max)
     powered = _qr_powered(r_max, rates, "curve rates")
     qualities = _check("curve qualities", qualities, -np.inf, array=True)
     if np.all(qualities == qualities[0]):
@@ -411,7 +412,7 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
         signed = np.array((-np.log(q / ref.q_min), np.log(t / ref.t_max), np.log(s / ref.s_max))).T
         try:
             init = _protocol_fit(log, warnings)
-        except (InsufficientDataError, DegenerateDataError):
+        except InsufficientDataError:
             init = _loglinear_init(ref, signed, measured)
             warnings.append("anchor samples missing; joint fit seeded by log-domain regression")
         params = _joint_refine(signed, measured, init)

@@ -167,6 +167,18 @@ def _times(x, y):
         return x * y
 
 
+def stepsize_from_qp(qp: float) -> float:
+    """Inverse of :func:`qp_from_stepsize`."""
+    qp = _check("qp", qp, -math.inf)
+    try:
+        q = 2.0 ** ((qp - 4.0) / 6.0)
+    except OverflowError:
+        raise InvalidParameterError(f"qp {qp!r} gives a stepsize beyond the float range") from None
+    if q == 0.0:  # below the smallest subnormal: no stepsize > 0
+        raise InvalidParameterError(f"qp {qp!r} gives a stepsize that underflows to 0")
+    return q
+
+
 @dataclass(frozen=True)
 class Star:
     """One operating point: stepsize ``q``, frame size ``s`` (pixels per
@@ -239,7 +251,7 @@ class QualityParams:
     qp_clamp = 28.0
     # Stepsize where the spatial coefficient reaches 0 (QP -nu2/nu1, about
     # 60.81): quality is <= 0 from here on, so the model ends below it.
-    q_limit = 2.0 ** ((nu2 / -nu1 - 4.0) / 6.0)
+    q_limit = stepsize_from_qp(nu2 / -nu1)
 
     def __post_init__(self) -> None:
         _check_fields(self, ("alpha_q", "alpha_s_tilde", "alpha_t"))
@@ -247,10 +259,8 @@ class QualityParams:
         # once. A plain attribute, not a field: files, ==, repr and hash ignore
         # it. Parameters the surface cannot use stay constructible silently.
         with np.errstate(all="ignore"):
-            denominators = tuple(
-                np.expm1(-a) for a in (self.alpha_q, self.alpha_s(self.ref.q_min), self.alpha_t)
-            )
-        object.__setattr__(self, "_denominators", denominators)
+            minus_alphas = (-self.alpha_q, self._minus_alpha_s(self.ref.q_min), -self.alpha_t)
+            object.__setattr__(self, "_denominators", tuple(map(np.expm1, minus_alphas)))
 
     def alpha_s(self, q):
         """Stepsize-coupled spatial falloff coefficient, flat below the QP clamp."""
@@ -296,18 +306,6 @@ def qp_from_stepsize(q):
     return _qp(*_positive_arrays(q=q))
 
 
-def stepsize_from_qp(qp: float) -> float:
-    """Inverse of :func:`qp_from_stepsize`."""
-    qp = _check("qp", qp, -math.inf)
-    try:
-        q = 2.0 ** ((qp - 4.0) / 6.0)
-    except OverflowError:
-        raise InvalidParameterError(f"qp {qp!r} gives a stepsize beyond the float range") from None
-    if q == 0.0:  # below the smallest subnormal: no stepsize > 0
-        raise InvalidParameterError(f"qp {qp!r} gives a stepsize that underflows to 0")
-    return q
-
-
 def _rate(p: RateParams, q, s, t):
     ref = p.ref
     return (
@@ -336,18 +334,20 @@ def evaluate_rate(p: RateParams, x: Star) -> float:
 
 
 def _quality(p: QualityParams, q, s, t):
-    # The plain product's ufuncs, operands and order, each temporary written in place once made.
+    # The plain product's ufuncs, operands and order, temporaries written in place. beta_q is 1:
+    # q_min / q goes unpowered, times a numpy coefficient for numpy's float errors at a float q.
     ref = p.ref
     d_q, d_s, d_t = p._denominators
-    f_q = _factor(-p.alpha_q, ref.q_min / q, p.beta_q, d_q)
-    f_s = _factor(p._minus_alpha_s(q), s / ref.s_max, p.beta_s, d_s)
-    f_t = _factor(-p.alpha_t, t / ref.t_max, p.beta_t, d_t)
+    f_q = _factor(np.float64(-p.alpha_q), ref.q_min / q, d_q)
+    f_s = _factor(p._minus_alpha_s(q), s / ref.s_max, d_s, p.beta_s)
+    f_t = _factor(-p.alpha_t, t / ref.t_max, d_t, p.beta_t)
     return _times(_times(f_q, f_s), f_t)
 
 
-def _factor(minus_alpha, ratio, beta, d):
-    # expm1(minus_alpha * ratio ** beta) / d of private temporaries.
-    x = np.power(ratio, beta, out=ratio if type(ratio) is np.ndarray else None)
+def _factor(minus_alpha, x, d, beta=None):
+    # expm1(minus_alpha * x ** beta) / d of private temporaries; x itself without beta.
+    if beta is not None:
+        x = np.power(x, beta, out=x if type(x) is np.ndarray else None)
     x = _times(minus_alpha, x)
     x = np.expm1(x, out=x) if type(x) is np.ndarray else np.expm1(x)
     x /= d
@@ -392,10 +392,9 @@ def _qr(kappa: float, powered):
 
 
 def _qr_powered(r_max, r, name="rate"):
-    # (r / r_max) ** QrModel.exponent with the ratio clamped at 1, for rates
-    # > 0 up to r_max within the reference tolerance: the ceiling rule of
-    # qr_surface, fit_qr and path_quality_loss. A fit powers its rates once.
-    r_max = _check("r_max", r_max)
+    # (r / r_max) ** QrModel.exponent with the ratio clamped at 1, for a checked
+    # r_max and rates > 0 up to r_max within the reference tolerance: the ceiling
+    # rule of qr_surface, fit_qr and path_quality_loss. A fit powers its rates once.
     rates = _check(name, r, array=True, error=OutOfRangeError)
     if np.any(rates > r_max * (1.0 + _REL_TOL)):
         raise OutOfRangeError(f"{name} must not exceed the model ceiling {r_max}")

@@ -97,8 +97,8 @@ class OrderedPath:
     """A monotone traversal of a layer lattice, in increasing-rate order.
 
     The steps are stored as a tuple. Every step must be a :class:`PathStep`
-    and is checked: ``l``, ``m``, ``n`` non-negative integers; ``s``, ``t``,
-    ``q`` and ``rate`` finite and > 0; ``quality`` finite.
+    and is checked: ``l``, ``m``, ``n`` Python or numpy integers in ``[0, 2**63)``;
+    ``s``, ``t``, ``q`` and ``rate`` finite and > 0; ``quality`` finite.
     ``nonpositive_gain_steps``, the indices of the steps that did not improve
     quality, is derived from the steps; a value passed in must equal it. It
     is empty for grids built from the analytic surfaces. ``slopes[i - 1]`` is
@@ -124,13 +124,14 @@ class OrderedPath:
                 raise InvalidParameterError(f"path steps must be PathStep, got {type(x).__name__}")
         l, m, n, s, t, q, rate, quality = zip(*steps)
         index = l + m + n
-        # Python ints in numpy's int64 range, at least 0, pass both index
-        # checks, and _floats tells the other two without numpy.
-        if (list(map(type, index)).count(int) != len(index)
-                or not 0 <= min(index) <= max(index) < 2**63):
-            _check("step indices l, m, n", index, 0.0, strict=False, array=True)
-            if np.asarray(index).dtype.kind not in "iu":
+        if list(map(type, index)).count(int) != len(index):  # numpy integers read as Python ints
+            if not all(isinstance(i, (int, np.integer)) and type(i) is not bool for i in index):
                 raise InvalidParameterError("step indices l, m, n must be integers")
+            index = tuple(map(int, index))
+            l, m, n = (index[i : i + len(steps)] for i in range(0, len(index), len(steps)))
+        if not 0 <= min(index) <= max(index) < 2**63:
+            bad = f"< 2**63, got {max(index)}" if max(index) >= 2**63 else f">= 0, got {min(index)}"
+            raise InvalidParameterError(f"step indices l, m, n must be {bad}")
         if _floats(s + t + q + rate) is None:
             _check("step s, t, q, rate", s + t + q + rate, array=True)
         if _floats(quality, -math.inf) is None:

@@ -231,10 +231,39 @@ class TestOrderedPathInvariants:
         with pytest.raises(InvalidParameterError, match=field):
             OrderedPath(steps=(step,), direction="forward")
 
-    def test_step_index_past_int64_rejected(self):
-        step = PathStep(2**63, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2)
-        with pytest.raises(InvalidParameterError, match="step indices l, m, n"):
+    @pytest.mark.parametrize(
+        "index", [(2**63, 0, 0), (2**63,) * 3, (2**64 - 1,) * 3], ids=["one", "all", "uint64-max"]
+    )
+    def test_step_index_past_int64_rejected(self, index):
+        # Whatever the other indices are, one at or above 2**63 gets its own message.
+        step = PathStep(*index, 1.0, 1.0, 4.0, 10.0, 0.2)
+        with pytest.raises(InvalidParameterError, match=r"step indices l, m, n must be < 2\*\*63"):
             OrderedPath(steps=(step,), direction="forward")
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [(True, "must be integers"), (np.bool_(False), "must be integers"),
+         (0.5, "must be integers"), (-1, "must be >= 0, got -1")],
+        ids=["bool", "numpy-bool", "half", "negative"],
+    )
+    def test_step_index_messages(self, value, message):
+        step = PathStep(0, 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2)._replace(m=value)
+        with pytest.raises(InvalidParameterError, match=f"step indices l, m, n {message}"):
+            OrderedPath(steps=(step,), direction="forward")
+
+    def test_numpy_integer_indices_accepted(self):
+        a = PathStep(np.int64(1), 0, np.uint64(3), 1.0, 1.0, 4.0, 10.0, 0.2)
+        b = PathStep(1, np.uint64(1), 3, 1.0, 2.0, 4.0, 20.0, 0.3)
+        path = OrderedPath(steps=(a, b), direction="forward")
+        assert path.steps == ((1, 0, 3, 1.0, 1.0, 4.0, 10.0, 0.2), (1, 1, 3, 1.0, 2.0, 4.0, 20.0, 0.3))
+        assert path.slopes == ((0.3 - 0.2) / (20.0 - 10.0),)
+
+    def test_unsigned_index_falling_rejected_without_wrapping(self):
+        # np.uint64(1) then 0 is a -1 step, not a wrapped 2**64 - 1.
+        a = PathStep(np.uint64(1), 0, 0, 1.0, 1.0, 4.0, 10.0, 0.2)
+        b = PathStep(0, 0, 1, 1.0, 1.0, 2.0, 20.0, 0.3)
+        with pytest.raises(InvalidParameterError, match=r"got \(-1, 0, 1\)"):
+            OrderedPath(steps=(a, b), direction="forward")
 
     @pytest.mark.parametrize(
         "steps",

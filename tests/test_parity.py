@@ -13,11 +13,13 @@ denominators from ``QualityParams`` instead of computing them per call. The
 quality surface and the budget-exact stepsize write their temporaries in
 place; ``reference_quality`` and ``reference_budget_q`` are their allocating
 expressions, and every other reference is built on them, so a fault in the
-in-place forms cannot cancel out. For Python-float, 0-d, 1-d and broadcast
-inputs the in-place forms must give the same bits, the same first
-floating-point error under numpy's raise mode and the same warnings, and
-leave their inputs as they were. ``_geomspace`` must give the bits of
-``np.geomspace``, its outside specification. The fit path's scalar-search
+in-place forms cannot cancel out. ``reference_quality`` powers ``q_min / q``
+by ``beta_q = 1`` and ``_quality`` leaves it unpowered, so each comparison
+checks that unpowered stepsize factor on the dispatch it runs on. For
+Python-float, 0-d, 1-d and broadcast inputs the in-place forms must give the
+same bits, the same first floating-point error under numpy's raise mode and
+the same warnings, and leave their inputs as they were. ``_geomspace`` must
+give the bits of ``np.geomspace``, its outside specification. The fit path's scalar-search
 objectives (the exponent fit's squared error, the Q(R) fit's RMSE) reduce in
 place without numpy's Python-level wrappers; the references, and the fits
 around them, are their first forms. Results must be equal with ``==``, not
@@ -300,6 +302,7 @@ def reference_feasible_q(p, s, t, budget):
 )
 @example(sequence="city", scenario="svc1", qst=[5e-324, 1e5, 10.0], budget=[1e-300])
 @example(sequence="crew", scenario="svc1", qst=[1e-300, 1e300, 1e300], budget=[1e300])
+@example(sequence="city", scenario="svc1", qst=[1.6e-307, 1e5, 10.0], budget=[1.0])
 def test_surfaces_in_place_match_reference(sequence, scenario, qst, budget):
     rp, qp = rate_params(sequence, scenario), quality_params(sequence)
     q, s, t = qst
