@@ -222,13 +222,16 @@ def read_features(path) -> FeatureVector:
 
     if path.suffix.lower() != ".csv":
         return _build(FeatureVector, _read_json(path))
-    index, _, rows = _read_csv(path)
+    index, line, rows = _read_csv(path)
+    names = [f.name for f in fields(FeatureVector)]
+    missing = [k for k in names if index is not None and k not in index]
+    if missing:
+        raise InvalidParameterError(f"line {line}: missing columns {missing}")
     if not rows:
         raise InvalidParameterError("no feature records")
     num, row = rows[0]
-    names = [f.name for f in fields(FeatureVector)]
     try:
-        return _build(FeatureVector, {k: _number(row[index[k]], k) for k in names if k in index})
+        return _build(FeatureVector, {k: _number(row[index[k]], k) for k in names})
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"line {num}: {exc}") from None
 

@@ -40,6 +40,13 @@ one more set, ``cli-baseline/`` for the baseline loops' own output, and
 likewise ``lib-*`` sets beside ``lib/``. ``PLATFORM`` has one ``loops`` line
 per kind of file set and dispatch: the set it reads, then its enabled
 targets. A dispatch with no line reads ``cli/`` or ``lib/``.
+
+    python tests/golden/regen.py --levels
+
+prints one line per dispatch level, from all the targets this machine
+enables down to numpy's baseline loops: the ``cli`` and ``lib`` sets that
+level reads, then the targets to switch off (``NPY_DISABLE_CPU_FEATURES``)
+to run it. CI runs the tests once per line.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ except ImportError:  # numpy 1.x
     from numpy.core import _multiarray_umath as _umath
 
 from sequences import (
+    DYADIC,
     LAYER_Q,
     LAYER_S,
     LAYER_T,
@@ -81,7 +89,6 @@ from sequences import (
     write_log_csv,
 )
 from starq import (
-    FeasibleSets,
     QualityParams,
     build_layer_grid,
     fit_power_exponent,
@@ -136,10 +143,15 @@ def write_inputs(d: Path) -> None:
     (d / "features.json").write_text(json.dumps({"mu_dfd": 6.5, "sigma_mvm": 1.5, "sigma_mda": 0.8}))
 
 
+def in_dir(d: Path, argv) -> list[str]:
+    """``argv`` with every name of a file in ``d`` replaced by its path."""
+    return [str(d / a) if (d / a).is_file() else a for a in argv]
+
+
 def run_case(name: str, d: Path) -> tuple[str, str, str]:
     """Stdout, stderr and exit code (as text) of case ``name`` on the inputs
     in ``d``, with ``d`` replaced by the placeholder."""
-    argv = [str(d / a) if (d / a).is_file() else a for a in CASES[name]]
+    argv = in_dir(d, CASES[name])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -153,7 +165,6 @@ FINE = (
     (64.0, 52.0, 40.0, 32.0, 26.0, 22.0, 19.0, 16.0),
 )
 LATTICES = {"ladder": (LAYER_S, LAYER_T, LAYER_Q), "fine": FINE}
-DYADIC = FeasibleSets(s_values=LAYER_S, t_values=LAYER_T, q_range=(16.0, 104.0))
 # Budgets as fractions of r_max, geometric from 0.005 to 1.5, in Python floats.
 BUDGET_FRACS = [0.005 * 300.0 ** (k / 39) for k in range(40)]
 
@@ -223,12 +234,17 @@ def dispatch() -> list[str]:
     return [t for t in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(t)]
 
 
+def loops() -> list[tuple[str, list[str]]]:
+    """``PLATFORM``'s ``loops`` lines: the set a dispatch reads and its enabled targets."""
+    lines = (HERE / "PLATFORM").read_text(encoding="utf-8").splitlines()
+    return [(words[1], words[2:]) for words in map(str.split, lines) if words[0] == "loops"]
+
+
 def golden_set(targets: list[str], kind: str = "cli") -> Path:
     """The directory of the ``kind`` file set recorded for the dispatch ``targets``."""
-    for line in (HERE / "PLATFORM").read_text(encoding="utf-8").splitlines():
-        key, *words = line.split()
-        if key == "loops" and words[0].split("-")[0] == kind and words[1:] == targets:
-            return HERE / words[0]
+    for name, enabled in loops():
+        if name.split("-")[0] == kind and enabled == targets:
+            return HERE / name
     return HERE / kind
 
 
@@ -300,5 +316,9 @@ def regenerate() -> None:
 if __name__ == "__main__":
     if sys.argv[1:] == ["--print"]:
         print(json.dumps(all_outputs()))
+    elif sys.argv[1:] == ["--levels"]:
+        targets = dispatch()
+        for n in reversed(range(len(targets) + 1)):
+            print(golden_set(targets[:n]).name, golden_set(targets[:n], "lib").name, *targets[n:])
     else:
         regenerate()

@@ -16,6 +16,7 @@ from starq import (
     CIF4,
     QCIF,
     EncodeLog,
+    FeasibleSets,
     QualityParams,
     RateParams,
     RateSample,
@@ -105,6 +106,9 @@ GRID_S = (float(QCIF), float(CIF), float(CIF4))
 LAYER_S = (float(QCIF), float(CIF), float(CIF4))
 LAYER_T = (3.75, 7.5, 15.0, 30.0)
 LAYER_Q = (64.0, 40.0, 26.0, 16.0)
+
+# The dyadic 3 x 4 ladder of frame sizes and frame rates, stepsizes 16 to 104.
+DYADIC = FeasibleSets(LAYER_S, LAYER_T, (16.0, 104.0))
 
 
 def rate_params(sequence: str, scenario: str = "svc1") -> RateParams:

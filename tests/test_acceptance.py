@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sequences import (
+    DYADIC,
     LAYER_Q,
     LAYER_S,
     LAYER_T,
@@ -24,7 +25,6 @@ from sequences import (
 from starq import (
     SL2,
     SVC1,
-    FeasibleSets,
     FeatureVector,
     InfeasibleError,
     RateParams,
@@ -43,8 +43,6 @@ from starq import (
     order_forward,
     predict_params,
 )
-
-DYADIC = FeasibleSets(s_values=LAYER_S, t_values=LAYER_T, q_range=(16.0, 104.0))
 
 
 def report(number: int, description: str, passed: bool, detail: str = "") -> None:

@@ -22,20 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sequences import (
-    LAYER_Q,
-    LAYER_S,
-    LAYER_T,
-    REF,
-    quality_params,
-    rate_params,
-    synthetic_log,
-    write_log_csv,
-)
+from sequences import LAYER_Q, LAYER_S, LAYER_T
 import starq
-from golden.regen import CASES, write_inputs
+from golden.regen import CASES, in_dir, write_inputs
 from starq.cli import MAX_SWEEP, main
-from starq.fileio import ModelFile, write_model_file
 
 CONTRACT = {0, 2, 3, 4}
 # The child process imports the same starq as this test.
@@ -44,18 +34,9 @@ SRC = Path(starq.__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
+    # The golden cases' inputs, then malformed files and a features CSV.
     d = tmp_path_factory.mktemp("fuzz")
-    write_model_file(
-        d / "model.json",
-        ModelFile(ref=REF, scenario="city", rate=rate_params("city"), quality=quality_params("city")),
-    )
-    write_log_csv(d / "log.csv", synthetic_log(rate_params("city")))
-    (d / "sets.json").write_text(
-        json.dumps({"s_values": list(LAYER_S), "t_values": list(LAYER_T), "q_range": [16, 104]})
-    )
-    (d / "levels.json").write_text(
-        json.dumps({"s_values": list(LAYER_S), "t_values": list(LAYER_T), "q_levels": list(LAYER_Q)})
-    )
+    write_inputs(d)
     model = json.loads((d / "model.json").read_text())
     model["rate"].update(a="1.5", b=True)
     (d / "strmodel.json").write_text(json.dumps(model))
@@ -74,7 +55,6 @@ def files(tmp_path_factory):
     (d / "raggedlevels.json").write_text(
         json.dumps({"s_values": list(LAYER_S), "t_values": list(LAYER_T), "q_levels": [64, [16]]})
     )
-    (d / "features.json").write_text(json.dumps({"mu_dfd": 8, "sigma_mvm": 4, "sigma_mda": 2}))
     (d / "features.csv").write_text("mu_dfd,sigma_mvm,sigma_mda\n8,4,2\n")
     binary = bytes(range(256)) * 4
     for name in ("binary.csv", "binary.json"):
@@ -259,18 +239,6 @@ UNREAD = {
 NOT_APPLIED = re.compile(r"error: (--[a-z-]+) does not apply to [^\n]+\n")
 
 
-@pytest.fixture(scope="module")
-def golden_inputs(tmp_path_factory):
-    d = tmp_path_factory.mktemp("golden-inputs")
-    write_inputs(d)
-    return d
-
-
-def in_dir(d: Path, argv) -> list[str]:
-    """argv with every name of a file in ``d`` replaced by its path."""
-    return [str(d / a) if (d / a).is_file() else a for a in argv]
-
-
 def test_unread_options_cover_the_golden_cases():
     assert set(UNREAD) | {"fit-protocol", "fit-joint", "order-forward", "order-backward",
                           "order-flat"} == set(CASES)
@@ -286,8 +254,8 @@ def with_unread_option(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(argv=with_unread_option())
-def test_option_outside_its_mode_is_input_error(golden_inputs, argv):
-    code, out, err = run_main(in_dir(golden_inputs, argv))
+def test_option_outside_its_mode_is_input_error(files, argv):
+    code, out, err = run_main(in_dir(files, argv))
     assert (code, out) == (2, ""), err
     named = NOT_APPLIED.fullmatch(err)
     assert named and any(a.split("=")[0] == named[1] for a in argv), err
@@ -312,8 +280,8 @@ IGNORED_IDS = ["log-with-point", "dyadic-with-grid", "continuous-with-sets", "fe
 
 
 @pytest.mark.parametrize("argv, message", IGNORED_BEFORE, ids=IGNORED_IDS)
-def test_formerly_ignored_option_is_input_error(golden_inputs, argv, message):
-    assert run_main(in_dir(golden_inputs, argv)) == (2, "", f"error: {message}\n")
+def test_formerly_ignored_option_is_input_error(files, argv, message):
+    assert run_main(in_dir(files, argv)) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, message", IGNORED_BEFORE, ids=IGNORED_IDS)

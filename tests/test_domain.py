@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sequences import (
+    DYADIC,
     LAYER_Q,
     LAYER_S,
     LAYER_T,
@@ -301,7 +302,6 @@ def test_discrete_optimizer_keeps_the_budget(model, frac, n, q_hi):
     assert result.star.q < Q_LIMIT and 0.0 < result.quality <= 1.0
 
 
-DYADIC = FeasibleSets(s_values=LAYER_S, t_values=LAYER_T, q_range=(16.0, 104.0))
 # Largest relative change of an optimal-quality curve under a rate unit
 # that is a power of two: its budgets go through log10 and back.
 CURVE_REL_TOL = 1e-13

@@ -375,21 +375,26 @@ class TestFeatures:
         assert read_features(json_path) == read_features(csv_path) == FeatureVector(8.0, 4.0, 2.5)
 
     @pytest.mark.parametrize(
-        "name,text,prefix",
+        "name,text,message",
         [
-            ("f.json", json.dumps({"mu_dfd": "8", "sigma_mvm": 4, "sigma_mda": 2}), ""),
-            ("f.json", json.dumps({"mu_dfd": 8, "sigma_mvm": 4}), ""),
-            ("f.csv", "mu_dfd,sigma_mvm,sigma_mda\n8,x,2\n", "line 2: "),
-            ("f.csv", "mu_dfd,sigma_mvm\n8,4\n", "line 2: "),
+            ("f.json", json.dumps({"mu_dfd": "8", "sigma_mvm": 4, "sigma_mda": 2}),
+             "mu_dfd must be a finite real >= 0, got '8'"),
+            ("f.json", json.dumps({"mu_dfd": 8, "sigma_mvm": 4}), "missing key 'sigma_mda'"),
+            ("f.csv", "mu_dfd,sigma_mvm,sigma_mda\n8,x,2\n",
+             "line 2: sigma_mvm must be a number, got 'x'"),
+            ("f.csv", "mu_dfd,sigma_mvm\n8,4\n", "line 1: missing columns ['sigma_mda']"),
+            ("f.csv", "\nmu_dfd\n", "line 2: missing columns ['sigma_mvm', 'sigma_mda']"),
             ("f.csv", "mu_dfd,sigma_mvm,sigma_mda\n", "no feature records"),
+            ("f.csv", "", "no feature records"),
         ],
-        ids=["json-string", "json-missing", "csv-non-numeric", "csv-missing", "csv-header-only"],
+        ids=["json-string", "json-missing", "csv-non-numeric", "csv-missing",
+             "csv-missing-header-only", "csv-header-only", "csv-empty"],
     )
-    def test_errors_start_with_path(self, tmp_path, name, text, prefix):
+    def test_errors_start_with_path(self, tmp_path, name, text, message):
         path = write(tmp_path, name, text)
         with pytest.raises(InvalidParameterError) as err:
             read_features(path)
-        assert str(err.value).startswith(f"{path}: {prefix}")
+        assert str(err.value) == f"{path}: {message}"
 
 
 MODEL_TEXT = json.dumps(model_to_dict(ModelFile(REF, scenario="city", rate=rate_params("city"))))

@@ -9,8 +9,9 @@ from __future__ import annotations
 import pytest
 
 from golden.regen import (
-    CASES, LIB_CASES, dispatch, golden, golden_set, lib_case, run_case, write_inputs,
+    CASES, HERE, LIB_CASES, dispatch, golden, golden_set, lib_case, loops, run_case, write_inputs,
 )
+from test_parity import STALL_SSE
 
 
 @pytest.fixture(scope="module")
@@ -28,3 +29,12 @@ def test_output_matches_golden(inputs, name):
 @pytest.mark.parametrize("name", LIB_CASES)
 def test_library_matches_golden(tmp_path, name):
     assert lib_case(name, tmp_path) == golden(name, golden_set(dispatch(), "lib"))
+
+
+def test_platform_names_exactly_the_set_directories():
+    # Every set PLATFORM names is a directory, every further set directory is
+    # named, and the stall pin of test_parity.py has one entry per library set.
+    named = {name for name, _ in loops()}
+    assert {name for name in named if not (HERE / name).is_dir()} == set()
+    assert {p.name for kind in ("cli", "lib") for p in HERE.glob(f"{kind}-*")} <= named
+    assert set(STALL_SSE) == {name for name in named if name.split("-")[0] == "lib"}

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sequences import (
+    DYADIC,
     LAYER_S,
     LAYER_T,
     REF,
@@ -41,7 +42,6 @@ from starq import (
 
 CITY = rate_params("city")
 CITY_Q = quality_params("city")
-DYADIC = FeasibleSets(s_values=LAYER_S, t_values=LAYER_T, q_range=(16.0, 104.0))
 
 
 def oracle_quality(qp, q, s, t):

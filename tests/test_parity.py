@@ -38,7 +38,8 @@ below, parameters within 1e-9. The reference's small-step test keeps an
 absolute 1e-26 term that the loop's relative test dropped; with ``r_max`` of
 10 or more it never decides. One log on which the loop stalls keeps the end
 point and sum of squares it has always reached, bit for bit; the sum of
-squares is pinned per SIMD dispatch.
+squares is pinned per golden library set, the one ``golden/PLATFORM`` names
+for this process's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from golden.regen import dispatch
+from golden.regen import dispatch, golden_set
 from sequences import (
+    DYADIC,
     JOINT_FIT_CASES,
     LAYER_Q,
     LAYER_S,
@@ -68,7 +70,6 @@ from sequences import (
 )
 from starq import (
     DegenerateDataError,
-    FeasibleSets,
     InfeasibleError,
     InsufficientDataError,
     OptimizationResult,
@@ -95,7 +96,6 @@ from starq.models import _REL_TOL, _check, _check_q_limit, _quality, _rate
 from starq.optimizer import _budget_q, _geomspace
 
 GRIDS = (2, 3, 5, 64, 128)
-DYADIC = FeasibleSets(s_values=LAYER_S, t_values=LAYER_T, q_range=(16.0, 104.0))
 
 
 def reference_alpha_s(p, q):
@@ -601,12 +601,11 @@ def test_joint_fit_matches_reference_on_any_log(a, b, c, r_max, noise, seed, anc
     assert_joint_fit_matches_reference(log if anchors else without_anchor(log))
 
 
-# The stall log's sum of squares per SIMD dispatch (the targets numpy enables,
-# as golden/regen.py's ``dispatch`` lists them): its last bits follow the
-# loops numpy dispatches to. Each key is a dispatch regen.py steps through
-# on an x86-64 host with every target up to AVX512_SPR; without X86_V4 the
-# sum reads other bits. Any dispatch not listed reads the default's.
-STALL_SSE = {(): "0x1.9e16db7f1e60ap-8", ("X86_V3",): "0x1.9e16db7f1e60ap-8"}
+# The stall log's sum of squares per golden library set: its last bits follow
+# the loops numpy dispatches to and, on the host ``golden/PLATFORM`` records,
+# change at the same dispatch level as the library files. ``PLATFORM`` names
+# the set each dispatch reads.
+STALL_SSE = {"lib": "0x1.9e16db7f1e329p-8", "lib-baseline": "0x1.9e16db7f1e60ap-8"}
 
 
 def test_joint_fit_on_stall_log_keeps_its_bits():
@@ -620,4 +619,4 @@ def test_joint_fit_on_stall_log_keeps_its_bits():
         float.fromhex(h)
         for h in ("0x1.0030637517994p+0", "0x1.fffbadcf98452p-1", "0x1.001f6953ffa8bp+0", "0x1.6e3705255a79ep+7")
     ]
-    assert result.sse == float.fromhex(STALL_SSE.get(tuple(dispatch()), "0x1.9e16db7f1e329p-8"))
+    assert result.sse == float.fromhex(STALL_SSE[golden_set(dispatch(), "lib").name])

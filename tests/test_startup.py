@@ -9,7 +9,6 @@ loads the file readers and the model surfaces plus at most one engine.
 from __future__ import annotations
 
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -17,19 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from sequences import (
-    LAYER_Q,
-    LAYER_S,
-    LAYER_T,
-    REF,
-    quality_params,
-    rate_params,
-    synthetic_log,
-    write_log_csv,
-)
 import starq
+from golden.regen import CASES, in_dir, write_inputs
 from starq.cli import main
-from starq.fileio import ModelFile, write_model_file
 
 # The public names of each home module, as the eager package exported them.
 HOMES = {
@@ -118,45 +107,24 @@ def test_first_access_imports_the_home_module_and_caches_it(name):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("startup")
-    write_log_csv(d / "log.csv", synthetic_log(rate_params("city")))
-    write_model_file(
-        d / "model.json",
-        ModelFile(ref=REF, scenario="city", rate=rate_params("city"), quality=quality_params("city")),
-    )
-    (d / "sets.json").write_text(
-        json.dumps({"s_values": list(LAYER_S), "t_values": list(LAYER_T), "q_range": [16, 104]})
-    )
-    (d / "levels.json").write_text(
-        json.dumps({"s_values": list(LAYER_S), "t_values": list(LAYER_T), "q_levels": list(LAYER_Q)})
-    )
-    (d / "features.json").write_text(json.dumps({"mu_dfd": 6.5, "sigma_mvm": 1.5, "sigma_mda": 0.8}))
+    write_inputs(d)
     return d
 
 
 FIT = ["starq._solve", "starq.fitting"]
-OPTIMIZE = ["starq.optimizer"]
-# The benchmark's nine one-shot variants, plus --help and predict-rate --log,
-# with the engine modules each loads beyond BASE.
-COMMANDS = [
-    (["--help"], []),
-    (["fit", "log.csv", "--mode", "protocol"], FIT),
-    (["fit", "log.csv", "--mode", "joint"], FIT),
-    (["predict-rate", "model.json", "--sweep", "t", "--sweep-from", "1.875", "--sweep-to", "30",
-      "--q", "26.0", "--s", "4cif"], []),
-    (["predict-rate", "model.json", "--log", "log.csv"], FIT),
-    (["optimize", "model.json", "--budget", "700.0"], OPTIMIZE),
-    (["optimize", "model.json", "--mode", "dyadic", "--sets", "sets.json", "--budget", "1200.0"],
-     OPTIMIZE),
-    (["optimize", "model.json", "--budget-sweep", "50"], OPTIMIZE),
-    (["order", "model.json", "--levels", "levels.json", "--direction", "forward"], ["starq.ordering"]),
-    (["order", "model.json", "--levels", "levels.json", "--direction", "backward"], ["starq.ordering"]),
-    (["predict-params", "--scenario", "SVC1", "--features", "features.json"], ["starq.features"]),
-]
+# The engine modules each subcommand loads beyond BASE; predict-rate --log
+# also loads FIT, to fit its log.
+ENGINES = {"--help": [], "fit": FIT, "predict-rate": [], "optimize": ["starq.optimizer"],
+           "order": ["starq.ordering"], "predict-params": ["starq.features"]}
+# The golden cases (the benchmark's nine one-shot variants and a flat
+# ordering), plus --help and predict-rate --log.
+COMMANDS = [["--help"], *CASES.values(), ["predict-rate", "model.json", "--log", "log.csv"]]
 
 
-@pytest.mark.parametrize("template, engine", COMMANDS, ids=[" ".join(t) for t, _ in COMMANDS])
-def test_command_loads_only_its_modules(files, template, engine, capsys, monkeypatch):
-    argv = [str(files / a) if (files / a).is_file() else a for a in template]
+@pytest.mark.parametrize("template", COMMANDS, ids=" ".join)
+def test_command_loads_only_its_modules(files, template, capsys, monkeypatch):
+    argv = in_dir(files, template)
+    engine = ENGINES[template[0]] + (FIT if "--log" in template else [])
     # ``-X importtime`` reports each module on its first import, on stderr.
     # ``-m`` runs the CLI module as ``__main__``, so ``starq.cli`` is not listed.
     proc = subprocess.run(
