@@ -8,6 +8,13 @@ prefix of the path is then decodable. The forward greedy grows the path from
 the base layer by the best quality gain per rate increase; the backward
 greedy shrinks from the full stream by the smallest quality drop per rate
 drop and tends to spread the achievable rates more evenly.
+
+The :class:`LayerGrid` and :class:`OrderedPath` constructors take values from
+outside and check every rule their docstrings list. :func:`build_layer_grid`
+applies each of the grid's rules once while it computes the tables, and keeps
+them without a copy; the two walks build paths that hold the path rules by
+construction, so they check only that each slope is finite. Neither calls a
+constructor's checks again.
 """
 
 from __future__ import annotations
@@ -25,16 +32,35 @@ from .models import (
     RateParams,
     _check,
     _check_ladder,
+    _check_q_limit,
     _check_shared_ref,
     _floats,
+    _holds_bool,
+    _positive_arrays,
     _qr,
     _qr_powered,
-    quality_surface,
-    rate_surface,
+    _quality,
+    _rate,
 )
 
 # The index changes of a single-coordinate step: +1 along one axis.
 _MOVES = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+def _frozen(cls, **fields):
+    # An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
+    # for values built here under every rule its __post_init__ would check.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _check_rate_rises(r: np.ndarray) -> None:
+    # For finite doubles with gradual underflow ``b - a > 0`` exactly when
+    # ``b > a``, so this is ``np.diff(r, axis=k) > 0`` for each axis k.
+    if not ((r[1:] > r[:-1]).all() and (r[:, 1:] > r[:, :-1]).all()
+            and (r[:, :, 1:] > r[:, :, :-1]).all()):
+        raise InvalidParameterError("rate must increase strictly along every axis")
 
 
 @dataclass(frozen=True)
@@ -45,9 +71,9 @@ class LayerGrid:
     sizes and frame rates increasing, stepsizes decreasing. The rate table
     must be strictly increasing along every axis; the quality table is
     expected to be non-decreasing, but measured tables that violate that are
-    accepted and surface as flagged steps in the ordered path. Both tables
-    are stored as read-only float copies, so later writes to the arrays
-    passed in leave the checked grid as it was.
+    accepted and surface as flagged steps in the ordered path. The
+    constructor stores both tables as read-only float copies, so later writes
+    to the arrays passed in leave the checked grid as it was.
     """
 
     s_levels: tuple[float, ...]
@@ -66,12 +92,7 @@ class LayerGrid:
                 raise InvalidParameterError(f"{name} table shape must be {shape}")
             table.flags.writeable = False
             object.__setattr__(self, name, table)
-        # For finite doubles with gradual underflow ``b - a > 0`` exactly when
-        # ``b > a``, so this is ``np.diff(rate, axis=k) > 0`` for each axis k.
-        r = self.rate
-        if not ((r[1:] > r[:-1]).all() and (r[:, 1:] > r[:, :-1]).all()
-                and (r[:, :, 1:] > r[:, :, :-1]).all()):
-            raise InvalidParameterError("rate must increase strictly along every axis")
+        _check_rate_rises(self.rate)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -166,6 +187,23 @@ class OrderedPath:
         object.__setattr__(self, "slopes", tuple(slopes))
 
 
+def _ladder(name: str, values, arr: np.ndarray, increasing: bool) -> tuple[float, ...]:
+    # _check_ladder's rules and messages for ``values``, whose floats ``arr``
+    # already hold, reshaped, checked finite and > 0. A bool in a list counts
+    # as 0 or 1 to numpy, so only the list itself shows it.
+    if _holds_bool(values):
+        raise InvalidParameterError(f"{name} must hold finite reals > 0")
+    if type(values) in (list, tuple) and list(map(type, values)).count(float) == len(values):
+        ndim = 1  # np.ndim's answer, without its array
+    else:
+        ndim = np.ndim(values)
+    ladder = tuple(arr.ravel().tolist()) if ndim == 1 else ()
+    if not ladder or not all(a < b if increasing else a > b for a, b in zip(ladder, ladder[1:])):
+        direction = "increasing" if increasing else "decreasing"
+        raise InvalidParameterError(f"{name} must be a non-empty, strictly {direction} sequence")
+    return ladder
+
+
 def build_layer_grid(
     rp: RateParams,
     qp: QualityParams,
@@ -173,11 +211,30 @@ def build_layer_grid(
     t_levels,
     q_levels,
 ) -> LayerGrid:
-    """Populate a layer lattice from the analytic rate and quality surfaces."""
+    """Populate a layer lattice from the analytic rate and quality surfaces.
+
+    The rules and errors are those of :func:`~starq.models.rate_surface`,
+    then :func:`~starq.models.quality_surface`, then :class:`LayerGrid`, each
+    applied once: levels finite and > 0, rate finite and > 0, stepsizes below
+    ``q_limit``, level ladders, quality finite, rate rising along every axis.
+    The grid keeps the two fresh tables, read-only, without copying them.
+    """
     _check_shared_ref(rp, qp)
     levels = (s_levels, t_levels, q_levels)
     s, t, q = (np.reshape(v, k) for v, k in zip(levels, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))))
-    return LayerGrid(*levels, rate=rate_surface(rp, q, s, t), quality=quality_surface(qp, q, s, t))
+    q, s, t = _positive_arrays(q=q, s=s, t=t)
+    rate = _rate(rp, q, s, t)
+    _check("rate", rate, array=True, error=OutOfRangeError)
+    _check_q_limit(q.max(initial=0.0))
+    quality = _quality(qp, q, s, t)
+    s_levels = _ladder("s_levels", s_levels, s, True)
+    t_levels = _ladder("t_levels", t_levels, t, True)
+    q_levels = _ladder("q_levels", q_levels, q, False)
+    _check("quality", quality, -np.inf, array=True)
+    _check_rate_rises(rate)
+    rate.flags.writeable = quality.flags.writeable = False
+    return _frozen(LayerGrid, s_levels=s_levels, t_levels=t_levels, q_levels=q_levels,
+                   rate=rate, quality=quality)
 
 
 def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
@@ -186,6 +243,12 @@ def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
     # The walk steps on the flat cell index by one stride per axis and carries
     # the chosen cell's rate and quality on. ``item`` reads cells as Python
     # floats, whose arithmetic is numpy's IEEE double arithmetic, at less cost.
+    #
+    # A checked grid makes the path hold OrderedPath's step rules, so the walk
+    # hands over the derived fields itself: each move's slope, in the path's
+    # increasing-rate form (backward, the higher point minus the lower, which
+    # compares as the walk's own form does and keeps a zero slope +0.0), and
+    # the steps whose quality did not rise. Only a slope can still fail.
     forward = direction == "forward"
     sign = 1 if forward else -1
     rate, quality = grid.rate.item, grid.quality.item
@@ -196,7 +259,8 @@ def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
     pos, end = ([0, 0, 0], top) if forward else (list(top), (0, 0, 0))
     flat = 0 if forward else L * M * N - 1
     rate0, quality0 = rate(flat), quality(flat)
-    steps = []
+    steps, slopes, flags = [], [], []
+    size = L + M + N - 2  # the path's length
     while True:
         l, m, n = pos
         steps.append(PathStep(l, m, n, s[l], t[m], q[n], rate0, quality0))
@@ -207,18 +271,29 @@ def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
             if pos[axis] != end[axis]:
                 nxt = flat + strides[axis]
                 rate1, quality1 = rate(nxt), quality(nxt)
-                slope = (quality1 - quality0) / (rate1 - rate0)
+                slope = ((quality1 - quality0) / (rate1 - rate0) if forward
+                         else (quality0 - quality1) / (rate0 - rate1))
                 if best_axis is None or (slope > best_slope if forward else slope < best_slope):
                     best_slope, best_axis = slope, axis
                     best_rate, best_quality = rate1, quality1
         if best_axis is None:
             break
+        slopes.append(best_slope)
+        # The path index of the step this move reaches, or backward leaves.
+        if best_quality <= quality0 if forward else quality0 <= best_quality:
+            flags.append(len(slopes) if forward else size - len(slopes))
         flat += strides[best_axis]
         pos[best_axis] += sign
         rate0, quality0 = best_rate, best_quality
     if not forward:
         steps.reverse()
-    return OrderedPath(steps=tuple(steps), direction=direction)
+        slopes.reverse()
+        flags.reverse()
+    if not all(map(math.isfinite, slopes)):
+        i, slope = next((i, x) for i, x in enumerate(slopes, 1) if not math.isfinite(x))
+        raise OutOfRangeError(f"step {i}: quality change per rate increase is {slope}")
+    return _frozen(OrderedPath, steps=tuple(steps), direction=direction,
+                   nonpositive_gain_steps=tuple(flags), slopes=tuple(slopes))
 
 
 def order_forward(grid: LayerGrid) -> OrderedPath:

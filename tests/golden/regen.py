@@ -46,7 +46,9 @@ targets. A dispatch with no line reads ``cli/`` or ``lib/``.
 prints one line per dispatch level, from all the targets this machine
 enables down to numpy's baseline loops: the ``cli`` and ``lib`` sets that
 level reads, then the targets to switch off (``NPY_DISABLE_CPU_FEATURES``)
-to run it. CI runs the tests once per line.
+to run it. CI runs the tests once per line. ``-h`` or ``--help`` prints the
+usage; any other argument prints it to stderr and exits 2. Neither writes a
+file.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ from starq import (
     order_backward,
     order_forward,
 )
-from starq.cli import main
+from starq.cli import main as cli_main
 from starq.errors import StarqError
 from starq.fileio import ModelFile, read_encode_log, write_model_file
 
@@ -154,7 +156,7 @@ def run_case(name: str, d: Path) -> tuple[str, str, str]:
     argv = in_dir(d, CASES[name])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = cli_main(argv)
     return tuple(s.replace(str(d), PLACEHOLDER) for s in (out.getvalue(), err.getvalue(), f"{code}\n"))
 
 
@@ -313,12 +315,32 @@ def regenerate() -> None:
     )
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] == ["--print"]:
+USAGE = """\
+usage: python tests/golden/regen.py [-h | --print | --levels]
+
+With no argument, rewrite every golden file set and PLATFORM.
+  --print    print every case's output as JSON, on the dispatch this process runs
+  --levels   print one line per dispatch level: the cli and lib sets it reads,
+             then the targets to switch off to run it"""
+
+
+def main(argv: list[str]) -> int:
+    """Run the script on the arguments ``argv``; returns the exit code."""
+    if argv == ["--print"]:
         print(json.dumps(all_outputs()))
-    elif sys.argv[1:] == ["--levels"]:
+    elif argv == ["--levels"]:
         targets = dispatch()
         for n in reversed(range(len(targets) + 1)):
             print(golden_set(targets[:n]).name, golden_set(targets[:n], "lib").name, *targets[n:])
+    elif argv in (["-h"], ["--help"]):
+        print(USAGE)
+    elif argv:
+        print(USAGE, file=sys.stderr)
+        return 2
     else:
         regenerate()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import pytest
 
+from golden import regen
 from golden.regen import (
-    CASES, HERE, LIB_CASES, dispatch, golden, golden_set, lib_case, loops, run_case, write_inputs,
+    CASES, HERE, LIB_CASES, USAGE, dispatch, golden, golden_set, lib_case, loops, main, run_case,
+    write_inputs,
 )
 from test_parity import STALL_SSE
 
@@ -38,3 +40,26 @@ def test_platform_names_exactly_the_set_directories():
     assert {name for name in named if not (HERE / name).is_dir()} == set()
     assert {p.name for kind in ("cli", "lib") for p in HERE.glob(f"{kind}-*")} <= named
     assert set(STALL_SSE) == {name for name in named if name.split("-")[0] == "lib"}
+
+
+@pytest.fixture
+def no_regenerate(monkeypatch):
+    def refuse():
+        raise AssertionError("regenerate() called")
+
+    monkeypatch.setattr(regen, "regenerate", refuse)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_regen_help_prints_usage(no_regenerate, capsys, flag):
+    assert main([flag]) == 0
+    assert capsys.readouterr() == (USAGE + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--level"], ["--print", "--levels"], ["--levels", "x"], ["print"], [""]]
+)
+def test_regen_unknown_arguments_rejected(no_regenerate, capsys, argv):
+    # A mistyped option writes nothing: regenerate is never reached.
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", USAGE + "\n")

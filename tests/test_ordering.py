@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sequences import LAYER_Q, LAYER_S, LAYER_T, REF, SEQUENCES, quality_params, rate_params
+from test_parity import outcome
 from starq import (
     InvalidParameterError,
     LayerGrid,
@@ -13,7 +16,9 @@ from starq import (
     OutOfRangeError,
     PathStep,
     QrModel,
+    QualityParams,
     RateParams,
+    ResolutionRef,
     Star,
     build_layer_grid,
     evaluate_quality,
@@ -22,11 +27,14 @@ from starq import (
     order_backward,
     order_forward,
     path_quality_loss,
+    quality_surface,
     qr_surface,
+    rate_surface,
 )
 
 CITY = rate_params("city")
 CITY_Q = quality_params("city")
+QCIF_S = LAYER_S[0]
 
 
 def city_grid():
@@ -61,6 +69,75 @@ FLAT_THEN_FALLING = (
     PathStep(0, 0, 1, 1.0, 1.0, 2.0, 20.0, 0.5),
     PathStep(0, 1, 1, 1.0, 2.0, 2.0, 30.0, 0.4),
 )
+
+
+NAN = float("nan")
+LEVELS = (list(LAYER_S), list(LAYER_T), list(LAYER_Q))
+AXES = ("s", "t", "q")
+
+
+def with_level(axis: int, values) -> tuple:
+    """The 3x4x4 ladder's levels with axis ``axis`` replaced by ``values``."""
+    levels = list(LEVELS)
+    levels[axis] = values
+    return tuple(levels)
+
+
+def ladder_message(axis: int) -> str:
+    direction = "decreasing" if axis == 2 else "increasing"
+    return f"{AXES[axis]}_levels must be a non-empty, strictly {direction} sequence"
+
+
+# (id, rate params, quality params, levels, error type, full message) of every
+# rule build_layer_grid applies; where two rules fail, the one that decides.
+BUILD_ERRORS = [
+    *((f"{kind}-{AXES[axis]}", CITY, CITY_Q, with_level(axis, bad), InvalidParameterError,
+       f"{AXES[axis]} must hold finite reals > 0")
+      for axis in range(3) for kind, bad in (("negative", [-1.0]), ("nan", [NAN]))),
+    *((f"empty-{AXES[axis]}", CITY, CITY_Q, with_level(axis, []), InvalidParameterError,
+       ladder_message(axis)) for axis in range(3)),
+    *((f"non-monotone-{AXES[axis]}", CITY, CITY_Q, with_level(axis, LEVELS[axis][::-1]),
+       InvalidParameterError, ladder_message(axis)) for axis in range(3)),
+    *((f"2d-{AXES[axis]}", CITY, CITY_Q, with_level(axis, [LEVELS[axis]]), InvalidParameterError,
+       ladder_message(axis)) for axis in range(3)),
+    ("bool-s", CITY, CITY_Q, with_level(0, [QCIF_S, True]), InvalidParameterError,
+     "s_levels must hold finite reals > 0"),
+    ("q-at-limit", CITY, CITY_Q, with_level(2, [QualityParams.q_limit]), OutOfRangeError,
+     f"stepsize {QualityParams.q_limit:.6g} is not below the quality model's limit "
+     f"{QualityParams.q_limit:.6g}"),
+    ("flat-along-q", RateParams(a=0.0, b=1.0, c=1.0, r_max=100.0, ref=REF), CITY_Q, LEVELS,
+     InvalidParameterError, "rate must increase strictly along every axis"),
+    ("mismatched-refs", RateParams(a=1.0, b=1.0, c=1.0, r_max=100.0,
+                                   ref=ResolutionRef(10.0, REF.s_max, REF.t_max)),
+     CITY_Q, LEVELS, InvalidParameterError, "rate and quality parameters use different references"),
+    ("overflowing-rate", RateParams(a=1.0, b=1.0, c=1.0, r_max=1e308, ref=REF), CITY_Q,
+     with_level(2, [1e-5]), OutOfRangeError, "rate must hold finite reals > 0"),
+    # Where two rules fail, the earlier one's error.
+    ("nan-q-before-negative-t", CITY, CITY_Q, (LEVELS[0], [-1.0], [NAN]), InvalidParameterError,
+     "q must hold finite reals > 0"),
+    ("q-limit-before-ladder", CITY, CITY_Q, (LEVELS[0][::-1], LEVELS[1],
+                                            [QualityParams.q_limit]), OutOfRangeError,
+     f"stepsize {QualityParams.q_limit:.6g} is not below the quality model's limit "
+     f"{QualityParams.q_limit:.6g}"),
+    ("ladder-t-before-ladder-q", CITY, CITY_Q, (LEVELS[0], LEVELS[1][::-1], LEVELS[2][::-1]),
+     InvalidParameterError, ladder_message(1)),
+    ("ladder-before-flat-rate", RateParams(a=0.0, b=1.0, c=1.0, r_max=100.0, ref=REF), CITY_Q,
+     with_level(0, LEVELS[0][::-1]), InvalidParameterError, ladder_message(0)),
+]
+
+
+@pytest.mark.parametrize("rp,qp,levels,error,message", [case[1:] for case in BUILD_ERRORS],
+                         ids=[case[0] for case in BUILD_ERRORS])
+def test_build_layer_grid_errors_pinned(rp, qp, levels, error, message):
+    # Each rule's exact error type and full message; an overflowing rate also
+    # warns, as numpy's multiply overflows.
+    with pytest.raises(error) as caught:
+        if message == "rate must hold finite reals > 0":
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                build_layer_grid(rp, qp, *levels)
+        else:
+            build_layer_grid(rp, qp, *levels)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 class TestBuildLayerGrid:
@@ -403,6 +480,145 @@ class TestOrderedPathInvariants:
     def test_model_grids_never_flag(self):
         assert order_forward(city_grid()).nonpositive_gain_steps == ()
         assert order_backward(city_grid()).nonpositive_gain_steps == ()
+
+
+# ---------------------------------------------------------------------------
+# build_layer_grid and the two walks apply each rule once and build their
+# results without the constructors' checks; these properties hold them to
+# what the checked constructors make of the same values.
+
+
+def path_fields(path):
+    """Every field of a path, with the type of each stored value, and its repr."""
+    if isinstance(path, tuple):  # an error
+        return path
+    fields = (path.steps, path.direction, path.nonpositive_gain_steps, path.slopes)
+    types = [type(v) for v in (*path.slopes, *path.nonpositive_gain_steps)]
+    types += [type(v) for step in path.steps for v in step]
+    return fields, types, repr(path)
+
+
+def grid_fields(grid):
+    """Every field of a grid, tables as dtype, shape and bytes."""
+    if isinstance(grid, tuple):  # an error
+        return grid
+    tables = [(t.dtype, t.shape, t.flags.c_contiguous, t.tobytes())
+              for t in (grid.rate, grid.quality)]
+    levels = (grid.s_levels, grid.t_levels, grid.q_levels)
+    return levels, [type(v) for ladder in levels for v in ladder], tables
+
+
+def walk_steps(grid, direction):
+    """The steps the greedy rule picks on ``grid``, as written in the
+    package docstrings: the best slope dq/dr of a single-coordinate move, ties
+    to amplitude, then temporal, then spatial; in increasing-rate order."""
+    forward = direction == "forward"
+    shape = grid.shape
+    pos = [0, 0, 0] if forward else [n - 1 for n in shape]
+    sign = 1 if forward else -1
+    cells = [tuple(pos)]
+    while True:
+        here = tuple(pos)
+        best = None
+        for axis in (2, 1, 0):
+            nxt = list(here)
+            nxt[axis] += sign
+            if not 0 <= nxt[axis] < shape[axis]:
+                continue
+            nxt = tuple(nxt)
+            # Python floats, which overflow to inf without a warning.
+            slope = ((grid.quality.item(nxt) - grid.quality.item(here))
+                     / (grid.rate.item(nxt) - grid.rate.item(here)))
+            if best is None or (slope > best[0] if forward else slope < best[0]):
+                best = (slope, nxt)
+        if best is None:
+            break
+        pos = list(best[1])
+        cells.append(best[1])
+    if not forward:
+        cells.reverse()
+    return tuple(
+        PathStep(*cell, grid.s_levels[cell[0]], grid.t_levels[cell[1]], grid.q_levels[cell[2]],
+                 grid.rate.item(cell), grid.quality.item(cell))
+        for cell in cells
+    )
+
+
+# Rates from the subnormal range up, so a rate step can be subnormal and a
+# slope overflow; qualities finite, often equal, so steps are flat or falling.
+rates = st.one_of(st.floats(min_value=5e-324, max_value=1e-300),
+                  st.floats(min_value=1e-300, max_value=1e300))
+qualities = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                      st.floats(min_value=-1.0, max_value=2.0),
+                      st.floats(allow_nan=False, allow_infinity=False))
+ladder_values = st.floats(min_value=1e-3, max_value=1e6)
+
+
+@st.composite
+def lattices(draw):
+    """A checked LayerGrid of up to 6x6x6 cells: rates strictly increasing
+    along every axis, in a random linear extension of the lattice order."""
+    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    size = math.prod(shape)
+    values = sorted(draw(st.lists(rates, min_size=size, max_size=size, unique=True)))
+    ties = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    cells = sorted(np.ndindex(shape), key=lambda c: (sum(c), ties[np.ravel_multi_index(c, shape)]))
+    rate = np.empty(shape)
+    for cell, value in zip(cells, values):
+        rate[cell] = value
+    quality = np.array(draw(st.lists(qualities, min_size=size, max_size=size))).reshape(shape)
+    levels = [sorted(draw(st.lists(ladder_values, min_size=n, max_size=n, unique=True)))
+              for n in shape]
+    levels[2].reverse()
+    return LayerGrid(*levels, rate=rate, quality=quality)
+
+
+class TestTrustedResults:
+    @settings(max_examples=200, deadline=None)
+    @given(grid=lattices())
+    def test_walks_equal_checked_paths(self, grid):
+        for order, direction in ((order_forward, "forward"), (order_backward, "backward")):
+            want = outcome(OrderedPath, walk_steps(grid, direction), direction)
+            got = outcome(order, grid)
+            assert path_fields(got) == path_fields(want)
+            if not isinstance(got, tuple):
+                again = OrderedPath(steps=got.steps, direction=got.direction)
+                assert path_fields(got) == path_fields(again) and got == again
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        exponents=st.tuples(*[st.floats(0.0, 3.0)] * 3),
+        alphas=st.tuples(*[st.floats(0.1, 20.0)] * 3),
+        shape=st.tuples(*[st.integers(1, 6)] * 3),
+        data=st.data(),
+    )
+    def test_build_equals_checked_grid(self, exponents, alphas, shape, data):
+        rp = RateParams(*exponents, r_max=1000.0, ref=REF)
+        qp = QualityParams(*alphas, ref=REF)
+        bounds = ((REF.s_max / 64, REF.s_max), (1.0, REF.t_max),
+                  (REF.q_min, QualityParams.q_limit * 1.01))
+        levels = []
+        for n, (lo, hi) in zip(shape, bounds):
+            values = sorted(data.draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+            form = data.draw(st.sampled_from([list, tuple, np.array]))
+            levels.append(form(values[::-1] if len(levels) == 2 else values))
+        s, t, q = (np.reshape(v, k) for v, k in zip(levels, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))))
+
+        def checked():
+            # The surfaces' and the constructor's checks, each in full.
+            return LayerGrid(*levels, rate=rate_surface(rp, q, s, t),
+                             quality=quality_surface(qp, q, s, t))
+
+        got = outcome(build_layer_grid, rp, qp, *levels)
+        assert grid_fields(got) == grid_fields(outcome(checked))
+        if isinstance(got, tuple):
+            return
+        assert grid_fields(got) == grid_fields(
+            LayerGrid(*levels, rate=got.rate, quality=got.quality))
+        for table in (got.rate, got.quality):
+            assert not table.flags.writeable
+            assert not any(np.shares_memory(table, v) for v in (*levels, s, t, q))
+        assert not np.shares_memory(got.rate, got.quality)
 
 
 class TestPathStep:
