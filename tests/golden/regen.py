@@ -21,7 +21,11 @@ orderings (per sequence, on the 3x4x4 ladder and on an 8x8x8 lattice);
 decisions (per sequence): ``optimize_continuous`` at grids 2, 32, 64 and 128
 and ``optimize_discrete`` on the dyadic 3x4 ladder, at 40 geometric budgets
 from 0.005 to 1.5 ``r_max``, which reach infeasible and ``q_min``-clamped
-points. An error is recorded as its type and message.
+points. An error is recorded as its type and message. The ``csv-*`` cases
+hold the warnings and the ``repr`` of the log that ``read_encode_log`` reads
+from the command line's log written in each form of ``CSV_FORMS``: both
+stepsize columns, a label column, a byte-order mark, blank lines, whitespace
+around names and cells, short rows padded and empty cells past the header.
 
 Rewrite the files, from the root of a checkout, with
 
@@ -56,6 +60,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import shutil
@@ -167,14 +172,51 @@ FINE = (
     (64.0, 52.0, 40.0, 32.0, 26.0, 22.0, 19.0, 16.0),
 )
 LATTICES = {"ladder": (LAYER_S, LAYER_T, LAYER_Q), "fine": FINE}
+# The log of the CSV forms: the command line's noisy city log.
+CSV_LOG = synthetic_log(rate_params("city"), noise=0.01, seed=1)
 # Budgets as fractions of r_max, geometric from 0.005 to 1.5, in Python floats.
 BUDGET_FRACS = [0.005 * 300.0 ** (k / 39) for k in range(40)]
+
+
+
+# The encode-log forms besides the plain one ``write_log_csv`` writes, by
+# header line; ``csv_form`` writes their rows.
+CSV_FORMS = {
+    "q-and-qp": "q,qp,width,height,fps,rate_kbps",
+    "label": "label,q,width,height,fps,rate_kbps",
+    "bom": "\ufeffq,width,height,fps,rate_kbps",
+    "blank-lines": "\n\r\nq,width,height,fps,rate_kbps",
+    "whitespace": " q ,\twidth, height\u00a0,fps\u3000, rate_kbps ",
+    "short-rows": "q,width,height,fps,rate_kbps,label,",
+    "empty-past-header": "q,width,height,fps,rate_kbps",
+}
+
+
+def csv_form(form: str, samples) -> str:
+    """The CSV text of ``samples`` in the encode-log form ``form``."""
+    lines = [CSV_FORMS[form]]
+    for k, x in enumerate(samples):
+        cells = [repr(x.star.q), repr(x.star.s), "1", repr(x.star.t), repr(x.rate)]
+        if form == "q-and-qp":  # the reader takes qp, with a warning
+            cells[:1] = ["999", repr(6.0 * math.log2(x.star.q) + 4.0)]
+        elif form == "label":
+            cells.insert(0, f" city {k} " if k % 2 else f"city-{k}")
+        elif form == "whitespace":
+            cells = [f" {c}\t" if i % 2 else f"\u00a0{c}\u3000" for i, c in enumerate(cells)]
+        elif form == "short-rows":  # padding reaches only the label and the nameless column
+            cells += ["tag", "x"][: k % 3]
+        elif form == "empty-past-header":
+            cells += ["", " ", "\t"][: k % 4]
+        lines.append(",".join(cells) + ("\n" * (k % 3) if form == "blank-lines" else ""))
+    return "\n".join(lines) + "\n"
+
 
 LIB_CASES = (
     [f"fit-{scenario}-{sequence}" for scenario in RATE_TABLES for sequence in SEQUENCES]
     + [f"order-{lattice}-{sequence}" for lattice in LATTICES for sequence in SEQUENCES]
     + [f"qr-{sequence}" for sequence in SEQUENCES]
     + [f"opt-{sequence}" for sequence in SEQUENCES]
+    + [f"csv-{form}" for form in CSV_FORMS]
 )
 
 
@@ -202,7 +244,12 @@ def lib_case(name: str, d: Path) -> tuple[str]:
     """The text of library case ``name``, using the directory ``d`` for files."""
     kind, *key = name.split("-")
     lines = []
-    if kind == "fit":
+    if kind == "csv":
+        path = d / f"{name}.csv"
+        path.write_text(csv_form("-".join(key), CSV_LOG.samples), encoding="utf-8", newline="")
+        log, warnings = read_encode_log(path)
+        lines += [f"warnings {warnings!r}", f"log {log!r}"]
+    elif kind == "fit":
         scenario, sequence = key
         noisy = synthetic_log(rate_params(sequence, scenario), noise=0.01, seed=1)
         logs = {"noiseless": synthetic_log(rate_params(sequence, scenario)),

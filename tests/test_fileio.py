@@ -2,23 +2,31 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import json
 import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sequences import REF, quality_params, rate_params
 from starq import (
     CIF4,
     QCIF,
+    EncodeLog,
     FeatureVector,
     InvalidParameterError,
     QrModel,
     QualityParams,
     RateParams,
+    RateSample,
     ResolutionRef,
+    Star,
+    StarqError,
+    stepsize_from_qp,
 )
 from starq.cli import main
 from starq.fileio import (
@@ -201,6 +209,212 @@ class TestEncodeLogCsv:
         with pytest.raises(InvalidParameterError) as err:
             read_encode_log(path)
         assert str(err.value).startswith(f"{path}: not UTF-8: 'utf-8' codec can't decode byte 0xff")
+
+
+LOG_HEADER = "q,width,height,fps,rate_kbps"
+LOG_ROW = {"q": "16", "width": "704", "height": "576", "fps": "30", "rate_kbps": "2379"}
+GOOD_ROW = ",".join(LOG_ROW.values())
+
+
+def log_text(*rows: str, header: str = LOG_HEADER) -> str:
+    return "".join(f"{line}\n" for line in (header, *rows))
+
+
+def bad_cell(column: str, cell: str, message: str, header: str = LOG_HEADER):
+    # A one-row log whose ``column`` holds ``cell``, and its full error.
+    row = ",".join(cell if c == column else v for c, v in LOG_ROW.items())
+    if header != LOG_HEADER:
+        row = row.replace(LOG_ROW["q"], cell, 1) if column == "qp" else row
+    return pytest.param(log_text(row, header=header), InvalidParameterError, f"line 2: {message}",
+                        id=f"{column}-{cell or 'empty'}")
+
+
+QP_HEADER = LOG_HEADER.replace("q,", "qp,", 1)
+# The checked value a bad cell of each column reaches: the frame size is
+# width * height, so -1 there reads -576 or -704.
+RANGE_VALUES = {
+    "q": ("q", "0.0", "-1.0"), "width": ("s", "0.0", "-576.0"), "height": ("s", "0.0", "-704.0"),
+    "fps": ("t", "0.0", "-1.0"), "rate_kbps": ("rate", "0.0", "-1.0"),
+}
+CSV_LIMIT = csv.field_size_limit()
+
+# read_encode_log's error for each kind of bad log: the type and the full
+# message after ``<path>: ``, and which fault decides where two meet.
+READER_ERRORS = [
+    *(bad_cell(column, cell, f"{column} must be a number, got {cell!r}")
+      for column in LOG_ROW for cell in ("x", "")),
+    *(bad_cell(column, cell, f"{rule} must be a finite real > 0, got {got}")
+      for column, (rule, zero, minus_one) in RANGE_VALUES.items()
+      for cell, got in (("0", zero), ("-1", minus_one), ("nan", "nan"), ("inf", "inf"))),
+    bad_cell("qp", "x", "qp must be a number, got 'x'", QP_HEADER),
+    bad_cell("qp", "", "qp must be a number, got ''", QP_HEADER),
+    bad_cell("qp", "nan", "qp must be a finite real, got nan", QP_HEADER),
+    bad_cell("qp", "inf", "qp must be a finite real, got inf", QP_HEADER),
+    bad_cell("qp", "1e10", "qp 10000000000.0 gives a stepsize beyond the float range", QP_HEADER),
+    bad_cell("qp", "-1e10", "qp -10000000000.0 gives a stepsize that underflows to 0", QP_HEADER),
+    pytest.param(log_text("16,704,576"), InvalidParameterError,
+                 "line 2: fps must be a number, got ''", id="short-row"),
+    pytest.param(log_text(f"{GOOD_ROW},5"), InvalidParameterError,
+                 "line 2: non-empty cell past column 5", id="long-row"),
+    pytest.param(log_text(), InvalidParameterError, "no data rows", id="header-only"),
+    pytest.param(log_text(GOOD_ROW, "16,704,576,30,2380"), InvalidParameterError,
+                 "conflicting rates for duplicate operating point (16.0, 405504.0, 30.0): "
+                 "2379.0 vs 2380.0", id="conflicting-duplicates"),
+    pytest.param(log_text("28,704,576,30,2379", "28.0,704,576,30,2380", header=QP_HEADER),
+                 InvalidParameterError,
+                 "conflicting rates for duplicate operating point (16.0, 405504.0, 30.0): "
+                 "2379.0 vs 2380.0", id="conflicting-duplicates-qp"),
+    # Which fault decides: the read phase (a later line's past-header cell,
+    # csv error or undecodable byte) before any conversion; then rows in
+    # order, each cell in column order before its range rules; duplicates last.
+    pytest.param(log_text("x,704,576,30,2379", f"{GOOD_ROW},5"), InvalidParameterError,
+                 "line 3: non-empty cell past column 5", id="past-header-later-wins"),
+    pytest.param(log_text("x,704,576,30,2379", "16," + "7" * (CSV_LIMIT + 1) + ",1,30,1"),
+                 InvalidParameterError, f"line 3: field larger than field limit ({CSV_LIMIT})",
+                 id="csv-error-later-wins"),
+    pytest.param(log_text("x,704,576,30,2379").encode() + b"16,\xff,576,30,1\n",
+                 InvalidParameterError, "not UTF-8: 'utf-8' codec can't decode byte 0xff in "
+                 "position 50: invalid start byte", id="not-utf8-later-wins"),
+    pytest.param(log_text("0,704,576,30,2379", "x,704,576,30,2379"), InvalidParameterError,
+                 "line 2: q must be a finite real > 0, got 0.0", id="range-before-later-parse"),
+    pytest.param(log_text("0,x,576,30,2379"), InvalidParameterError,
+                 "line 2: width must be a number, got 'x'", id="parse-before-range-in-row"),
+    pytest.param(log_text("1e10,x,576,30,2379", header=QP_HEADER), InvalidParameterError,
+                 "line 2: qp 10000000000.0 gives a stepsize beyond the float range",
+                 id="qp-before-later-cells"),
+    pytest.param(log_text(GOOD_ROW, "16,704,576,30,2380", "16,704,576,0,1"), InvalidParameterError,
+                 "line 4: t must be a finite real > 0, got 0.0", id="range-before-duplicates"),
+]
+
+
+@pytest.mark.parametrize("text,error,message", READER_ERRORS)
+def test_read_encode_log_errors_pinned(tmp_path, text, error, message):
+    path = tmp_path / "log.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(StarqError) as err:
+        read_encode_log(path)
+    assert (type(err.value), str(err.value)) == (error, f"{path}: {message}")
+
+
+@pytest.mark.parametrize("qp,q", [("0", 2.0 ** (-4 / 6)), ("-1", 2.0 ** (-5 / 6))])
+def test_qp_at_or_below_zero_is_a_stepsize(tmp_path, qp, q):
+    path = write(tmp_path, "log.csv", log_text(f"{qp},704,576,30,2379", header=QP_HEADER))
+    log, _ = read_encode_log(path)
+    assert log.samples[0].star == Star(q, 405504.0, 30.0)
+
+
+def plain_read(path: Path):
+    """read_encode_log by the plain route: every row read by ``csv``, then
+    each cell stripped and converted by ``float`` and each sample built by
+    the checked constructors, then ``EncodeLog.from_samples``. The header
+    must name the columns; errors are raised without the path."""
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        records = [(reader.line_num, row) for row in reader]
+    records = [(num, [cell.strip() for cell in row]) for num, row in records if row]
+    (header_line, header), *records = records
+    width = len(header)
+    for num, cells in records:
+        if any(cells[width:]):
+            raise InvalidParameterError(f"line {num}: non-empty cell past column {width}")
+    column = {name: i for i, name in enumerate(header) if name}
+    stepsize = "qp" if "qp" in column else "q"
+    warnings = ["log has both 'q' and 'qp' columns; using 'qp'"] if len({"q", "qp"} & set(column)) == 2 else []
+    samples = []
+    for num, cells in records:
+        cells += [""] * (width - len(cells))
+        try:
+            values = []
+            for name in (stepsize, "width", "height", "fps", "rate_kbps"):
+                try:
+                    values.append(float(cells[column[name]]))
+                except ValueError:
+                    raise InvalidParameterError(
+                        f"{name} must be a number, got {cells[column[name]]!r}") from None
+                if name == "qp":
+                    values[0] = stepsize_from_qp(values[0])
+            q, w, h, t, rate = values
+            label = cells[column["label"]] if "label" in column else ""
+            samples.append(RateSample(Star(q, w * h, t), rate, label))
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"line {num}: {exc}") from None
+    if not samples:
+        raise InvalidParameterError("no data rows")
+    return EncodeLog.from_samples(samples), warnings
+
+
+# Text around a cell: Unicode whitespace, which both routes strip, and a
+# newline, which the writer quotes.
+PADS = [" ", "\t", "\x0b", "\x1c", "\x85", "\u00a0", "\u2003", "\u2028", "\u3000", "\n", ""]
+# Cells in range: signs, underscores, exponents, non-ASCII digits; each pool
+# holds two values, some written two ways, so points repeat and rates clash.
+GOOD = {"q": ["16", "+1_6", "26.0"], "qp": ["28", "2_8.0", "-1"],
+        "width": ["704", "٧٠٤", "2.5E2"], "height": ["576", "1"],
+        "fps": ["30", "3_0", "7.5e0"], "rate_kbps": ["2379", "2_379.0", "1e2"]}
+# Cells out of range or not numbers; a zero-width space is not whitespace.
+BAD = ["", "x", "\u200b16", "0", "-1", "-0.0", "nan", "-inf", "inf", "1e400", "1e-400", "1__6", "_16", "16_",
+       "0x10", "1,5", '"7"', "1e10", "-1e10"]
+
+
+@st.composite
+def encode_logs(draw):
+    """CSV text of an encode log with a well-formed header and any rows: in
+    a clean log every cell is in range, with whitespace around it."""
+    columns = draw(st.sampled_from([["q"], ["qp"], ["q", "qp"]]))
+    columns += ["width", "height", "fps", "rate_kbps"]
+    columns += draw(st.sampled_from([[], ["label"], ["label", ""], ["x"]]))
+    columns = draw(st.permutations(columns))
+    clean = draw(st.booleans())
+    pad = st.sampled_from(PADS)
+    bad = st.one_of(st.sampled_from(BAD), st.floats().map(repr))
+    rows = [[draw(pad) + name + draw(pad) if name else name for name in columns]]
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 7)) == 7:
+            rows.append([])  # a blank line
+            continue
+        row = []
+        for name in columns:
+            if name not in GOOD:
+                cell = draw(st.text(" \tab,\"-\u3000", max_size=4))
+            elif clean or draw(st.integers(0, 15)) < 15:
+                cell = draw(st.sampled_from(GOOD[name]))
+            else:
+                cell = draw(bad)
+            row.append(draw(pad) + cell + draw(pad))
+        if not clean and draw(st.integers(0, 3)) == 3:  # short, or cells past the header
+            row = row[:draw(st.integers(1, len(row)))]
+            row += draw(st.lists(st.sampled_from(["", " ", "\t", "5"]), max_size=2))
+        rows.append(row)
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(rows)
+    return draw(st.sampled_from(["", "\ufeff"])) + draw(st.sampled_from(["", "\n", "\r\n"])) + out.getvalue()
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except StarqError as exc:
+        return type(exc), str(exc).removeprefix(f"{path}: ")
+
+
+class TestReaderMatchesPlainRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(text=encode_logs())
+    def test_read_encode_log_equals_plain_route(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("log") / "log.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        got, want = read_outcome(read_encode_log, path), read_outcome(plain_read, path)
+        assert got == want and repr(got) == repr(want)
+        if type(got[0]) is type:
+            return
+        (log, _), (plain, _) = got, want
+        assert hash(log) == hash(plain)
+        assert type(log) is EncodeLog and type(log.samples) is tuple
+        assert [type(v) for v in vars(log.ref).values()] == [float] * 3
+        for sample in log.samples:
+            assert (type(sample), type(sample.star), type(sample.rate), type(sample.tag)) == (
+                RateSample, Star, float, str)
+            assert [type(v) for v in vars(sample.star).values()] == [float] * 3
 
 
 class TestFrameSizes:
