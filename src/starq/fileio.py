@@ -3,7 +3,10 @@
 Encode logs are CSV; model documents and configs are JSON; feature records
 are either. Document keys are the fields of the dataclass filled, and values
 reach its constructor as JSON gave them; only text (CSV cells, frame sizes) is
-converted here. Errors start with the path, for a CSV record ``line N:``.
+converted here. An encode-log row whose cells are in range is the exception:
+the reader checks it once itself and builds trusted instances (see
+:func:`read_encode_log`). Errors start with the path, for a CSV record
+``line N:``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import csv
 import functools
 import json
 from dataclasses import dataclass, fields
+from math import inf
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -26,6 +30,7 @@ from .models import (
     Star,
     _check,
     _check_ladder,
+    _frozen,
     stepsize_from_qp,
 )
 
@@ -82,10 +87,18 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     column: either q (stepsize) or qp (quantization parameter). When both are
     present qp wins, with a warning, since qp is what encoders log. Returns
     the log and any warnings.
-    """
-    from .fitting import EncodeLog, RateSample
 
-    index, line, rows = _read_csv(path)
+    Each row is read once. A row of the header's width whose cells ``float``
+    reads as values inside every rule (stepsize, frame size, frame rate and
+    rate finite and > 0) gives its sample without a second check; any other
+    row goes the checked way, cells stripped and padded, converted in column
+    order and built by the checking constructors, whose error it raises. The
+    log's reference comes from the rows' own minima and maxima, and the rule
+    on repeated points runs once.
+    """
+    from .fitting import EncodeLog, RateSample, _check_repeats
+
+    index, line, width, rows = _read_csv(path)
     if index is None:
         raise InvalidParameterError("empty file, expected a CSV header")
     missing = [c for c in _LOG_COLUMNS if c not in index]
@@ -98,29 +111,62 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     if q_column == "qp" and "q" in index:
         warnings.append("log has both 'q' and 'qp' columns; using 'qp'")
 
-    at_q, at_label = index[q_column], index.get("label")
-    at_rest = itemgetter(*(index[c] for c in _LOG_COLUMNS))
-    samples: list[RateSample] = []
-    for num, row in rows:
+    from_qp, at_label = q_column == "qp", index.get("label")
+    at_values = itemgetter(index[q_column], *(index[c] for c in _LOG_COLUMNS))
+
+    def tag(cells: list[str]) -> str:
+        return "" if at_label is None else cells[at_label].strip()
+
+    def checked(num: int, row: list[str]) -> RateSample:
         # Each cell is converted once, in column order: the stepsize (from qp
         # if need be), then the rest, where a cell that is not a number names
         # its column.
+        cells = _cells(row, width)
+        q_text, *rest = at_values(cells)
         try:
-            q = _number(row[at_q], q_column)
-            if q_column == "qp":
+            q = _number(q_text, q_column)
+            if from_qp:
                 q = stepsize_from_qp(q)
-            cells = at_rest(row)
-            try:
-                width, height, fps, rate = map(float, cells)
-            except ValueError:
-                width, height, fps, rate = map(_number, cells, _LOG_COLUMNS)
-            star = Star(q, width * height, fps)
-            samples.append(RateSample(star, rate, "" if at_label is None else row[at_label]))
+            w, h, fps, rate = map(_number, rest, _LOG_COLUMNS)
+            return RateSample(Star(q, w * h, fps), rate, tag(cells))
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"line {num}: {exc}") from None
+
+    samples, points = [], []
+    for num, row in rows:
+        values = _in_range(at_values(row), from_qp) if len(row) == width else None
+        if values is None:
+            sample = checked(num, row)
+            x = sample.star
+            points.append((x.q, x.s, x.t))
+        else:
+            q, s, fps, rate = values
+            points.append((q, s, fps))
+            star = _frozen(Star, {"q": q, "s": s, "t": fps})
+            sample = _frozen(RateSample, {"star": star, "rate": rate, "tag": tag(row)})
+        samples.append(sample)
     if not samples:
         raise InvalidParameterError("no data rows")
-    return EncodeLog.from_samples(samples), warnings
+    _check_repeats(points, samples)
+    qs, ss, ts = zip(*points)
+    ref = ResolutionRef(q_min=min(qs), s_max=max(ss), t_max=max(ts))
+    return _frozen(EncodeLog, {"samples": tuple(samples), "ref": ref}), warnings
+
+
+def _in_range(cells, from_qp: bool) -> tuple[float, float, float, float] | None:
+    # A row's stepsize, frame size, frame rate and rate from its raw stepsize,
+    # width, height, fps and rate cells, if ``float`` reads each and the four
+    # values are finite and > 0 (a NaN fails every comparison); else None.
+    try:
+        q, w, h, fps, rate = map(float, cells)
+        if from_qp:
+            q = stepsize_from_qp(q)
+    except (ValueError, InvalidParameterError):
+        return None
+    s = w * h
+    if 0.0 < q < inf and 0.0 < s < inf and 0.0 < fps < inf and 0.0 < rate < inf:
+        return q, s, fps, rate
+    return None
 
 
 @dataclass(frozen=True)
@@ -222,7 +268,7 @@ def read_features(path) -> FeatureVector:
 
     if path.suffix.lower() != ".csv":
         return _build(FeatureVector, _read_json(path))
-    index, line, rows = _read_csv(path)
+    index, line, width, rows = _read_csv(path)
     names = [f.name for f in fields(FeatureVector)]
     missing = [k for k in names if index is not None and k not in index]
     if missing:
@@ -230,39 +276,44 @@ def read_features(path) -> FeatureVector:
     if not rows:
         raise InvalidParameterError("no feature records")
     num, row = rows[0]
+    row = _cells(row, width)
     try:
         return _build(FeatureVector, {k: _number(row[index[k]], k) for k in names})
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"line {num}: {exc}") from None
 
 
-def _read_csv(path: Path) -> tuple[dict[str, int] | None, int, list[tuple[int, list[str]]]]:
-    # The column of each header name (None for a file of blank lines) and the
-    # header's and each data row's last line. The first row is the header; a
-    # leading UTF-8 byte-order mark is dropped. Names and cells are stripped,
-    # nameless columns are not read, blank rows are skipped and short rows
-    # padded; a cell past the header must be empty.
+def _read_csv(path: Path) -> tuple[dict[str, int] | None, int, int, list[tuple[int, list[str]]]]:
+    # The column of each header name (None for a file of blank lines), the
+    # header's last line and width, and each data row's last line and cells
+    # as read. The first row is the header; a leading UTF-8 byte-order mark is
+    # dropped. Names are stripped and nameless columns are not read; blank
+    # rows are skipped, and a cell past the header must be empty once
+    # stripped. Every such fault is found before a caller converts a cell.
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(filter(None, reader), None)
             if header is None:
-                return None, reader.line_num, []
+                return None, reader.line_num, 0, []
             index = _named_once((name, i) for i, name in enumerate(map(str.strip, header)) if name)
             header_line, rows, width = reader.line_num, [], len(header)
             for row in reader:
                 if row:
-                    cells = list(map(str.strip, row))
-                    if len(cells) < width:
-                        cells += [""] * (width - len(cells))
-                    elif any(cells[width:]):
+                    if len(row) > width and any(map(str.strip, row[width:])):
                         raise InvalidParameterError(f"non-empty cell past column {width}")
-                    rows.append((reader.line_num, cells))
+                    rows.append((reader.line_num, row))
         except (csv.Error, InvalidParameterError) as exc:
             raise InvalidParameterError(f"line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise InvalidParameterError(f"not UTF-8: {exc}") from None
-    return index, header_line, rows
+    return index, header_line, width, rows
+
+
+def _cells(row: list[str], width: int) -> list[str]:
+    # A CSV row's cells stripped, a short row padded with empty cells.
+    cells = list(map(str.strip, row))
+    return cells + [""] * (width - len(cells))
 
 
 def _read_json(path: Path) -> dict:

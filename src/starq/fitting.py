@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -56,6 +56,21 @@ def _samples(samples) -> tuple[RateSample, ...]:
     return samples
 
 
+def _check_repeats(points, samples) -> None:
+    # An operating point that repeats, ``points[i]`` being sample i's, must
+    # repeat its rate.
+    if len(set(points)) == len(points):
+        return
+    seen: dict[tuple[float, float, float], float] = {}
+    for key, sample in zip(points, samples):
+        if key in seen and seen[key] != sample.rate:
+            raise InvalidParameterError(
+                f"conflicting rates for duplicate operating point {key}: "
+                f"{seen[key]} vs {sample.rate}"
+            )
+        seen[key] = sample.rate
+
+
 @dataclass(frozen=True)
 class EncodeLog:
     """An ordered collection of rate measurements plus reference resolutions."""
@@ -70,17 +85,7 @@ class EncodeLog:
             raise InvalidParameterError(f"ref must be a ResolutionRef, got {self.ref!r}")
         if not samples:
             raise InvalidParameterError("encode log is empty")
-        points = [(x.star.q, x.star.s, x.star.t) for x in samples]
-        if len(set(points)) == len(points):  # no operating point repeats
-            return
-        seen: dict[tuple[float, float, float], float] = {}
-        for key, sample in zip(points, samples):
-            if key in seen and seen[key] != sample.rate:
-                raise InvalidParameterError(
-                    f"conflicting rates for duplicate operating point {key}: "
-                    f"{seen[key]} vs {sample.rate}"
-                )
-            seen[key] = sample.rate
+        _check_repeats([(x.star.q, x.star.s, x.star.t) for x in samples], samples)
 
     @classmethod
     def from_samples(cls, samples) -> "EncodeLog":
@@ -421,10 +426,8 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
     d = measured - predicted
     d *= d
     rmse = math.sqrt(_mean(d))
-    residuals = tuple(
-        (sample.star, m, p)
-        for sample, m, p in zip(log.samples, measured.tolist(), predicted.tolist())
-    )
+    stars = map(attrgetter("star"), log.samples)
+    residuals = tuple(zip(stars, measured.tolist(), predicted.tolist()))
     return FitReport(
         params=params,
         pc=pearson(measured, predicted),

@@ -107,6 +107,15 @@ def _holds_bool(value) -> bool:
     return type(value) in (bool, np.bool_) or isinstance(value, np.ndarray) and value.dtype == bool
 
 
+def _frozen(cls, fields: dict):
+    # An instance of the frozen dataclass ``cls`` holding ``fields``, a dict
+    # of its field values, as given, for values built under every rule its
+    # __post_init__ would check.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _check_fields(obj, names, strict=True) -> None:
     # Checks the named fields of a frozen dataclass and stores them as floats;
     # a field holding a finite Python float in range is stored as it is.
@@ -316,21 +325,30 @@ def _rate(p: RateParams, q, s, t):
     )
 
 
+# _rate without numpy's overflow and invalid-value warnings: a rate past the
+# float range comes out inf, or nan for inf * 0, and the caller's check raises
+# OutOfRangeError for it, which a warning made an error by the warnings filter
+# would otherwise pre-empt. The decorator form costs half what a ``with``
+# block does per call, which a scalar evaluate_rate pays in full.
+_quiet_rate = np.errstate(over="ignore", invalid="ignore")(_rate)
+
+
 def rate_surface(p: RateParams, q, s, t):
     """Bit rate in kbps at stepsize ``q``, frame size ``s``, frame rate ``t``.
 
     Accepts scalars or broadcastable numpy arrays. Equals ``p.r_max`` exactly
-    at the reference point. Raises :class:`OutOfRangeError` where the rate
-    overflows to infinity or underflows to 0.
+    at the reference point. Raises :class:`OutOfRangeError`, and no numpy
+    warning, where the rate overflows to infinity or underflows to 0.
     """
-    rate = _rate(p, *_positive_arrays(q=q, s=s, t=t))
+    rate = _quiet_rate(p, *_positive_arrays(q=q, s=s, t=t))
     _check("rate", rate, array=True, error=OutOfRangeError)
     return rate
 
 
 def evaluate_rate(p: RateParams, x: Star) -> float:
-    """Bit rate in kbps at the operating point ``x``."""
-    return _check("rate", float(_rate(p, x.q, x.s, x.t)), error=OutOfRangeError)
+    """Bit rate in kbps at the operating point ``x``; the errors of
+    :func:`rate_surface`."""
+    return _check("rate", float(_quiet_rate(p, x.q, x.s, x.t)), error=OutOfRangeError)
 
 
 def _quality(p: QualityParams, q, s, t):

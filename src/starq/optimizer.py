@@ -248,4 +248,4 @@ def optimal_quality_curve(rp: RateParams, qp: QualityParams) -> list[tuple[float
     quality, q, _ = _best_cells(rp, qp, budgets[:, None, None], *_axes(rp.ref, 3, 64))
     k = q.argmax()
     _check_q_limit(float(q[k]), float(budgets[k]))
-    return [(float(b), float(v)) for b, v in zip(budgets, quality)]
+    return list(zip(budgets.tolist(), quality.tolist()))

@@ -13,8 +13,10 @@ The :class:`LayerGrid` and :class:`OrderedPath` constructors take values from
 outside and check every rule their docstrings list. :func:`build_layer_grid`
 applies each of the grid's rules once while it computes the tables, and keeps
 them without a copy; the two walks build paths that hold the path rules by
-construction, so they check only that each slope is finite. Neither calls a
-constructor's checks again.
+construction, so they check only that each slope is finite. Both hand over
+trusted instances, built by ``models._frozen`` without a constructor's second
+check, and the walks build each :class:`PathStep` from its fields by
+``tuple.__new__``, without the named tuple's constructor frame.
 """
 
 from __future__ import annotations
@@ -35,24 +37,17 @@ from .models import (
     _check_q_limit,
     _check_shared_ref,
     _floats,
+    _frozen,
     _holds_bool,
     _positive_arrays,
     _qr,
     _qr_powered,
     _quality,
-    _rate,
+    _quiet_rate,
 )
 
 # The index changes of a single-coordinate step: +1 along one axis.
 _MOVES = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-
-
-def _frozen(cls, **fields):
-    # An instance of the frozen dataclass ``cls`` holding ``fields`` as given,
-    # for values built here under every rule its __post_init__ would check.
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _check_rate_rises(r: np.ndarray) -> None:
@@ -223,7 +218,7 @@ def build_layer_grid(
     levels = (s_levels, t_levels, q_levels)
     s, t, q = (np.reshape(v, k) for v, k in zip(levels, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))))
     q, s, t = _positive_arrays(q=q, s=s, t=t)
-    rate = _rate(rp, q, s, t)
+    rate = _quiet_rate(rp, q, s, t)
     _check("rate", rate, array=True, error=OutOfRangeError)
     _check_q_limit(q.max(initial=0.0))
     quality = _quality(qp, q, s, t)
@@ -233,16 +228,19 @@ def build_layer_grid(
     _check("quality", quality, -np.inf, array=True)
     _check_rate_rises(rate)
     rate.flags.writeable = quality.flags.writeable = False
-    return _frozen(LayerGrid, s_levels=s_levels, t_levels=t_levels, q_levels=q_levels,
-                   rate=rate, quality=quality)
+    return _frozen(LayerGrid, {"s_levels": s_levels, "t_levels": t_levels, "q_levels": q_levels,
+                               "rate": rate, "quality": quality})
 
 
 def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
     # Both walks score a single-coordinate move by the slope dq/dr between its
     # two lattice points; forward takes the largest, backward the smallest.
     # The walk steps on the flat cell index by one stride per axis and carries
-    # the chosen cell's rate and quality on. ``item`` reads cells as Python
-    # floats, whose arithmetic is numpy's IEEE double arithmetic, at less cost.
+    # the chosen cell's rate and quality on. A flat memoryview of each
+    # read-only table reads a cell as a Python float, the double ``item``
+    # gives, at less cost; Python float arithmetic is numpy's IEEE double
+    # arithmetic. ``tuple.__new__`` builds each PathStep from its fields
+    # without the named tuple's own constructor frame.
     #
     # A checked grid makes the path hold OrderedPath's step rules, so the walk
     # hands over the derived fields itself: each move's slope, in the path's
@@ -251,26 +249,26 @@ def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
     # the steps whose quality did not rise. Only a slope can still fail.
     forward = direction == "forward"
     sign = 1 if forward else -1
-    rate, quality = grid.rate.item, grid.quality.item
+    rate, quality = memoryview(grid.rate.ravel()), memoryview(grid.quality.ravel())
     s, t, q = grid.s_levels, grid.t_levels, grid.q_levels
     L, M, N = grid.shape
     strides = (sign * M * N, sign * N, sign)
     top = (L - 1, M - 1, N - 1)
     pos, end = ([0, 0, 0], top) if forward else (list(top), (0, 0, 0))
     flat = 0 if forward else L * M * N - 1
-    rate0, quality0 = rate(flat), quality(flat)
-    steps, slopes, flags = [], [], []
+    rate0, quality0 = rate[flat], quality[flat]
+    steps, slopes, flags, new_step = [], [], [], tuple.__new__
     size = L + M + N - 2  # the path's length
     while True:
         l, m, n = pos
-        steps.append(PathStep(l, m, n, s[l], t[m], q[n], rate0, quality0))
+        steps.append(new_step(PathStep, (l, m, n, s[l], t[m], q[n], rate0, quality0)))
         best_axis = None
         # Single-coordinate moves in the tie-break order for equal slopes:
         # amplitude, then temporal, then spatial.
         for axis in (2, 1, 0):
             if pos[axis] != end[axis]:
                 nxt = flat + strides[axis]
-                rate1, quality1 = rate(nxt), quality(nxt)
+                rate1, quality1 = rate[nxt], quality[nxt]
                 slope = ((quality1 - quality0) / (rate1 - rate0) if forward
                          else (quality0 - quality1) / (rate0 - rate1))
                 if best_axis is None or (slope > best_slope if forward else slope < best_slope):
@@ -292,8 +290,8 @@ def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
     if not all(map(math.isfinite, slopes)):
         i, slope = next((i, x) for i, x in enumerate(slopes, 1) if not math.isfinite(x))
         raise OutOfRangeError(f"step {i}: quality change per rate increase is {slope}")
-    return _frozen(OrderedPath, steps=tuple(steps), direction=direction,
-                   nonpositive_gain_steps=tuple(flags), slopes=tuple(slopes))
+    return _frozen(OrderedPath, {"steps": tuple(steps), "direction": direction,
+                                 "nonpositive_gain_steps": tuple(flags), "slopes": tuple(slopes)})
 
 
 def order_forward(grid: LayerGrid) -> OrderedPath:
