@@ -6,15 +6,18 @@ solve rate-constrained operating-point selection, and order scalable layers.
 Machine-readable output goes to stdout; warnings and summaries go to stderr.
 
 Exit codes: 0 success, 2 input error, 3 insufficient data, 4 infeasible.
-A subcommand accepts exactly the options its chosen mode reads: any other
-given option, or a missing one the mode needs, is an input error raised
-before any file is opened.
+Output that cannot be written, to a closed pipe or a closed fd 1, is an
+input error. A subcommand accepts exactly the options its chosen mode
+reads: any other given option, or a missing one the mode needs, is an input
+error raised before any file is opened.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -326,12 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (``sys.argv[1:]`` if None) in this
+    process and return its exit code; argparse exits itself on ``--help`` and
+    on usage errors."""
     given = vars(build_parser().parse_args(argv))
     func = given.pop("func")
     try:
+        if sys.stdout is None:  # fd 1 was closed: every print would be dropped
+            raise StarqError("stdout is closed")
         # Results are checked and reported as errors, so numpy warnings add nothing.
         with np.errstate(all="ignore"):
-            return func(_Given(given))
+            code = func(_Given(given))
+        _flush_stdout()
+        return code
     except (StarqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, InsufficientDataError):
@@ -339,5 +349,36 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_INPUT
 
 
+def _flush_stdout() -> None:
+    # Output still buffered here would meet a closed pipe only at the
+    # interpreter's exit flush, which reports it as an ignored exception and
+    # exits 120. Flushed here, the failure is main's input error; fd 1 then
+    # points at the null device, as Python's notes on SIGPIPE advise, so the
+    # exit flush of the bytes left cannot fail again.
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
+def run() -> None:
+    """The process entry of the ``starq`` command: :func:`main` on
+    ``sys.argv``, then exit with its code.
+
+    Before the exit, ``gc.freeze()`` moves every object the cyclic collector
+    tracks to its permanent generation, which no later collection scans, so
+    the full collections of interpreter finalization skip the objects numpy
+    and starq leave behind. Exit handlers, stream flushing and module teardown
+    still run. :func:`main` never freezes: a process that calls it lives on.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -38,7 +38,6 @@ from .models import (
     _check_shared_ref,
     _floats,
     _frozen,
-    _holds_bool,
     _positive_arrays,
     _qr,
     _qr_powered,
@@ -184,10 +183,7 @@ class OrderedPath:
 
 def _ladder(name: str, values, arr: np.ndarray, increasing: bool) -> tuple[float, ...]:
     # _check_ladder's rules and messages for ``values``, whose floats ``arr``
-    # already hold, reshaped, checked finite and > 0. A bool in a list counts
-    # as 0 or 1 to numpy, so only the list itself shows it.
-    if _holds_bool(values):
-        raise InvalidParameterError(f"{name} must hold finite reals > 0")
+    # already hold, reshaped, checked finite and > 0 and free of bools.
     if type(values) in (list, tuple) and list(map(type, values)).count(float) == len(values):
         ndim = 1  # np.ndim's answer, without its array
     else:
@@ -215,9 +211,8 @@ def build_layer_grid(
     The grid keeps the two fresh tables, read-only, without copying them.
     """
     _check_shared_ref(rp, qp)
-    levels = (s_levels, t_levels, q_levels)
-    s, t, q = (np.reshape(v, k) for v, k in zip(levels, ((-1, 1, 1), (1, -1, 1), (1, 1, -1))))
-    q, s, t = _positive_arrays(q=q, s=s, t=t)
+    q, s, t = _positive_arrays(q=q_levels, s=s_levels, t=t_levels)
+    s, t, q = s.reshape(-1, 1, 1), t.reshape(1, -1, 1), q.reshape(1, 1, -1)
     rate = _quiet_rate(rp, q, s, t)
     _check("rate", rate, array=True, error=OutOfRangeError)
     _check_q_limit(q.max(initial=0.0))

@@ -100,8 +100,18 @@ BUILD_ERRORS = [
        InvalidParameterError, ladder_message(axis)) for axis in range(3)),
     *((f"2d-{AXES[axis]}", CITY, CITY_Q, with_level(axis, [LEVELS[axis]]), InvalidParameterError,
        ladder_message(axis)) for axis in range(3)),
+    # A bool among the levels, in a list or a tuple, and a ragged ladder get
+    # rate_surface's error.
     ("bool-s", CITY, CITY_Q, with_level(0, [QCIF_S, True]), InvalidParameterError,
-     "s_levels must hold finite reals > 0"),
+     "s must hold finite reals > 0"),
+    ("bool-t", CITY, CITY_Q, with_level(1, (LAYER_T[0], True)), InvalidParameterError,
+     "t must hold finite reals > 0"),
+    ("bool-q", CITY, CITY_Q, with_level(2, [*LAYER_Q[:-1], True]), InvalidParameterError,
+     "q must hold finite reals > 0"),
+    ("bool-only-s", CITY, CITY_Q, with_level(0, [True]), InvalidParameterError,
+     "s must hold finite reals > 0"),
+    ("ragged-s", CITY, CITY_Q, with_level(0, [[QCIF_S], [LAYER_S[1], LAYER_S[2]]]),
+     InvalidParameterError, "s must hold finite reals > 0"),
     ("q-at-limit", CITY, CITY_Q, with_level(2, [QualityParams.q_limit]), OutOfRangeError,
      f"stepsize {QualityParams.q_limit:.6g} is not below the quality model's limit "
      f"{QualityParams.q_limit:.6g}"),
@@ -119,6 +129,11 @@ BUILD_ERRORS = [
                                             [QualityParams.q_limit]), OutOfRangeError,
      f"stepsize {QualityParams.q_limit:.6g} is not below the quality model's limit "
      f"{QualityParams.q_limit:.6g}"),
+    ("bool-s-before-overflowing-rate", RateParams(a=1.0, b=1.0, c=1.0, r_max=1e308, ref=REF),
+     CITY_Q, ([QCIF_S, True], LEVELS[1], [1e-5]), InvalidParameterError,
+     "s must hold finite reals > 0"),
+    ("bool-t-before-q-limit", CITY, CITY_Q, (LEVELS[0], (True, 30.0), [QualityParams.q_limit]),
+     InvalidParameterError, "t must hold finite reals > 0"),
     ("ladder-t-before-ladder-q", CITY, CITY_Q, (LEVELS[0], LEVELS[1][::-1], LEVELS[2][::-1]),
      InvalidParameterError, ladder_message(1)),
     ("ladder-before-flat-rate", RateParams(a=0.0, b=1.0, c=1.0, r_max=100.0, ref=REF), CITY_Q,
