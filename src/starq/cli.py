@@ -7,14 +7,16 @@ Machine-readable output goes to stdout; warnings and summaries go to stderr.
 
 Exit codes: 0 success, 2 input error, 3 insufficient data, 4 infeasible.
 Output that cannot be written, to a closed pipe or a closed fd 1, is an
-input error. A subcommand accepts exactly the options its chosen mode
-reads: any other given option, or a missing one the mode needs, is an input
-error raised before any file is opened.
+input error, also when stderr cannot take the error line. A subcommand
+accepts exactly the options its chosen mode reads: any other given option,
+or a missing one the mode needs, is an input error raised before any file is
+opened.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -251,8 +253,14 @@ def cmd_predict_params(opts: _Given) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads any word ``float`` accepts, such as
-    ``-1e-05`` or ``-inf``, as a value and never as an option name; its
-    subcommand parsers are of this class too."""
+    ``-1e-05`` or ``-inf``, as a value and never as an option name, and whose
+    help and usage text that cannot be written raises, where argparse's own
+    writer ignores the failure; its subcommand parsers are of this class too."""
+
+    def _print_message(self, message, file=None):
+        stream = file or sys.stderr  # help meant for a closed fd 1 goes to stderr
+        if message and stream is not None:
+            _write(stream, message)
 
     def _parse_optional(self, arg_string):
         try:
@@ -331,37 +339,48 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the command line ``argv`` (``sys.argv[1:]`` if None) in this
     process and return its exit code; argparse exits itself on ``--help`` and
-    on usage errors."""
-    given = vars(build_parser().parse_args(argv))
-    func = given.pop("func")
+    on usage errors, once their text is written."""
     try:
+        given = vars(build_parser().parse_args(argv))
+        func = given.pop("func")
         if sys.stdout is None:  # fd 1 was closed: every print would be dropped
             raise StarqError("stdout is closed")
         # Results are checked and reported as errors, so numpy warnings add nothing.
         with np.errstate(all="ignore"):
             code = func(_Given(given))
-        _flush_stdout()
+        _write(sys.stdout)
         return code
     except (StarqError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}\n")
         if isinstance(exc, InsufficientDataError):
             return EXIT_INSUFFICIENT
         return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_INPUT
 
 
-def _flush_stdout() -> None:
-    # Output still buffered here would meet a closed pipe only at the
-    # interpreter's exit flush, which reports it as an ignored exception and
-    # exits 120. Flushed here, the failure is main's input error; fd 1 then
-    # points at the null device, as Python's notes on SIGPIPE advise, so the
-    # exit flush of the bytes left cannot fail again.
+def _write(stream, text: str = "") -> None:
+    # ``text`` written to ``stream`` and everything buffered flushed. Output
+    # still buffered at the interpreter's exit flush would meet a closed pipe
+    # there, which reports it as an ignored exception and exits 120. Here the
+    # failure is the caller's; the stream's fd then points at the null
+    # device, as Python's notes on SIGPIPE advise, so the exit flush of the
+    # bytes left cannot fail again.
     try:
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
         raise
+
+
+def _report(text: str) -> None:
+    # ``text`` on stderr, or where print sends it when fd 2 was closed. Output
+    # that cannot take it, such as a closed pipe, leaves the exit code to tell.
+    stream = sys.stderr or sys.stdout
+    if stream is not None:
+        with contextlib.suppress(OSError):
+            _write(stream, text)
 
 
 def run() -> None:

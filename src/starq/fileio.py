@@ -3,8 +3,8 @@
 Encode logs are CSV; model documents and configs are JSON; feature records
 are either. Document keys are the fields of the dataclass filled, and values
 reach its constructor as JSON gave them; only text (CSV cells, frame sizes) is
-converted here. An encode-log row whose cells are in range is the exception:
-the reader checks it once itself and builds trusted instances (see
+converted here. An encode log whose cells are all in range is the exception:
+the reader checks them once itself and builds trusted instances (see
 :func:`read_encode_log`). Errors start with the path, for a CSV record
 ``line N:``.
 """
@@ -15,10 +15,9 @@ import csv
 import functools
 import json
 from dataclasses import dataclass, fields
-from math import inf
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .errors import InvalidParameterError, StarqError
 from .models import (
@@ -30,6 +29,7 @@ from .models import (
     Star,
     _check,
     _check_ladder,
+    _floats,
     _frozen,
     stepsize_from_qp,
 )
@@ -88,22 +88,21 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     present qp wins, with a warning, since qp is what encoders log. Returns
     the log and any warnings.
 
-    Each row is read once. A row of the header's width whose cells ``float``
-    reads as values inside every rule (stepsize, frame size, frame rate and
-    rate finite and > 0) gives its sample without a second check; any other
-    row goes the checked way, cells stripped and padded, converted in column
-    order and built by the checking constructors, whose error it raises. The
-    log's reference comes from the rows' own minima and maxima, and the rule
-    on repeated points runs once.
+    Each row is read once. When every row is of the header's width and its
+    cells ``float`` reads as values inside every rule (stepsize, frame size,
+    frame rate and rate finite and > 0, tested once over the log), each row
+    gives its sample without a second check. Otherwise every row goes the
+    checked way, cells stripped and padded, converted in column order and
+    built by the checking constructors, whose error it raises. The log's
+    reference comes from the rows' own minima and maxima, and the rule on
+    repeated points runs once.
     """
-    from .fitting import EncodeLog, RateSample, _check_repeats
+    from .fitting import EncodeLog, RateSample, _check_repeats, _log_ref
 
     index, line, width, rows = _read_csv(path)
     if index is None:
         raise InvalidParameterError("empty file, expected a CSV header")
-    missing = [c for c in _LOG_COLUMNS if c not in index]
-    if missing:
-        raise InvalidParameterError(f"line {line}: missing columns {missing}")
+    _check_columns(index, line, _LOG_COLUMNS)
     q_column = "qp" if "qp" in index else "q"
     if q_column not in index:
         raise InvalidParameterError(f"line {line}: need a 'q' or 'qp' column")
@@ -130,11 +129,15 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
             w, h, fps, rate = map(_number, rest, _LOG_COLUMNS)
             return RateSample(Star(q, w * h, fps), rate, tag(cells))
         except InvalidParameterError as exc:
-            raise InvalidParameterError(f"line {num}: {exc}") from None
+            _on_line(num, exc)
 
+    # The range rule once over the whole log; a log that breaks it goes the checked
+    # way, row by row. Tested per row, it cost about 2% of a model build.
+    plain = [_plain(at_values(row), from_qp) if len(row) == width else None for _, row in rows]
+    if _floats(plain) is None:
+        plain = [None] * len(rows)
     samples, points = [], []
-    for num, row in rows:
-        values = _in_range(at_values(row), from_qp) if len(row) == width else None
+    for (num, row), values in zip(rows, plain):
         if values is None:
             sample = checked(num, row)
             x = sample.star
@@ -148,25 +151,19 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     if not samples:
         raise InvalidParameterError("no data rows")
     _check_repeats(points, samples)
-    qs, ss, ts = zip(*points)
-    ref = ResolutionRef(q_min=min(qs), s_max=max(ss), t_max=max(ts))
-    return _frozen(EncodeLog, {"samples": tuple(samples), "ref": ref}), warnings
+    return _frozen(EncodeLog, {"samples": tuple(samples), "ref": _log_ref(points)}), warnings
 
 
-def _in_range(cells, from_qp: bool) -> tuple[float, float, float, float] | None:
+def _plain(cells, from_qp: bool) -> list[float] | None:
     # A row's stepsize, frame size, frame rate and rate from its raw stepsize,
-    # width, height, fps and rate cells, if ``float`` reads each and the four
-    # values are finite and > 0 (a NaN fails every comparison); else None.
+    # width, height, fps and rate cells, if ``float`` reads each; else None.
     try:
         q, w, h, fps, rate = map(float, cells)
         if from_qp:
             q = stepsize_from_qp(q)
     except (ValueError, InvalidParameterError):
         return None
-    s = w * h
-    if 0.0 < q < inf and 0.0 < s < inf and 0.0 < fps < inf and 0.0 < rate < inf:
-        return q, s, fps, rate
-    return None
+    return [q, w * h, fps, rate]
 
 
 @dataclass(frozen=True)
@@ -270,9 +267,8 @@ def read_features(path) -> FeatureVector:
         return _build(FeatureVector, _read_json(path))
     index, line, width, rows = _read_csv(path)
     names = [f.name for f in fields(FeatureVector)]
-    missing = [k for k in names if index is not None and k not in index]
-    if missing:
-        raise InvalidParameterError(f"line {line}: missing columns {missing}")
+    if index is not None:
+        _check_columns(index, line, names)
     if not rows:
         raise InvalidParameterError("no feature records")
     num, row = rows[0]
@@ -280,7 +276,7 @@ def read_features(path) -> FeatureVector:
     try:
         return _build(FeatureVector, {k: _number(row[index[k]], k) for k in names})
     except InvalidParameterError as exc:
-        raise InvalidParameterError(f"line {num}: {exc}") from None
+        _on_line(num, exc)
 
 
 def _read_csv(path: Path) -> tuple[dict[str, int] | None, int, int, list[tuple[int, list[str]]]]:
@@ -304,10 +300,22 @@ def _read_csv(path: Path) -> tuple[dict[str, int] | None, int, int, list[tuple[i
                         raise InvalidParameterError(f"non-empty cell past column {width}")
                     rows.append((reader.line_num, row))
         except (csv.Error, InvalidParameterError) as exc:
-            raise InvalidParameterError(f"line {reader.line_num}: {exc}") from None
+            _on_line(reader.line_num, exc)
         except UnicodeDecodeError as exc:
             raise InvalidParameterError(f"not UTF-8: {exc}") from None
     return index, header_line, width, rows
+
+
+def _check_columns(index: dict[str, int], line: int, names) -> None:
+    # Raises for the ``names`` the CSV header ``index`` lacks, on the header's ``line``.
+    missing = [name for name in names if name not in index]
+    if missing:
+        raise InvalidParameterError(f"line {line}: missing columns {missing}")
+
+
+def _on_line(num: int, exc: Exception) -> NoReturn:
+    # ``exc``, raised while a CSV record was read, as an input error on its last line ``num``.
+    raise InvalidParameterError(f"line {num}: {exc}") from None
 
 
 def _cells(row: list[str], width: int) -> list[str]:

@@ -96,12 +96,14 @@ class EncodeLog:
         samples = _samples(samples)
         if not samples:
             raise InvalidParameterError("cannot derive a reference from an empty log")
-        ref = ResolutionRef(
-            q_min=min(s.star.q for s in samples),
-            s_max=max(s.star.s for s in samples),
-            t_max=max(s.star.t for s in samples),
-        )
-        return cls(samples=samples, ref=ref)
+        return cls(samples=samples, ref=_log_ref((x.star.q, x.star.s, x.star.t) for x in samples))
+
+
+def _log_ref(points) -> ResolutionRef:
+    # A log's reference from its ``(q, s, t)`` points: the smallest stepsize
+    # and the largest frame size and frame rate.
+    qs, ss, ts = zip(*points)
+    return ResolutionRef(q_min=min(qs), s_max=max(ss), t_max=max(ts))
 
 
 @dataclass(frozen=True)
@@ -213,9 +215,14 @@ def fit_power_exponent(points, direction: str) -> float:
     pairs = _check("normalized points", list(points), array=True)
     if len(pairs) < 2 or pairs.shape[1:] != (2,):
         raise InvalidParameterError("need at least two (ratio, normalized rate) pairs")
-    if all(math.isclose(r, 1.0, rel_tol=1e-12) for r in pairs[:, 0].tolist()):
+    if _all_one(pairs[:, 0].tolist()):
         raise DegenerateDataError("all ratios equal 1; exponent is unidentifiable")
     return _fit_exponent(*pairs.T.copy(), -1.0 if direction == "decreasing" else 1.0)[0]
+
+
+def _all_one(ratios) -> bool:
+    # Whether every ratio equals 1, which leaves an exponent unidentifiable.
+    return all(math.isclose(r, 1.0, rel_tol=1e-12) for r in ratios)
 
 
 def _fit_exponent(ratios, values, sign: float) -> tuple[float, bool]:
@@ -325,14 +332,6 @@ def _find_anchor(log: EncodeLog) -> RateSample:
     )
 
 
-def _informative(points, axis: str):
-    # The ratios and values of a normalized curve, if they can fit an exponent.
-    ratios = points[0]
-    if len(ratios) < 2 or all(math.isclose(r, 1.0, rel_tol=1e-12) for r in ratios):
-        raise InsufficientDataError(f"not enough distinct {axis} measurements to fit")
-    return points
-
-
 def _protocol_fit(log: EncodeLog, warnings: list[str]) -> RateParams:
     anchor = _find_anchor(log)
     exponents = []
@@ -342,7 +341,10 @@ def _protocol_fit(log: EncodeLog, warnings: list[str]) -> RateParams:
         (_nrt, "frame-rate", 1.0, "b"),
         (_nrs, "frame-size", 1.0, "c"),
     ):
-        points = _check("normalized points", _informative(curve(log), axis), array=True)
+        ratios, values = curve(log)
+        if len(ratios) < 2 or _all_one(ratios):
+            raise InsufficientDataError(f"not enough distinct {axis} measurements to fit")
+        points = _check("normalized points", (ratios, values), array=True)
         value, at_bound = _fit_exponent(*points, sign)
         exponents.append(value)
         if at_bound:

@@ -121,15 +121,18 @@ def _check_fields(obj, names, strict=True) -> None:
     # a field holding a finite Python float in range is stored as it is.
     for name in names:
         value = getattr(obj, name)
-        if type(value) is not float or not (
-            value - value == 0.0 and (value > 0.0 if strict else value >= 0.0)
-        ):
-            object.__setattr__(obj, name, _check(name, value, strict=strict))
+        checked = _check(name, value, strict=strict)
+        if checked is not value:
+            object.__setattr__(obj, name, checked)
 
 
 def _check_ladder(name: str, values, increasing: bool = True) -> tuple[float, ...]:
     # The values as floats, checked non-empty, finite, > 0 and strictly monotone.
-    arr = _check(name, values, array=True)
+    return _ladder(name, _check(name, values, array=True), increasing)
+
+
+def _ladder(name: str, arr: np.ndarray, increasing: bool) -> tuple[float, ...]:
+    # The ladder rule for values ``arr`` holds as checked floats, in their own shape.
     ladder = tuple(arr.tolist()) if arr.ndim == 1 else ()
     if not ladder or not all(a < b if increasing else a > b for a, b in zip(ladder, ladder[1:])):
         direction = "increasing" if increasing else "decreasing"
@@ -340,7 +343,12 @@ def rate_surface(p: RateParams, q, s, t):
     at the reference point. Raises :class:`OutOfRangeError`, and no numpy
     warning, where the rate overflows to infinity or underflows to 0.
     """
-    rate = _quiet_rate(p, *_positive_arrays(q=q, s=s, t=t))
+    return _checked_rate(p, *_positive_arrays(q=q, s=s, t=t))
+
+
+def _checked_rate(p: RateParams, q, s, t):
+    # rate_surface on checked arrays: the rate, checked finite and > 0.
+    rate = _quiet_rate(p, q, s, t)
     _check("rate", rate, array=True, error=OutOfRangeError)
     return rate
 
@@ -382,7 +390,11 @@ def quality_surface(p: QualityParams, q, s, t):
     the full product is exactly 1.0 at ``(q_min, s_max, t_max)``. Raises
     :class:`OutOfRangeError` at stepsizes ``>= p.q_limit``.
     """
-    q, s, t = _positive_arrays(q=q, s=s, t=t)
+    return _checked_quality(p, *_positive_arrays(q=q, s=s, t=t))
+
+
+def _checked_quality(p: QualityParams, q, s, t):
+    # quality_surface on checked arrays: the quality, for stepsizes below q_limit.
     _check_q_limit(q.max(initial=0.0))
     return _quality(p, q, s, t)
 

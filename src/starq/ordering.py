@@ -12,11 +12,11 @@ drop and tends to spread the achievable rates more evenly.
 The :class:`LayerGrid` and :class:`OrderedPath` constructors take values from
 outside and check every rule their docstrings list. :func:`build_layer_grid`
 applies each of the grid's rules once while it computes the tables, and keeps
-them without a copy; the two walks build paths that hold the path rules by
-construction, so they check only that each slope is finite. Both hand over
-trusted instances, built by ``models._frozen`` without a constructor's second
-check, and the walks build each :class:`PathStep` from its fields by
-``tuple.__new__``, without the named tuple's constructor frame.
+them without a copy; the walks' paths hold the path rules by construction, so
+they check only their slopes. Each rule they apply is the function the
+constructors and surfaces call, with its one message. Both hand over trusted
+instances, built by ``models._frozen`` without a constructor's second check,
+and each :class:`PathStep` is built from its fields by ``tuple.__new__``.
 """
 
 from __future__ import annotations
@@ -34,15 +34,15 @@ from .models import (
     RateParams,
     _check,
     _check_ladder,
-    _check_q_limit,
     _check_shared_ref,
+    _checked_quality,
+    _checked_rate,
     _floats,
     _frozen,
+    _ladder,
     _positive_arrays,
     _qr,
     _qr_powered,
-    _quality,
-    _quiet_rate,
 )
 
 # The index changes of a single-coordinate step: +1 along one axis.
@@ -55,6 +55,14 @@ def _check_rate_rises(r: np.ndarray) -> None:
     if not ((r[1:] > r[:-1]).all() and (r[:, 1:] > r[:, :-1]).all()
             and (r[:, :, 1:] > r[:, :, :-1]).all()):
         raise InvalidParameterError("rate must increase strictly along every axis")
+
+
+def _check_slopes(slopes) -> None:
+    # The slope rule: ``slopes[i - 1]``, step i's quality change per rate
+    # increase, is finite; the first that is not raises.
+    if not all(map(math.isfinite, slopes)):
+        i, slope = next((i, x) for i, x in enumerate(slopes, 1) if not math.isfinite(x))
+        raise OutOfRangeError(f"step {i}: quality change per rate increase is {slope}")
 
 
 @dataclass(frozen=True)
@@ -165,12 +173,9 @@ class OrderedPath:
                 raise InvalidParameterError("path violates the monotonicity constraint")
             if rate1 <= rate0:
                 raise InvalidParameterError("rate must increase strictly along the path")
-            slope = (quality1 - quality0) / (rate1 - rate0)
-            if not math.isfinite(slope):
-                raise OutOfRangeError(
-                    f"step {len(slopes) + 1}: quality change per rate increase is {slope}"
-                )
-            slopes.append(slope)
+            slopes.append((quality1 - quality0) / (rate1 - rate0))
+            if not math.isfinite(slopes[-1]):
+                _check_slopes(slopes)
             if quality1 <= quality0:
                 flags.append(len(slopes))
         flags = tuple(flags)
@@ -179,20 +184,6 @@ class OrderedPath:
             raise InvalidParameterError(f"nonpositive_gain_steps must be {flags}, got {passed!r}")
         object.__setattr__(self, "nonpositive_gain_steps", flags)
         object.__setattr__(self, "slopes", tuple(slopes))
-
-
-def _ladder(name: str, values, arr: np.ndarray, increasing: bool) -> tuple[float, ...]:
-    # _check_ladder's rules and messages for ``values``, whose floats ``arr``
-    # already hold, reshaped, checked finite and > 0 and free of bools.
-    if type(values) in (list, tuple) and list(map(type, values)).count(float) == len(values):
-        ndim = 1  # np.ndim's answer, without its array
-    else:
-        ndim = np.ndim(values)
-    ladder = tuple(arr.ravel().tolist()) if ndim == 1 else ()
-    if not ladder or not all(a < b if increasing else a > b for a, b in zip(ladder, ladder[1:])):
-        direction = "increasing" if increasing else "decreasing"
-        raise InvalidParameterError(f"{name} must be a non-empty, strictly {direction} sequence")
-    return ladder
 
 
 def build_layer_grid(
@@ -211,15 +202,13 @@ def build_layer_grid(
     The grid keeps the two fresh tables, read-only, without copying them.
     """
     _check_shared_ref(rp, qp)
-    q, s, t = _positive_arrays(q=q_levels, s=s_levels, t=t_levels)
-    s, t, q = s.reshape(-1, 1, 1), t.reshape(1, -1, 1), q.reshape(1, 1, -1)
-    rate = _quiet_rate(rp, q, s, t)
-    _check("rate", rate, array=True, error=OutOfRangeError)
-    _check_q_limit(q.max(initial=0.0))
-    quality = _quality(qp, q, s, t)
-    s_levels = _ladder("s_levels", s_levels, s, True)
-    t_levels = _ladder("t_levels", t_levels, t, True)
-    q_levels = _ladder("q_levels", q_levels, q, False)
+    q_levels, s_levels, t_levels = _positive_arrays(q=q_levels, s=s_levels, t=t_levels)
+    s, t, q = s_levels.reshape(-1, 1, 1), t_levels.reshape(1, -1, 1), q_levels.reshape(1, 1, -1)
+    rate = _checked_rate(rp, q, s, t)
+    quality = _checked_quality(qp, q, s, t)
+    s_levels = _ladder("s_levels", s_levels, True)
+    t_levels = _ladder("t_levels", t_levels, True)
+    q_levels = _ladder("q_levels", q_levels, False)
     _check("quality", quality, -np.inf, array=True)
     _check_rate_rises(rate)
     rate.flags.writeable = quality.flags.writeable = False
@@ -241,7 +230,8 @@ def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
     # hands over the derived fields itself: each move's slope, in the path's
     # increasing-rate form (backward, the higher point minus the lower, which
     # compares as the walk's own form does and keeps a zero slope +0.0), and
-    # the steps whose quality did not rise. Only a slope can still fail.
+    # the steps whose quality did not rise. Only a slope can still fail, and
+    # _check_slopes, OrderedPath's own slope rule, decides.
     forward = direction == "forward"
     sign = 1 if forward else -1
     rate, quality = memoryview(grid.rate.ravel()), memoryview(grid.quality.ravel())
@@ -282,9 +272,7 @@ def _greedy(grid: LayerGrid, direction: str) -> OrderedPath:
         steps.reverse()
         slopes.reverse()
         flags.reverse()
-    if not all(map(math.isfinite, slopes)):
-        i, slope = next((i, x) for i, x in enumerate(slopes, 1) if not math.isfinite(x))
-        raise OutOfRangeError(f"step {i}: quality change per rate increase is {slope}")
+    _check_slopes(slopes)
     return _frozen(OrderedPath, {"steps": tuple(steps), "direction": direction,
                                  "nonpositive_gain_steps": tuple(flags), "slopes": tuple(slopes)})
 

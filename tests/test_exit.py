@@ -6,7 +6,8 @@ then freezes the objects the cyclic collector tracks, so the interpreter's
 exit-time collections skip them. ``main(argv)`` is the in-process API and
 never freezes. Output that cannot be written, into a pipe whose reader is
 gone or to a closed fd 1, is an input error: exit 2 and one ``error:`` line,
-whether or not ``PYTHONUNBUFFERED`` is set.
+whether or not ``PYTHONUNBUFFERED`` is set. When stderr goes into the same
+closed pipe, the line is lost and the exit code is still 2.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ SRC = str(Path(starq.__file__).resolve().parent.parent)
 CLI = [sys.executable, "-m", "starq.cli"]
 BROKEN_PIPE = "error: [Errno 32] Broken pipe\n"
 # One JSON line, which stays in a buffered stdout until it is flushed, and a
-# CSV larger than any buffer, which fails at a write.
+# CSV larger than any buffer, which fails at a write. argparse writes the help
+# text itself and exits from parse_args.
 ONE = ["optimize", "model.json", "--budget", "1000"]
 SWEEP = ["optimize", "model.json", "--budget-sweep", "5000"]
+HELP = ["optimize", "--help"]
 MODES = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 
 
@@ -47,20 +50,40 @@ def child(command, unbuffered: bool, **kwargs) -> subprocess.CompletedProcess:
     env.update(PYTHONPATH=SRC, COLUMNS="80")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run(command, stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
-                          text=True, timeout=60, **kwargs)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run(command, stdin=subprocess.DEVNULL, env=env, text=True, timeout=60,
+                          **kwargs)
+
+
+def closed_pipe(command, unbuffered: bool, both: bool = False) -> subprocess.CompletedProcess:
+    """``command`` run with stdout, and stderr too if ``both``, into a pipe
+    whose reader is gone before the child starts."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        return child(command, unbuffered, stdout=w, stderr=w if both else subprocess.PIPE)
+    finally:
+        os.close(w)
 
 
 @MODES
-@pytest.mark.parametrize("template", [ONE, SWEEP], ids=" ".join)
+@pytest.mark.parametrize("template", [ONE, SWEEP, HELP], ids=" ".join)
 def test_closed_pipe_is_input_error(files, template, unbuffered):
-    r, w = os.pipe()
-    os.close(r)  # the reader is gone before the child starts
-    try:
-        proc = child([*CLI, *in_dir(files, template)], unbuffered, stdout=w)
-    finally:
-        os.close(w)
+    proc = closed_pipe([*CLI, *in_dir(files, template)], unbuffered)
     assert (proc.returncode, proc.stderr) == (2, BROKEN_PIPE)
+
+
+@MODES
+@pytest.mark.parametrize("argv", [
+    ["optimize", "missing.json", "--budget", "1000"],  # an input error
+    ["predict-params", "--scenario", "SVC1", "--mu-dfd", "1", "--sigma-mvm", "1",
+     "--sigma-mda", "1"],  # a success whose output cannot be written
+    ["optimize", "--nope"],  # argparse's usage error
+    HELP,
+], ids=["missing-file", "success", "usage", "help"])
+def test_closed_stderr_too_is_input_error(files, argv, unbuffered):
+    # The error line cannot be written either; the exit code still says it.
+    assert closed_pipe([*CLI, *in_dir(files, argv)], unbuffered, both=True).returncode == 2
 
 
 def closed_stdout(argv, unbuffered: bool) -> subprocess.CompletedProcess:

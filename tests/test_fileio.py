@@ -351,9 +351,11 @@ PADS = ([""], [" ", "\t", "\u00a0"],
         [" ", "\t", "\x0b", "\x1c", "\x1f", "\x85", "\u00a0", "\u2003", "\u2028", "\u3000", "\n", ""])
 # Cells in range: signs, underscores, exponents, non-ASCII digits; each pool
 # holds two values, some written two ways, so points repeat and rates clash.
+# A frame rate and a rate near the float maximum are each in range, but a
+# row holding both sums past it.
 GOOD = {"q": ["16", "+1_6", "26.0"], "qp": ["28", "2_8.0", "-1"],
         "width": ["704", "٧٠٤", "2.5E2"], "height": ["576", "1"],
-        "fps": ["30", "3_0", "7.5e0"], "rate_kbps": ["2379", "2_379.0", "1e2"]}
+        "fps": ["30", "3_0", "7.5e0", "1.5e308"], "rate_kbps": ["2379", "2_379.0", "1e2", "1.5e308"]}
 # Cells out of range, and cells that are not numbers (a zero-width space is
 # not whitespace).
 OUT_OF_RANGE = ["0", "-1", "-0.0", "1e-400", "nan", "inf", "-inf", "1e400", "1e10", "-1e10"]

@@ -158,6 +158,16 @@ class TestFitRateParams:
         with pytest.raises(InsufficientDataError):
             fit_rate_params(log)
 
+    @pytest.mark.parametrize("mode,message", [
+        ("protocol", "not enough distinct frame-rate measurements to fit"),
+        ("joint", "joint fit needs at least four samples"),
+    ])
+    def test_two_samples_reach_the_later_rules(self, mode, message):
+        # Two samples pass the sample-count rule and fail a later one.
+        log = small_log([(16.0, REF.s_max, 30.0, 1000.0), (32.0, REF.s_max, 30.0, 600.0)])
+        with pytest.raises(InsufficientDataError, match=message):
+            fit_rate_params(log, mode=mode)
+
     def test_protocol_needs_anchor(self):
         samples = [
             (26.0, REF.s_max, 30.0, 800.0),

@@ -39,6 +39,7 @@ from starq import (
     optimize_continuous,
     optimize_discrete,
 )
+from starq.optimizer import _grid_size
 
 CITY = rate_params("city")
 CITY_Q = quality_params("city")
@@ -170,6 +171,16 @@ class TestContinuous:
                 optimize_continuous(CITY, CITY_Q, 500.0, grid=bad)
         default = optimize_continuous(CITY, CITY_Q, 500.0)
         assert optimize_continuous(CITY, CITY_Q, 500.0, grid=np.int64(64)) == default
+
+    def test_grid_bounds(self):
+        # The smallest grid runs; the largest is pinned through the size rule
+        # alone, since a 4096 x 4096 search takes most of a second and
+        # hundreds of MB.
+        assert optimize_continuous(CITY, CITY_Q, 500.0, grid=2).rate <= 500.0
+        assert _grid_size(4096) == 4096
+        for bad in (1, 4097):
+            with pytest.raises(InvalidParameterError, match=r"must be an integer in \[2, 4096\]"):
+                optimize_continuous(CITY, CITY_Q, 500.0, grid=bad)
 
 
 class TestDiscrete:

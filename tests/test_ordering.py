@@ -399,6 +399,15 @@ class TestOrderedPathInvariants:
         with pytest.raises(OutOfRangeError, match="step 1: .* is inf"):
             OrderedPath(steps=(a, b), direction="forward")
 
+    def test_overflowing_slope_rejected_before_a_later_bad_move(self):
+        # Step 1's slope overflows; step 2 moves in two coordinates. Each step
+        # is checked in full before the next, so the slope's error comes first.
+        a = PathStep(0, 0, 0, 1.0, 1.0, 4.0, 1e-310, 0.2)
+        b = PathStep(1, 0, 0, 2.0, 1.0, 4.0, 2e-310, 0.5)
+        c = PathStep(2, 1, 0, 3.0, 2.0, 4.0, 3e-310, 0.6)
+        with pytest.raises(OutOfRangeError, match="step 1: .* is inf"):
+            OrderedPath(steps=(a, b, c), direction="forward")
+
     @pytest.mark.parametrize("order", [order_forward, order_backward])
     def test_subnormal_rate_steps_out_of_range(self, order):
         rp = RateParams(a=1.0, b=1.0, c=1.0, r_max=1e-307, ref=REF)
