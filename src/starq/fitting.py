@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -73,7 +74,14 @@ def _check_repeats(points, samples) -> None:
 
 @dataclass(frozen=True)
 class EncodeLog:
-    """An ordered collection of rate measurements plus reference resolutions."""
+    """An ordered collection of rate measurements plus reference resolutions.
+
+    A log derives its rate columns, its NRQ, NRT and NRS curves and its
+    protocol fit on first use and keeps them for later fits. They are not
+    fields: ``==``, ``repr``, ``hash`` and pickles ignore them, and
+    ``dataclasses.replace`` gives a log that derives its own. A derivation
+    that raises keeps nothing, so it raises again on the next call.
+    """
 
     samples: tuple[RateSample, ...]
     ref: ResolutionRef
@@ -98,6 +106,60 @@ class EncodeLog:
             raise InvalidParameterError("cannot derive a reference from an empty log")
         return cls(samples=samples, ref=_log_ref((x.star.q, x.star.s, x.star.t) for x in samples))
 
+    def __getstate__(self) -> dict:
+        # A pickle holds the fields alone; its copy derives its own views.
+        return {"samples": self.samples, "ref": self.ref}
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        # The q, s, t and rate arrays of the samples, read-only; four
+        # comprehensions cost less than one pass and a transpose.
+        samples = self.samples
+        columns = (
+            np.array([x.star.q for x in samples]),
+            np.array([x.star.s for x in samples]),
+            np.array([x.star.t for x in samples]),
+            np.array([x.rate for x in samples]),
+        )
+        for column in columns:
+            column.flags.writeable = False
+        return columns
+
+    # The NRQ, NRT and NRS curves as (ratios, values) tuples; the public
+    # normalize_* functions give them as pairs.
+    @cached_property
+    def _nrq(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        ref = self.ref
+        at_smax = [x for x in self.samples if _close(x.star.s, ref.s_max)]
+        return _normalize(
+            at_smax, lambda x: x.t, "q", ref.q_min,
+            "no rate measured at the reference stepsize and frame size",
+        )
+
+    @cached_property
+    def _nrt(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        ref = self.ref
+        curve = [
+            x for x in self.samples if _close(x.star.q, ref.q_min) and _close(x.star.s, ref.s_max)
+        ]
+        return _normalize(
+            curve, lambda x: None, "t", ref.t_max,
+            "no rate measured at the reference frame rate for the reference stepsize and frame size",
+        )
+
+    @cached_property
+    def _nrs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        return _normalize(
+            self.samples, lambda x: (x.q, x.t), "s", self.ref.s_max,
+            "no rate measured at the reference frame size",
+        )
+
+    @cached_property
+    def _protocol_seed(self) -> tuple[RateParams, tuple[str, ...]]:
+        # The protocol fit's parameters and warnings, which the joint fit
+        # refines.
+        return _protocol_fit(self)
+
 
 def _log_ref(points) -> ResolutionRef:
     # A log's reference from its ``(q, s, t)`` points: the smallest stepsize
@@ -120,7 +182,7 @@ class FitReport:
 
 def _normalize(samples, group, axis: str, anchor: float, missing: str):
     # The ratios ``axis / anchor`` and the rates divided by the rate measured
-    # at ``axis == anchor`` within each group of samples, as two lists:
+    # at ``axis == anchor`` within each group of samples, as two tuples:
     # groups in sorted order, each sorted along ``axis``. Groups without an
     # anchor measurement are skipped.
     groups: dict = {}
@@ -140,36 +202,7 @@ def _normalize(samples, group, axis: str, anchor: float, missing: str):
                 break
     if not ratios:
         raise InsufficientDataError(missing)
-    return ratios, values
-
-
-# The NRQ, NRT and NRS curves as (ratios, values) lists; the public
-# normalize_* functions give them as pairs.
-def _nrq(log: EncodeLog):
-    ref = log.ref
-    at_smax = [s for s in log.samples if _close(s.star.s, ref.s_max)]
-    return _normalize(
-        at_smax, lambda x: x.t, "q", ref.q_min,
-        "no rate measured at the reference stepsize and frame size",
-    )
-
-
-def _nrt(log: EncodeLog):
-    ref = log.ref
-    curve = [
-        s for s in log.samples if _close(s.star.q, ref.q_min) and _close(s.star.s, ref.s_max)
-    ]
-    return _normalize(
-        curve, lambda x: None, "t", ref.t_max,
-        "no rate measured at the reference frame rate for the reference stepsize and frame size",
-    )
-
-
-def _nrs(log: EncodeLog):
-    return _normalize(
-        log.samples, lambda x: (x.q, x.t), "s", log.ref.s_max,
-        "no rate measured at the reference frame size",
-    )
+    return tuple(ratios), tuple(values)
 
 
 def normalize_nrq(log: EncodeLog) -> list[tuple[float, float]]:
@@ -178,17 +211,19 @@ def normalize_nrq(log: EncodeLog) -> list[tuple[float, float]]:
 
     Returns ``(q / q_min, rate ratio)`` pairs, anchor included. Frame rates
     lacking a ``q_min`` measurement at ``s_max`` cannot be normalized and are
-    skipped.
+    skipped. The log keeps the curve, which its protocol fit reads too; the
+    returned list is the caller's own.
     """
-    return list(zip(*_nrq(log)))
+    return list(zip(*log._nrq))
 
 
 def normalize_nrt(log: EncodeLog) -> list[tuple[float, float]]:
     """Rates at ``(q_min, s_max)`` normalized by the rate at ``t_max``.
 
-    Returns ``(t / t_max, rate ratio)`` pairs.
+    Returns ``(t / t_max, rate ratio)`` pairs. The log keeps the curve, as
+    for :func:`normalize_nrq`.
     """
-    return list(zip(*_nrt(log)))
+    return list(zip(*log._nrt))
 
 
 def normalize_nrs(log: EncodeLog) -> list[tuple[float, float]]:
@@ -196,9 +231,10 @@ def normalize_nrs(log: EncodeLog) -> list[tuple[float, float]]:
     pooled over all pairs.
 
     Returns ``(s / s_max, rate ratio)`` pairs. Pairs without an ``s_max``
-    measurement are skipped.
+    measurement are skipped. The log keeps the curve, as for
+    :func:`normalize_nrq`.
     """
-    return list(zip(*_nrs(log)))
+    return list(zip(*log._nrs))
 
 
 def fit_power_exponent(points, direction: str) -> float:
@@ -304,21 +340,34 @@ def _qr_rmse(powered, qualities):
 
 
 def pearson(x, y) -> float:
-    """Linear correlation between two equally long measurement vectors."""
+    """Linear correlation between two equally long measurement vectors.
+
+    Multiplying either vector by a power of two leaves the result
+    bit-identical, as long as no element becomes subnormal.
+    """
     xv = _check("x", x, -math.inf, array=True)
     yv = _check("y", y, -math.inf, array=True)
     if xv.ndim != 1 or xv.shape != yv.shape:
         raise InvalidParameterError("inputs must be 1-d vectors of equal length")
     if xv.size < 2:
         raise InvalidParameterError("need at least two points")
-    xm = xv - _mean(xv)
-    ym = yv - _mean(yv)
+    xm = _centred(xv)
+    ym = _centred(yv)
     sxx = float(np.dot(xm, xm))
     syy = float(np.dot(ym, ym))
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateDataError("constant vector has no correlation")
     # Rounding can push a perfect correlation one ulp past the true bound.
     return min(1.0, max(-1.0, float(np.dot(xm, ym) / math.sqrt(sxx * syy))))
+
+
+def _centred(v: np.ndarray) -> np.ndarray:
+    # v less its mean, in the unit that puts its largest magnitude in
+    # [0.5, 1). The scaling is exact, and it keeps pearson's sums of squares
+    # and their product inside the float range at any scale of v.
+    v = np.ldexp(v, -math.frexp(float(np.maximum.reduce(np.abs(v))))[1])
+    v -= _mean(v)
+    return v
 
 
 def _find_anchor(log: EncodeLog) -> RateSample:
@@ -332,16 +381,17 @@ def _find_anchor(log: EncodeLog) -> RateSample:
     )
 
 
-def _protocol_fit(log: EncodeLog, warnings: list[str]) -> RateParams:
+def _protocol_fit(log: EncodeLog) -> tuple[RateParams, tuple[str, ...]]:
+    # The protocol fit's parameters and its warnings; EncodeLog keeps them.
     anchor = _find_anchor(log)
     exponents = []
     bound_hits = []
     for curve, axis, sign, name in (
-        (_nrq, "stepsize", -1.0, "a"),
-        (_nrt, "frame-rate", 1.0, "b"),
-        (_nrs, "frame-size", 1.0, "c"),
+        ("_nrq", "stepsize", -1.0, "a"),
+        ("_nrt", "frame-rate", 1.0, "b"),
+        ("_nrs", "frame-size", 1.0, "c"),
     ):
-        ratios, values = curve(log)
+        ratios, values = getattr(log, curve)
         if len(ratios) < 2 or _all_one(ratios):
             raise InsufficientDataError(f"not enough distinct {axis} measurements to fit")
         points = _check("normalized points", (ratios, values), array=True)
@@ -352,22 +402,10 @@ def _protocol_fit(log: EncodeLog, warnings: list[str]) -> RateParams:
                 f"{axis} exponent {name} stopped at the search bound {_EXPONENT_MAX:g}; "
                 "the data may call for a larger value"
             )
-    # Warn only once every curve has fitted; a joint fit that falls back to
-    # the log-domain seed never uses these exponents.
-    warnings.extend(bound_hits)
+    # The bound warnings come only with a fit of every curve; a joint fit
+    # that falls back to the log-domain seed never uses these exponents.
     a, b, c = exponents
-    return RateParams(a=a, b=b, c=c, r_max=anchor.rate, ref=log.ref)
-
-
-def _columns(samples):
-    # The q, s, t and rate arrays of the samples, built once per fit; four
-    # comprehensions cost less than one pass and a transpose.
-    return (
-        np.array([x.star.q for x in samples]),
-        np.array([x.star.s for x in samples]),
-        np.array([x.star.t for x in samples]),
-        np.array([x.rate for x in samples]),
-    )
+    return RateParams(a=a, b=b, c=c, r_max=anchor.rate, ref=log.ref), tuple(bound_hits)
 
 
 def _loglinear_init(ref: ResolutionRef, signed, rate) -> RateParams:
@@ -397,37 +435,45 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
     and takes ``r_max`` from the measured anchor rate; it requires the anchor
     samples. ``joint`` mode minimizes the squared rate error over all four
     parameters simultaneously, seeded by the protocol fit when the anchors
-    exist and by a log-domain regression otherwise. The refinement keeps
+    exist and by a log-domain regression otherwise. The log keeps its
+    protocol fit and the curves it came from, so either mode reuses what an
+    earlier fit or ``normalize_*`` call of the same log object derived;
+    every report equals the one a fresh log would give. The refinement keeps
     ``a, b, c >= 0`` and ``r_max >= 1e-9`` times the seed's, a box that holds
     the seed, and never ends with a larger squared error than the seed has.
     Where that floor rounds to 0 (a subnormal seed ``r_max``) and the loop
     ends at ``r_max = 0``, ``RateParams`` raises ``InvalidParameterError``.
-    Accuracy metrics cover every sample in the log.
+    Accuracy metrics cover every sample in the log; they are taken in the
+    unit that puts ``r_max`` in [0.5, 1), so a power-of-two change of rate
+    unit scales ``rmse`` exactly and leaves ``rrmse`` and ``pc`` as they are.
     """
     if mode not in ("protocol", "joint"):
         raise InvalidParameterError(f"unknown fit mode {mode!r}")
     if len(log.samples) < 2:
         raise InsufficientDataError("cannot fit a rate model to fewer than two samples")
 
-    warnings: list[str] = []
-    q, s, t, measured = _columns(log.samples)
+    q, s, t, measured = log._columns
     if mode == "protocol":
-        params = _protocol_fit(log, warnings)
+        params, warnings = log._protocol_seed
     else:
         ref = log.ref
         # Per sample: -log(q / q_min), log(t / t_max), log(s / s_max).
         signed = np.array((-np.log(q / ref.q_min), np.log(t / ref.t_max), np.log(s / ref.s_max))).T
         try:
-            init = _protocol_fit(log, warnings)
+            init, warnings = log._protocol_seed
         except InsufficientDataError:
             init = _loglinear_init(ref, signed, measured)
-            warnings.append("anchor samples missing; joint fit seeded by log-domain regression")
+            warnings = ("anchor samples missing; joint fit seeded by log-domain regression",)
         params = _joint_refine(signed, measured, init)
 
     predicted = _rate(params, q, s, t)
-    d = measured - predicted
+    # Squared residuals of rates beyond about 1e+-150 leave the float range:
+    # square them in the unit that puts r_max in [0.5, 1), an exact scaling.
+    unit = math.frexp(params.r_max)[1]
+    d = np.ldexp(measured, -unit)
+    d -= np.ldexp(predicted, -unit)
     d *= d
-    rmse = math.sqrt(_mean(d))
+    rmse = math.ldexp(math.sqrt(_mean(d)), unit)
     stars = map(attrgetter("star"), log.samples)
     residuals = tuple(zip(stars, measured.tolist(), predicted.tolist()))
     return FitReport(
@@ -436,7 +482,7 @@ def fit_rate_params(log: EncodeLog, mode: str = "protocol") -> FitReport:
         rmse=rmse,
         rrmse=rmse / params.r_max,
         per_sample_residuals=residuals,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 

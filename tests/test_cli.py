@@ -8,7 +8,10 @@ from sequences import REF, rate_params, quality_params, synthetic_log, without_a
 from starq import cli
 from starq.cli import main
 from starq.fileio import ModelFile, read_model_file, write_model_file
-from starq import QualityParams, RateParams, ResolutionRef
+from starq import (
+    CIF, CIF4, QCIF, EncodeLog, QualityParams, RateParams, RateSample, ResolutionRef, Star,
+    evaluate_rate,
+)
 
 CITY = rate_params("city")
 CITY_Q = quality_params("city")
@@ -75,6 +78,24 @@ class TestFit:
         assert captured.out.splitlines()[0] == anchored.out.splitlines()[0]
         assert parse_table(captured.out).keys() == parse_table(anchored.out).keys()
         assert float(parse_table(captured.out)["R_max"]) == pytest.approx(2379.0, rel=1e-6)
+
+    def test_rates_near_the_float_limit_keep_their_metrics(self, tmp_path, capsys):
+        # 26 noiseless rates between 3e305 and 1e307, without the anchor row:
+        # the squared residuals and the correlation's sums pass the float
+        # range in kbps, so the metrics are taken in a scaled unit.
+        huge = RateParams(a=1.2, b=0.7, c=0.5, r_max=1e307, ref=REF)
+        stars = [
+            Star(q, float(s), t)
+            for q in (16.0, 26.0, 40.0) for t in (7.5, 15.0, 30.0) for s in (QCIF, CIF, CIF4)
+        ]
+        samples = tuple(RateSample(star=x, rate=evaluate_rate(huge, x)) for x in stars)
+        log = without_anchor(EncodeLog(samples=samples, ref=REF))
+        assert len(log.samples) == 26
+        assert main(["fit", str(write_log_csv(tmp_path / "huge.csv", log)), "--mode", "joint"]) == 0
+        table = parse_table(capsys.readouterr().out)
+        assert [table[name] for name in ("a", "b", "c", "R_max")] == ["1.2", "0.7", "0.5", "1e+307"]
+        assert float(table["PC"]) >= 0.999999
+        assert float(table["RRMSE"].rstrip("%")) < 1e-9
 
     def test_deterministic_output(self, city_log_csv, capsys):
         assert main(["fit", str(city_log_csv)]) == 0

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sequences import (
@@ -348,6 +348,24 @@ def test_rate_unit_is_free(a, b, c, r_max, noise, seed, anchors, j):
         )
 
 
+@settings(max_examples=100, deadline=None)
+@given(j=st.integers(-1000, 1000))
+def test_protocol_fit_metrics_hold_across_the_float_range(j):
+    # Beyond rates of about 1e150 the squared residuals and the correlation's
+    # sums leave the float range in the rates' own unit; the metrics are
+    # taken in a unit a power of two apart, so they scale exactly too.
+    log = synthetic_log(RateParams(a=1.2, b=0.7, c=0.5, r_max=3000.0, ref=REF), 0.02, 5)
+    want = fit_rate_params(log)
+    got = fit_rate_params(_scaled(log, 2.0 ** j))
+    assert (got.params.a, got.params.b, got.params.c) == (want.params.a, want.params.b, want.params.c)
+    assert got.params.r_max == math.ldexp(want.params.r_max, j)
+    assert got.rmse == math.ldexp(want.rmse, j)
+    assert (got.rrmse, got.pc) == (want.rrmse, want.pc)
+    assert got.per_sample_residuals == tuple(
+        (x, math.ldexp(m, j), math.ldexp(p, j)) for x, m, p in want.per_sample_residuals
+    )
+
+
 class TestEncodeLog:
     def test_conflicting_duplicates_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -435,3 +453,21 @@ class TestPearson:
         y = np.array([2.0, 1.0, 5.0, 7.0, 11.0])
         base = pearson(x, y)
         assert pearson(x, alpha * y + beta) == pytest.approx(base, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(
+        x=st.lists(st.integers(-1000, 1000), min_size=2, max_size=8),
+        data=st.data(),
+        j=st.integers(-1000, 1000),
+    )
+    def test_power_of_two_scale_is_exact(self, x, data, j):
+        y = data.draw(st.lists(st.integers(-1000, 1000), min_size=len(x), max_size=len(x)))
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        x = np.array(x, dtype=float)
+        assert pearson(np.ldexp(x, j), y) == pearson(x, y)
+        assert pearson(y, np.ldexp(x, j)) == pearson(y, x)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+    def test_far_from_unit_scale(self, scale):
+        assert pearson([scale, 2 * scale, 3 * scale], [1, 2, 3]) == pytest.approx(1.0, abs=1e-15)
+        assert pearson([3 * scale, 2 * scale, scale], [1, 2, 3]) == pytest.approx(-1.0, abs=1e-15)
