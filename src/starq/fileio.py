@@ -93,7 +93,8 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     frame rate and rate finite and > 0, tested once over the log), each row
     gives its sample without a second check. Otherwise every row goes the
     checked way, cells stripped and padded, converted in column order and
-    built by the checking constructors, whose error it raises. The log's
+    built by the checking constructors, whose error it raises, and the log
+    is ``EncodeLog.from_samples`` of those samples. Either way the log's
     reference comes from the rows' own minima and maxima, and the rule on
     repeated points runs once.
     """
@@ -134,24 +135,17 @@ def read_encode_log(path) -> tuple[EncodeLog, list[str]]:
     # The range rule once over the whole log; a log that breaks it goes the checked
     # way, row by row. Tested per row, it cost about 2% of a model build.
     plain = [_plain(at_values(row), from_qp) if len(row) == width else None for _, row in rows]
-    if _floats(plain) is None:
-        plain = [None] * len(rows)
-    samples, points = [], []
-    for (num, row), values in zip(rows, plain):
-        if values is None:
-            sample = checked(num, row)
-            x = sample.star
-            points.append((x.q, x.s, x.t))
-        else:
-            q, s, fps, rate = values
-            points.append((q, s, fps))
-            star = _frozen(Star, {"q": q, "s": s, "t": fps})
-            sample = _frozen(RateSample, {"star": star, "rate": rate, "tag": tag(row)})
-        samples.append(sample)
-    if not samples:
-        raise InvalidParameterError("no data rows")
+    if _floats(plain) is None:  # also a log without data rows
+        samples = [checked(num, row) for num, row in rows]
+        if not samples:
+            raise InvalidParameterError("no data rows")
+        return EncodeLog.from_samples(samples), warnings
+    points = [(q, s, fps) for q, s, fps, _ in plain]
+    samples = tuple([_frozen(RateSample, {"star": _frozen(Star, {"q": q, "s": s, "t": fps}),
+                                          "rate": rate, "tag": tag(row)})
+                     for (q, s, fps, rate), (_, row) in zip(plain, rows)])
     _check_repeats(points, samples)
-    return _frozen(EncodeLog, {"samples": tuple(samples), "ref": _log_ref(points)}), warnings
+    return _frozen(EncodeLog, {"samples": samples, "ref": _log_ref(points)}), warnings
 
 
 def _plain(cells, from_qp: bool) -> list[float] | None:

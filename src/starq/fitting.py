@@ -44,16 +44,14 @@ class RateSample:
 
 
 def _samples(samples) -> tuple[RateSample, ...]:
-    # The samples as a tuple, each checked to be a RateSample; a tuple of
-    # exact RateSamples takes one pass over the element types.
+    # The samples as a tuple, each checked to be a RateSample.
     try:
         samples = tuple(samples)
     except TypeError:
         raise InvalidParameterError(f"samples must be an iterable, got {samples!r}") from None
-    if list(map(type, samples)).count(RateSample) != len(samples):
-        for sample in samples:
-            if not isinstance(sample, RateSample):
-                raise InvalidParameterError(f"samples must be RateSample objects, got {sample!r}")
+    for sample in samples:
+        if not isinstance(sample, RateSample):
+            raise InvalidParameterError(f"samples must be RateSample objects, got {sample!r}")
     return samples
 
 
@@ -158,7 +156,29 @@ class EncodeLog:
     def _protocol_seed(self) -> tuple[RateParams, tuple[str, ...]]:
         # The protocol fit's parameters and warnings, which the joint fit
         # refines.
-        return _protocol_fit(self)
+        anchor = _find_anchor(self)
+        exponents = []
+        bound_hits = []
+        for curve, axis, sign, name in (
+            ("_nrq", "stepsize", -1.0, "a"),
+            ("_nrt", "frame-rate", 1.0, "b"),
+            ("_nrs", "frame-size", 1.0, "c"),
+        ):
+            ratios, values = getattr(self, curve)
+            if len(ratios) < 2 or _all_one(ratios):
+                raise InsufficientDataError(f"not enough distinct {axis} measurements to fit")
+            points = _check("normalized points", (ratios, values), array=True)
+            value, at_bound = _fit_exponent(*points, sign)
+            exponents.append(value)
+            if at_bound:
+                bound_hits.append(
+                    f"{axis} exponent {name} stopped at the search bound {_EXPONENT_MAX:g}; "
+                    "the data may call for a larger value"
+                )
+        # The bound warnings come only with a fit of every curve; a joint fit
+        # that falls back to the log-domain seed never uses these exponents.
+        a, b, c = exponents
+        return RateParams(a=a, b=b, c=c, r_max=anchor.rate, ref=self.ref), tuple(bound_hits)
 
 
 def _log_ref(points) -> ResolutionRef:
@@ -379,33 +399,6 @@ def _find_anchor(log: EncodeLog) -> RateSample:
     raise InsufficientDataError(
         "log has no measurement at the reference point (q_min, s_max, t_max)"
     )
-
-
-def _protocol_fit(log: EncodeLog) -> tuple[RateParams, tuple[str, ...]]:
-    # The protocol fit's parameters and its warnings; EncodeLog keeps them.
-    anchor = _find_anchor(log)
-    exponents = []
-    bound_hits = []
-    for curve, axis, sign, name in (
-        ("_nrq", "stepsize", -1.0, "a"),
-        ("_nrt", "frame-rate", 1.0, "b"),
-        ("_nrs", "frame-size", 1.0, "c"),
-    ):
-        ratios, values = getattr(log, curve)
-        if len(ratios) < 2 or _all_one(ratios):
-            raise InsufficientDataError(f"not enough distinct {axis} measurements to fit")
-        points = _check("normalized points", (ratios, values), array=True)
-        value, at_bound = _fit_exponent(*points, sign)
-        exponents.append(value)
-        if at_bound:
-            bound_hits.append(
-                f"{axis} exponent {name} stopped at the search bound {_EXPONENT_MAX:g}; "
-                "the data may call for a larger value"
-            )
-    # The bound warnings come only with a fit of every curve; a joint fit
-    # that falls back to the log-domain seed never uses these exponents.
-    a, b, c = exponents
-    return RateParams(a=a, b=b, c=c, r_max=anchor.rate, ref=log.ref), tuple(bound_hits)
 
 
 def _loglinear_init(ref: ResolutionRef, signed, rate) -> RateParams:

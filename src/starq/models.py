@@ -96,14 +96,9 @@ def _floats(values, low=0.0, strict=True) -> list | tuple | None:
 
 def _holds_bool(value) -> bool:
     # numpy turns a bool among numbers into 0 or 1, so lists and tuples are
-    # scanned at every depth for Python and numpy booleans; a flat list of
-    # Python floats and ints, or a list of tuples of them (points, table
-    # rows), takes one pass over its element types.
+    # scanned at every depth for Python and numpy booleans.
     if type(value) in (list, tuple):
-        types = set(map(type, value))
-        if types == {tuple}:
-            types = set(map(type, chain.from_iterable(value)))
-        return not types <= {float, int} and any(map(_holds_bool, value))
+        return any(map(_holds_bool, value))
     return type(value) in (bool, np.bool_) or isinstance(value, np.ndarray) and value.dtype == bool
 
 

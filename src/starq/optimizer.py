@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidParameterError
+from .errors import InfeasibleError, InvalidParameterError, OutOfRangeError
 from .models import (
     QualityParams,
     RateParams,
@@ -55,7 +55,8 @@ class OptimizationResult:
     """The operating point an optimizer chose.
 
     ``star`` holds its stepsize, frame size and frame rate, ``quality`` the
-    quality surface there and ``rate`` the rate surface there in kbps. The
+    quality surface there and ``rate`` the rate surface there in kbps, which
+    follows the rule of :func:`~starq.models.evaluate_rate`: finite and > 0. The
     stepsize comes from the budget equation in floating point, so ``rate``
     may exceed the budget by rounding: ``optimize_discrete`` returns a rate
     of 500.00000000000006 at a 500 kbps budget on the city/svc1 parameters
@@ -180,9 +181,8 @@ def optimize_continuous(
         i, j = divmod(k, 5)
         quality, q, s, t = fine_quality, fine_q, s_fine.item(i), t_fine.item(j)
     _check_q_limit(q, budget)
-    return OptimizationResult(
-        star=Star(q=q, s=s, t=t), quality=quality, rate=float(_rate(rp, q, s, t))
-    )
+    rate = _check("rate", float(_rate(rp, q, s, t)), error=OutOfRangeError)
+    return OptimizationResult(star=Star(q=q, s=s, t=t), quality=quality, rate=rate)
 
 
 def optimize_discrete(
@@ -227,11 +227,9 @@ def optimize_discrete(
     # lexsort sorts by its last key first, so the best pair comes last.
     k = np.lexsort((s, t, -q, quality))[-1]
     _check_q_limit(q.item(k), budget)
-    return OptimizationResult(
-        star=Star(q=q.item(k), s=s.item(k), t=t.item(k)),
-        quality=quality.item(k),
-        rate=float(_rate(rp, q[k], s[k], t[k])),
-    )
+    rate = _check("rate", float(_rate(rp, q[k], s[k], t[k])), error=OutOfRangeError)
+    return OptimizationResult(star=Star(q=q.item(k), s=s.item(k), t=t.item(k)),
+                              quality=quality.item(k), rate=rate)
 
 
 def optimal_quality_curve(rp: RateParams, qp: QualityParams) -> list[tuple[float, float]]:
@@ -241,9 +239,12 @@ def optimal_quality_curve(rp: RateParams, qp: QualityParams) -> list[tuple[float
     three coded formats (a 3-point geometric axis over a 16x span), 64
     frame rates over the same span, no local refinement, and budgets over
     the top decade of the rate range. Returns ``(budget, quality)`` pairs
-    suitable for :func:`starq.fitting.fit_qr`.
+    suitable for :func:`starq.fitting.fit_qr`. Raises
+    :class:`~starq.errors.OutOfRangeError` where ``0.1 * r_max`` rounds to 0.
     """
     _check_shared_ref(rp, qp)
+    if not 0.1 * rp.r_max:
+        raise OutOfRangeError(f"0.1 * r_max rounds to 0 at r_max {rp.r_max!r}")
     budgets = _geomspace(np.array([0.1 * rp.r_max]), np.array([rp.r_max]), 50)[0]
     quality, q, _ = _best_cells(rp, qp, budgets[:, None, None], *_axes(rp.ref, 3, 64))
     k = q.argmax()

@@ -37,7 +37,6 @@ from .models import (
     _check_shared_ref,
     _checked_quality,
     _checked_rate,
-    _floats,
     _frozen,
     _ladder,
     _positive_arrays,
@@ -147,18 +146,15 @@ class OrderedPath:
                 raise InvalidParameterError(f"path steps must be PathStep, got {type(x).__name__}")
         l, m, n, s, t, q, rate, quality = zip(*steps)
         index = l + m + n
-        if list(map(type, index)).count(int) != len(index):  # numpy integers read as Python ints
-            if not all(isinstance(i, (int, np.integer)) and type(i) is not bool for i in index):
-                raise InvalidParameterError("step indices l, m, n must be integers")
-            index = tuple(map(int, index))
-            l, m, n = (index[i : i + len(steps)] for i in range(0, len(index), len(steps)))
+        if not all(isinstance(i, (int, np.integer)) and type(i) is not bool for i in index):
+            raise InvalidParameterError("step indices l, m, n must be integers")
+        index = tuple(map(int, index))  # numpy integers read as Python ints
+        l, m, n = (index[i : i + len(steps)] for i in range(0, len(index), len(steps)))
         if not 0 <= min(index) <= max(index) < 2**63:
             bad = f"< 2**63, got {max(index)}" if max(index) >= 2**63 else f">= 0, got {min(index)}"
             raise InvalidParameterError(f"step indices l, m, n must be {bad}")
-        if _floats(s + t + q + rate) is None:
-            _check("step s, t, q, rate", s + t + q + rate, array=True)
-        if _floats(quality, -math.inf) is None:
-            _check("step quality", quality, -np.inf, array=True)
+        _check("step s, t, q, rate", s + t + q + rate, array=True)
+        _check("step quality", quality, -np.inf, array=True)
         pairs = zip(l, l[1:], m, m[1:], n, n[1:], s, s[1:], t, t[1:], q, q[1:],
                     rate, rate[1:], quality, quality[1:])
         slopes, flags = [], []

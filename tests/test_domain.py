@@ -107,13 +107,23 @@ class TestCheckerGaps:
     @pytest.mark.parametrize(
         "q",
         [np.array([True]), [True, 16.0], [[True, 16.0]], [np.True_, 16.0],
-         [np.array([True, True]), (1.0, 2.0)]],
+         [np.array([True, True]), (1.0, 2.0)], [(16, True)]],
         ids=["bool-array", "bool-in-list", "bool-in-nested-list", "numpy-bool-in-list",
-             "bool-array-in-list"],
+             "bool-array-in-list", "bool-in-list-of-tuples"],
     )
     def test_surfaces_reject_booleans(self, q):
         with pytest.raises(InvalidParameterError):
             rate_surface(CITY, q, REF.s_max, REF.t_max)
+
+    @pytest.mark.parametrize(
+        "q,floats",
+        [([16, 32.0, 64], [16.0, 32.0, 64.0]),
+         ([(16, 32.0), (64, 128.0)], [[16.0, 32.0], [64.0, 128.0]])],
+        ids=["ints-and-floats", "int-float-tuples"],
+    )
+    def test_surfaces_take_ints_among_floats(self, q, floats):
+        want = rate_surface(CITY, np.array(floats), REF.s_max, REF.t_max)
+        assert rate_surface(CITY, q, REF.s_max, REF.t_max).tolist() == want.tolist()
 
     def test_frame_size_parsing_uses_the_rule(self):
         assert parse_frame_size(np.int64(CIF)) == float(CIF)

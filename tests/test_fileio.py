@@ -171,6 +171,9 @@ class TestEncodeLogCsv:
         text = "q,width,height,fps,rate_kbps\n16,704,576,30,2379,\n64,704,576,30,344.4, ,\n"
         log, _ = read_encode_log(write(tmp_path, "log.csv", text))
         assert [sample.rate for sample in log.samples] == [2379.0, 344.4]
+        # Such rows go the checked way, which builds the log from its samples.
+        assert log == EncodeLog.from_samples(log.samples)
+        assert hash(log) == hash(EncodeLog.from_samples(log.samples))
 
     @pytest.mark.parametrize("blanks", [0, 2])
     def test_csv_error_names_the_line_the_reader_stopped_on(self, tmp_path, blanks):

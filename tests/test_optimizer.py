@@ -36,6 +36,7 @@ from starq import (
     evaluate_rate,
     feasible_q,
     fit_qr,
+    optimal_quality_curve,
     optimize_continuous,
     optimize_discrete,
 )
@@ -274,6 +275,25 @@ class TestBudgetInput:
         message = f"budget must be a finite real > 0, got {shown}"
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             OPTIMIZERS[optimizer](budget)
+
+
+class TestDomainEdges:
+    def test_quality_curve_budgets_must_not_round_to_zero(self):
+        rp = RateParams(a=1.2, b=0.7, c=0.5, r_max=5e-324, ref=REF)
+        with pytest.raises(OutOfRangeError, match=r"^0\.1 \* r_max rounds to 0 at r_max 5e-324$"):
+            optimal_quality_curve(rp, CITY_Q)
+
+    @pytest.mark.parametrize(
+        "optimize,budget",
+        [(optimize_continuous, 50.0),
+         (lambda rp, qp, budget: optimize_discrete(rp, qp, DYADIC, budget), 5.0)],
+        ids=["continuous", "discrete"],
+    )
+    def test_result_rate_follows_the_finite_rate_rule(self, optimize, budget):
+        # b = 1e300 sends the rate below the reference frame rate to 0.
+        rp = RateParams(a=1.0, b=1e300, c=0.5, r_max=100.0, ref=REF)
+        with pytest.raises(OutOfRangeError, match=r"^rate must be a finite real > 0, got 0\.0$"):
+            optimize(rp, CITY_Q, budget)
 
 
 class TestFitQr:
