@@ -30,7 +30,7 @@ from .models import (
     _close,
     _positive_arrays,
     _quality,
-    _rate,
+    evaluate_rate,
 )
 
 @dataclass(frozen=True)
@@ -181,8 +181,8 @@ def optimize_continuous(
         i, j = divmod(k, 5)
         quality, q, s, t = fine_quality, fine_q, s_fine.item(i), t_fine.item(j)
     _check_q_limit(q, budget)
-    rate = _check("rate", float(_rate(rp, q, s, t)), error=OutOfRangeError)
-    return OptimizationResult(star=Star(q=q, s=s, t=t), quality=quality, rate=rate)
+    star = Star(q=q, s=s, t=t)
+    return OptimizationResult(star=star, quality=quality, rate=evaluate_rate(rp, star))
 
 
 def optimize_discrete(
@@ -227,9 +227,8 @@ def optimize_discrete(
     # lexsort sorts by its last key first, so the best pair comes last.
     k = np.lexsort((s, t, -q, quality))[-1]
     _check_q_limit(q.item(k), budget)
-    rate = _check("rate", float(_rate(rp, q[k], s[k], t[k])), error=OutOfRangeError)
-    return OptimizationResult(star=Star(q=q.item(k), s=s.item(k), t=t.item(k)),
-                              quality=quality.item(k), rate=rate)
+    star = Star(q=q.item(k), s=s.item(k), t=t.item(k))
+    return OptimizationResult(star=star, quality=quality.item(k), rate=evaluate_rate(rp, star))
 
 
 def optimal_quality_curve(rp: RateParams, qp: QualityParams) -> list[tuple[float, float]]:
@@ -239,13 +238,15 @@ def optimal_quality_curve(rp: RateParams, qp: QualityParams) -> list[tuple[float
     three coded formats (a 3-point geometric axis over a 16x span), 64
     frame rates over the same span, no local refinement, and budgets over
     the top decade of the rate range. Returns ``(budget, quality)`` pairs
-    suitable for :func:`starq.fitting.fit_qr`. Raises
-    :class:`~starq.errors.OutOfRangeError` where ``0.1 * r_max`` rounds to 0.
+    suitable for :func:`starq.fitting.fit_qr`. Raises :class:`OutOfRangeError`
+    where the budgets do not strictly rise (``r_max`` below about 1e-321).
     """
     _check_shared_ref(rp, qp)
-    if not 0.1 * rp.r_max:
-        raise OutOfRangeError(f"0.1 * r_max rounds to 0 at r_max {rp.r_max!r}")
-    budgets = _geomspace(np.array([0.1 * rp.r_max]), np.array([rp.r_max]), 50)[0]
+    # log10(0) where 0.1 * r_max rounds to 0: nan budgets, which do not rise.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        budgets = _geomspace(np.array([0.1 * rp.r_max]), np.array([rp.r_max]), 50)[0]
+    if not (budgets[1:] > budgets[:-1]).all():
+        raise OutOfRangeError(f"r_max {rp.r_max!r} is too small for 50 rising budgets")
     quality, q, _ = _best_cells(rp, qp, budgets[:, None, None], *_axes(rp.ref, 3, 64))
     k = q.argmax()
     _check_q_limit(float(q[k]), float(budgets[k]))

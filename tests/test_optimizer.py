@@ -278,9 +278,11 @@ class TestBudgetInput:
 
 
 class TestDomainEdges:
-    def test_quality_curve_budgets_must_not_round_to_zero(self):
-        rp = RateParams(a=1.2, b=0.7, c=0.5, r_max=5e-324, ref=REF)
-        with pytest.raises(OutOfRangeError, match=r"^0\.1 \* r_max rounds to 0 at r_max 5e-324$"):
+    # 0.1 * r_max rounds to 0; only five distinct budgets.
+    @pytest.mark.parametrize("r_max", [5e-324, 2.5e-323], ids=["zero-budget", "repeated-budgets"])
+    def test_quality_curve_budgets_must_rise(self, r_max):
+        rp = RateParams(a=1.2, b=0.7, c=0.5, r_max=r_max, ref=REF)
+        with pytest.raises(OutOfRangeError, match=rf"^r_max {r_max!r} is too small for 50 rising budgets$"):
             optimal_quality_curve(rp, CITY_Q)
 
     @pytest.mark.parametrize(

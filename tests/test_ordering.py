@@ -339,24 +339,13 @@ class TestOrderedPathInvariants:
             OrderedPath(steps=(step,), direction="forward")
 
     def test_numpy_integer_indices_accepted(self):
-        a = PathStep(np.int64(1), 0, np.uint64(3), 1.0, 1.0, 4.0, 10.0, 0.2)
-        b = PathStep(1, np.uint64(1), 3, 1.0, 2.0, 4.0, 20.0, 0.3)
+        # Indices of three integer types and integer s, t, q and rate read as
+        # the float path they stand for.
+        a = PathStep(np.int64(1), 0, np.uint64(3), 1, 1, 4, 10, 0.2)
+        b = PathStep(1, np.uint64(1), 3, 1, 2, 4, 20, 0.3)
         path = OrderedPath(steps=(a, b), direction="forward")
         assert path.steps == ((1, 0, 3, 1.0, 1.0, 4.0, 10.0, 0.2), (1, 1, 3, 1.0, 2.0, 4.0, 20.0, 0.3))
         assert path.slopes == ((0.3 - 0.2) / (20.0 - 10.0),)
-
-    def test_integer_fields_equal_their_float_twin(self):
-        # Indices of three integer types and integer s, t, q and rate read as
-        # the float path they stand for.
-        steps = (PathStep(np.uint64(0), 0, np.int64(0), 1, 2, 4, 10, 0.2),
-                 PathStep(0, np.int64(1), 0, 1, 3, 4, 20, 0.3),
-                 PathStep(np.int64(0), 1, np.uint64(1), 1, 3, 2, 40, 0.3))
-        floats = (PathStep(0, 0, 0, 1.0, 2.0, 4.0, 10.0, 0.2),
-                  PathStep(0, 1, 0, 1.0, 3.0, 4.0, 20.0, 0.3),
-                  PathStep(0, 1, 1, 1.0, 3.0, 2.0, 40.0, 0.3))
-        path, twin = OrderedPath(steps, "forward"), OrderedPath(floats, "forward")
-        assert path == twin and path.slopes == twin.slopes
-        assert path.nonpositive_gain_steps == twin.nonpositive_gain_steps == (2,)
 
     def test_unsigned_index_falling_rejected_without_wrapping(self):
         # np.uint64(1) then 0 is a -1 step, not a wrapped 2**64 - 1.
